@@ -8,9 +8,9 @@ evaluates the closed-form bounds that pin them from above, all in exact
 arbitrary-precision arithmetic.
 """
 
-from .core import (Coloring, FiniteSet, GapSpectrum, GrowthFn, color_class,
-                   finite_set, gap_size, gap_spectrum, max_run_size,
-                   monotone_closure, parse_growth_spec, windows)
+from .core import (Coloring, FiniteSet, GapSpectrum, GrowthFn, finite_set,
+                   gap_size, gap_spectrum, max_run_size, monotone_closure,
+                   parse_growth_spec, windows)
 from .checker import (StarReport, WindowViolation, WitnessCertificate,
                       bruteforce_profile, certificate_problems,
                       has_large_homogeneous, has_large_homogeneous_bruteforce,
@@ -33,9 +33,9 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coloring", "FiniteSet", "GapSpectrum", "GrowthFn", "color_class",
-    "finite_set", "gap_size", "gap_spectrum", "max_run_size",
-    "monotone_closure", "parse_growth_spec", "windows",
+    "Coloring", "FiniteSet", "GapSpectrum", "GrowthFn", "finite_set",
+    "gap_size", "gap_spectrum", "max_run_size", "monotone_closure",
+    "parse_growth_spec", "windows",
     "StarReport", "WindowViolation", "WitnessCertificate",
     "bruteforce_profile", "certificate_problems", "has_large_homogeneous",
     "has_large_homogeneous_bruteforce", "is_witness", "satisfies_star",

@@ -8,11 +8,12 @@ condition*.  A coloring whose classes all satisfy the star condition is a
 homogeneous sets, i.e. that the corresponding Brown number exceeds its
 length.
 
-Two deciders are provided.  The fast path scans, for each distinct gap
-value d occurring in a class (plus d = 1), the maximal runs with gaps
-<= d; for nondecreasing f this is equivalent to checking every window.
-The brute-force oracle enumerates every subset of every class and is the
-semantics of record, usable with arbitrary growth functions.
+Two deciders are provided.  The fast path makes one left-to-right pass
+over each class and checks every maximal run against f of its own gap
+size, the largest difference inside it; for nondecreasing f this is
+equivalent to checking every window.  The brute-force oracle enumerates
+every subset of every class and is the semantics of record, usable with
+arbitrary growth functions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .colorfile import parse_rle_string, rle_string
-from .core import Coloring, GrowthFn, parse_growth_spec
+from .core import Coloring, GrowthFn, _runs, parse_growth_spec
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 
 BRUTEFORCE_LENGTH_CAP = 20
@@ -45,62 +46,35 @@ class StarReport:
     violation: Optional[WindowViolation] = None
 
 
-def _distinct_gaps(h: Sequence[int]) -> list:
-    """Distinct consecutive differences of h, plus 1 whenever h is nonempty."""
-    gaps = {b - a for a, b in zip(h, h[1:])}
-    if h:
-        gaps.add(1)
-    return sorted(gaps)
-
-
-def _scan_bound(h: Sequence[int], d: int, limit: int):
-    """Walk the maximal runs of h with internal gaps <= d.
-
-    Returns ``(longest_run, violation)`` where violation is the leftmost
-    maximal run longer than ``limit``, reported with its own gap size
-    (which may be smaller than d, making the violation self-contained).
-    """
-    best = 0
-    violation = None
-    i = 0
-    n = len(h)
-    while i < n:
-        j = i
-        run_gs = 1
-        while j + 1 < n and h[j + 1] - h[j] <= d:
-            g = h[j + 1] - h[j]
-            if g > run_gs:
-                run_gs = g
-            j += 1
-        length = j - i + 1
-        if length > best:
-            best = length
-        if violation is None and length > limit:
-            violation = (h[i], h[j], run_gs, length)
-        i = j + 1
-    return best, violation
-
-
 def _check_class(h: Sequence[int], f: GrowthFn):
-    """Fast star check: per distinct gap value, maximal runs stay within f.
+    """Fast star check: every maximal run stays within f of its gap size.
 
-    Returns ``(violation or None, certificate triples)`` where the triples
-    are ``(d, longest d-bounded run, f(d))`` for each scanned d.  Sound and
-    complete for nondecreasing f: a window with gap size d sits inside a
-    maximal d-bounded run, and a d-bounded run is itself a window whose gap
-    size is at most d.
+    Returns ``(violation or None, certificate triples)``.  The triples are
+    ``(d, longest d-bounded run, f(d))`` for each distinct gap value d of h
+    (plus d = 1); the violation is the least ``(start, end)`` maximal run
+    longer than f of its own gap size, as ``(start, end, gap size, length)``.
+    Sound and complete for nondecreasing f: a window with gap size d sits
+    inside the maximal d-bounded run around it, whose gap size is d.
     """
+    sizes: dict[int, int] = {}
+    limits = {1: f(1)} if h else {}
+    least = None
+    for g, lo, hi in _runs(h):
+        size = hi - lo + 1
+        if size > sizes.get(g, 0):
+            sizes[g] = size
+        if g not in limits:
+            limits[g] = f(g)
+        if size > limits[g] and (least is None or (h[lo], h[hi]) < least[:2]):
+            least = (h[lo], h[hi], g, size)
+    if h and limits[1] < 1 and (len(h) == 1 or h[1] - h[0] > 1):
+        least = (h[0], h[0], 1, 1)     # a lone first element is already too large
     triples = []
-    candidates = []
-    for d in _distinct_gaps(h):
-        limit = f(d)
-        best, violation = _scan_bound(h, d, limit)
-        triples.append((d, best, limit))
-        if violation is not None:
-            candidates.append(violation)
-    if candidates:
-        return min(candidates, key=lambda v: (v[0], v[1])), triples
-    return None, triples
+    best = 1
+    for d in sorted(limits):
+        best = max(best, sizes.get(d, 1))
+        triples.append((d, best, limits[d]))
+    return least, triples
 
 
 def satisfies_star(h: Sequence[int], f: GrowthFn, color: Optional[int] = None) -> StarReport:
@@ -139,21 +113,15 @@ def has_large_homogeneous(coloring: Coloring, f: GrowthFn):
     return None
 
 
-def _class_gap_profile(h: Sequence[int]) -> dict:
-    """Max subset size per exact gap size, over ALL subsets of h.
-
-    Subsets are enumerated as bitmasks; the gap size of a mask extends the
-    gap size of the mask without its smallest element by the leading
-    difference, which is the definition of gap size unrolled.  Independent
-    of any growth function, so one enumeration serves many thresholds.
+def _subset_gaps(h: Sequence[int]):
+    """Yield ``(mask, gap size)`` for every nonempty subset of h, masks in
+    increasing order.  The gap size of a mask extends that of the mask
+    without its smallest element by the leading difference: the definition
+    of gap size unrolled, independent of the fast checker's run scan.
     """
-    c = len(h)
-    profile: dict[int, int] = {}
-    if c == 0:
-        return profile
-    gs = [1] * (1 << c)
+    gs = [1] * (1 << len(h))
     bit_length = int.bit_length
-    for m in range(1, 1 << c):
+    for m in range(1, 1 << len(h)):
         rest = m & (m - 1)
         if rest:
             i = bit_length(m & -m) - 1
@@ -164,6 +132,14 @@ def _class_gap_profile(h: Sequence[int]) -> dict:
         else:
             g = 1
         gs[m] = g
+        yield m, g
+
+
+def _class_gap_profile(h: Sequence[int]) -> dict:
+    """Max subset size per exact gap size, over ALL subsets of h; one
+    enumeration serves many thresholds."""
+    profile: dict[int, int] = {}
+    for m, g in _subset_gaps(h):
         size = m.bit_count()
         if size > profile.get(g, 0):
             profile[g] = size
@@ -193,28 +169,13 @@ def has_large_homogeneous_bruteforce(coloring: Coloring, f: GrowthFn,
         raise ResourceLimitError(f"brute-force oracle capped at length {length_cap}")
     limits: dict[int, int] = {}
     for color, h in enumerate(coloring.classes()):
-        c = len(h)
-        if c == 0:
-            continue
-        gs = [1] * (1 << c)
-        bit_length = int.bit_length
-        for m in range(1, 1 << c):
-            rest = m & (m - 1)
-            if rest:
-                i = bit_length(m & -m) - 1
-                j = bit_length(rest & -rest) - 1
-                g = h[j] - h[i]
-                prev = gs[rest]
-                g = prev if prev > g else g
-            else:
-                g = 1
-            gs[m] = g
+        for m, g in _subset_gaps(h):
             limit = limits.get(g)
             if limit is None:
                 limit = f(g)
                 limits[g] = limit
             if m.bit_count() > limit:
-                subset = tuple(h[k] for k in range(c) if m >> k & 1)
+                subset = tuple(h[k] for k in range(len(h)) if m >> k & 1)
                 return color, subset
     return None
 
@@ -271,7 +232,8 @@ def is_witness(coloring: Coloring, f: GrowthFn) -> Optional[WitnessCertificate]:
     exceeding its growth budget.  Requires f nondecreasing.
     """
     if not f.nondecreasing:
-        raise PreconditionError("witness certification needs a nondecreasing growth function")
+        raise PreconditionError("witness certification needs a nondecreasing growth "
+                                "function (try closure:<spec>)")
     per_class = []
     for h in coloring.classes():
         violation, triples = _check_class(h, f)

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import constructions
 from .cache import ResultCache, resolve_cache_dir
@@ -34,7 +33,6 @@ EXIT_MAGNITUDE = 4
 
 DEFAULT_NODE_BUDGET = 1_000_000
 ORACLE_VALUE_CAP = 18
-ARG_BIT_CAP = 1 << 25
 
 
 class CLIError(Exception):
@@ -102,53 +100,28 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
     return payload
 
 
-def _guard_blowup(f: GrowthFn, n: int) -> None:
-    """Refuse growth evaluations whose result cannot fit in memory."""
-    if f.kind == "exp2" and n > ARG_BIT_CAP:
-        raise MagnitudeError(f"2**{_sci(n)} exceeds the {ARG_BIT_CAP}-bit cap", depth=1, base=n)
-    if f.kind == "closure":
-        _guard_blowup(f.inner, n)
-
-
-def _bounded_recursion(f: GrowthFn, r: int) -> int:
-    """upper bound recursion with a magnitude guard for the CLI table."""
-    from .core import monotone_closure
-
-    if not f.nondecreasing:
-        f = monotone_closure(f)
-    _guard_blowup(f, 1)
-    n = f(1) + 2
-    for k in range(2, r + 1):
-        _guard_blowup(f, n)
-        n = k * f(n) + 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # brown / vdw
 # ---------------------------------------------------------------------------
 
 
-def _search_command(args, op: str) -> int:
+def _search_command(args) -> int:
+    op = args.command
     cache = None
     if not args.no_cache:
         cache = ResultCache(resolve_cache_dir(args.cache_dir))
     if op == "brown":
         f = _parse_growth(args.f)
-        if args.r < 1:
-            raise CLIError("--r must be >= 1")
         key = {"op": "brown", "growth": f.spec_string(), "r": args.r}
     else:
-        if args.r < 1 or args.l < 1:
-            raise CLIError("--r and --l must be >= 1")
         key = {"op": "vdw", "r": args.r, "l": args.l}
 
+    budget = _budget(args)
     cached = cache.get(key) if cache is not None else None
     if cached is not None:
         result = cached
         cache_state = "hit"
     else:
-        budget = _budget(args)
         if op == "brown":
             outcome = brown_number(f, args.r, n_cap=args.max_n, budget=budget,
                                    jobs=args.jobs)
@@ -200,15 +173,15 @@ def _search_command(args, op: str) -> int:
 
 
 def _brown_bounds(f: GrowthFn, r: int) -> dict:
-    bounds: dict[str, Optional[str]] = {"ardal": None}
+    """The closed-form bounds in decimal; None where one does not apply or
+    overflows the magnitude cap."""
     try:
-        bounds["recursion"] = constructions.decimal_str(_bounded_recursion(f, r))
+        recursion = constructions.decimal_str(constructions.upper_bound_seq(f, r))
     except MagnitudeError:
-        bounds["recursion"] = None
-    if f.kind in ("id", "linear"):
-        m = 1 if f.kind == "id" else f.slope
-        bounds["ardal"] = constructions.decimal_str(constructions.ardal_bound(m, r))
-    return bounds
+        recursion = None
+    m = constructions.linear_slope(f)
+    ardal = None if m is None else constructions.decimal_str(constructions.ardal_bound(m, r))
+    return {"ardal": ardal, "recursion": recursion}
 
 
 def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
@@ -232,18 +205,8 @@ def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
     return True
 
 
-def _cmd_brown(args) -> int:
-    return _search_command(args, "brown")
-
-
-def _cmd_vdw(args) -> int:
-    return _search_command(args, "vdw")
-
-
 def _cmd_confirm(args) -> int:
     f = _parse_growth(args.f)
-    if not f.nondecreasing:
-        raise CLIError("confirm needs a nondecreasing growth spec (try closure:<spec>)")
     outcome = confirm_no_witness(args.n, f, args.r, budget=_budget(args), jobs=args.jobs)
     payload = {"command": "confirm", "n": args.n, "growth": f.spec_string(),
                "r": args.r, "no_witness": outcome.result, "nodes": outcome.nodes}
@@ -263,8 +226,6 @@ def _cmd_confirm(args) -> int:
 def _cmd_check(args) -> int:
     coloring = _read_coloring(args.input)
     f = _parse_growth(args.f)
-    if not f.nondecreasing:
-        raise CLIError("check needs a nondecreasing growth spec (try closure:<spec>)")
     cert = is_witness(coloring, f)
     if cert is not None:
         payload = {"command": "check", "witness": True,
@@ -290,8 +251,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    if args.s < 0:
-        raise CLIError("--s must be a natural")
     try:
         stage = constructions.ladder(args.s)
     except MagnitudeError as exc:
@@ -340,28 +299,18 @@ def _cmd_bounds(args) -> int:
     if args.r_max < 1:
         raise CLIError("--r-max must be >= 1")
     if args.m is not None:
-        if args.m < 1:
-            raise CLIError("--m must be >= 1")
         f = GrowthFn.linear(args.m)
     else:
         f = _parse_growth(args.f)
-    slope = None
-    if f.kind == "linear":
-        slope = f.slope
-    elif f.kind == "id":
-        slope = 1
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     rows = []
     for r in range(1, args.r_max + 1):
-        try:
-            recursion = constructions.decimal_str(_bounded_recursion(f, r))
-        except MagnitudeError as exc:
-            raise CLIError(f"recursion bound for r={r} overflows: {exc}",
-                           EXIT_MAGNITUDE) from exc
-        ardal = (constructions.decimal_str(constructions.ardal_bound(slope, r))
-                 if slope is not None else None)
+        bounds = _brown_bounds(f, r)
+        if bounds["recursion"] is None:
+            raise CLIError(f"recursion bound for r={r} overflows the "
+                           f"{constructions.BIT_CAP}-bit cap", EXIT_MAGNITUDE)
         cached = cache.get({"op": "brown", "growth": f.spec_string(), "r": r})
-        rows.append({"r": r, "ardal": ardal, "recursion": recursion,
+        rows.append({"r": r, **bounds,
                      "cached": None if cached is None else
                      {"kind": cached.get("kind"), "value": cached.get("value")}})
     if args.format == "csv":
@@ -389,8 +338,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    if args.d < 1:
-        raise CLIError("--d must be >= 1")
     if args.n < 0:
         raise CLIError("--n must be a natural")
     coloring = constructions.diag_prefix(args.d, args.n)
@@ -438,8 +385,6 @@ def _cmd_decompose(args) -> int:
         xs = [int(tok) for tok in args.x.split(",")] if args.x else []
     except ValueError as exc:
         raise CLIError(f"bad --x list: {exc}") from exc
-    if args.d < 1:
-        raise CLIError("--d must be >= 1")
     try:
         y, z = constructions.decompose_ps(tuple(sorted(set(xs))), args.d, args.horizon)
     except InvalidArgumentError as exc:
@@ -455,8 +400,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_ap(args) -> int:
     coloring = _read_coloring(args.input)
-    if args.l < 1:
-        raise CLIError("--l must be >= 1")
     hit = ap_partition_check(coloring, args.l)
     if hit is None:
         _emit({"command": "ap", "l": args.l, "found": False})
@@ -479,6 +422,14 @@ def _add_search_flags(parser) -> None:
                         help="cap the searched coloring length (forces bracketing if hit)")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check the exact value against full enumeration")
+    _add_budget_flags(parser)
+    parser.add_argument("--certificate", default=None,
+                        help="write the witness certificate JSON to this path")
+    parser.add_argument("--cache-dir", default=None, help="result cache directory")
+    parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+
+
+def _add_budget_flags(parser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the subtree split (default 1)")
     parser.add_argument("--require-exact", action="store_true",
@@ -487,10 +438,6 @@ def _add_search_flags(parser) -> None:
                         help=f"node budget, 0 = unlimited (default {DEFAULT_NODE_BUDGET})")
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock budget in seconds")
-    parser.add_argument("--certificate", default=None,
-                        help="write the witness certificate JSON to this path")
-    parser.add_argument("--cache-dir", default=None, help="result cache directory")
-    parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,22 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="growth spec, e.g. linear:2 or exp2")
     p.add_argument("--r", type=int, required=True, help="number of colors")
     _add_search_flags(p)
-    p.set_defaults(handler=_cmd_brown)
+    p.set_defaults(handler=_search_command)
 
     p = sub.add_parser("vdw", help="compute or bracket a van der Waerden number")
     p.add_argument("--r", type=int, required=True, help="number of colors")
     p.add_argument("--l", type=int, required=True, help="progression length")
     _add_search_flags(p)
-    p.set_defaults(handler=_cmd_vdw)
+    p.set_defaults(handler=_search_command)
 
     p = sub.add_parser("confirm", help="audit that no witness of length n exists")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--require-exact", action="store_true")
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_confirm)
 
     p = sub.add_parser("check", help="check a coloring file against a growth spec")

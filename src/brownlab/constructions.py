@@ -10,7 +10,8 @@ This module materializes and verifies the library's reference objects:
   the corresponding Brown number exceeds ``n_s``;
 * closed-form upper bounds (a linear-growth bound and the generic
   recursion ``n_1 = f(1) + 2``, ``n_{r+1} = (r+1) * f(n_r) + 1``);
-* iterated exponentials (towers) with a configurable bit cap;
+* iterated exponentials (towers) with a configurable bit cap, which also
+  guards the recursion bound against values that cannot fit in memory;
 * generators for piecewise-syndetic prefixes, the syndetic/thick
   decomposition, and the block-selection extraction that pulls a
   gap-bounded homogeneous subset out of an index set.
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checker import satisfies_star
-from .core import Coloring, FiniteSet, GrowthFn, gap_size, max_run_size, monotone_closure
+from .core import (Coloring, FiniteSet, GrowthFn, _runs, gap_size, max_run_size,
+                   monotone_closure)
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
 LADDER_MATERIALIZE_CAP = 2   # stages beyond this are evaluator-only
 LADDER_LENGTH_CAP = 3        # n_s is not representable past stage 3
-TOWER_DEFAULT_BIT_CAP = 1 << 25
+BIT_CAP = 1 << 25            # largest exponent evaluated as 2**n
 
 
 try:
@@ -112,13 +114,7 @@ def diag_bound_check(d: int, n: int) -> int:
         raise InvalidArgumentError("block width must be >= 1")
     if n < 2 * d:
         raise InsufficientPrefixError(f"need a prefix of at least {2 * d} positions for width {d}")
-    best = 0
-    for parity in (0, 1):
-        h = [x for x in range(n) if (x // d) & 1 == parity]
-        size = max_run_size(h, d)
-        if size > best:
-            best = size
-    return best
+    return max(max_run_size(h, d) for h in diag_prefix(d, n).classes())
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +249,23 @@ def ladder_verify(s: int) -> LadderVerifyReport:
 # ---------------------------------------------------------------------------
 
 
+def _guard(f: GrowthFn, n: int) -> None:
+    """Refuse growth evaluations whose result cannot fit in memory."""
+    if f.kind == "exp2" and n > BIT_CAP:
+        raise MagnitudeError(f"2**n with n of {n.bit_length()} bits exceeds "
+                             f"the {BIT_CAP}-bit cap", depth=1, base=n)
+    if f.kind == "closure":
+        _guard(f.inner, n)
+
+
 def upper_bound_seq(f: GrowthFn, r: int) -> int:
     """The recursion bound: ``n_1 = f(1) + 2``, ``n_{r+1} = (r+1) * f(n_r) + 1``.
 
-    Exact for all r; growth functions without the nondecreasing flag are
-    replaced by their monotone closure first (the result then bounds the
-    quantity for the original function from above, since the closure
-    dominates it pointwise).
+    Exact for all r whose terms fit the bit cap; a term past it raises
+    :class:`MagnitudeError`.  Growth functions without the nondecreasing
+    flag are replaced by their monotone closure first (the result then
+    bounds the quantity for the original function from above, since the
+    closure dominates it pointwise).
     """
     if r < 1:
         raise InvalidArgumentError("r must be >= 1")
@@ -267,8 +273,14 @@ def upper_bound_seq(f: GrowthFn, r: int) -> int:
         f = monotone_closure(f)
     n = f(1) + 2
     for k in range(2, r + 1):
+        _guard(f, n)
         n = k * f(n) + 1
     return n
+
+
+def linear_slope(f: GrowthFn) -> Optional[int]:
+    """The slope m for which :func:`ardal_bound` applies to f, else None."""
+    return {"id": 1, "linear": f.slope}.get(f.kind)
 
 
 def ardal_bound(m: int, r: int) -> int:
@@ -278,7 +290,7 @@ def ardal_bound(m: int, r: int) -> int:
     return r * ((1 << (m * r)) - m * r) + 1
 
 
-def tower(k: int, n: int, bit_cap: int = TOWER_DEFAULT_BIT_CAP) -> int:
+def tower(k: int, n: int, bit_cap: int = BIT_CAP) -> int:
     """Iterated exponential: height 0 is n, each level is 2 to the previous.
 
     Results whose bit count would exceed ``bit_cap`` raise
@@ -329,9 +341,6 @@ class LadderLowerBoundReport:
 
 def ladder_lower_bound_check(s_max: int) -> LadderLowerBoundReport:
     """Verify ``n_s >= tower(s)`` exactly for all stages up to ``s_max <= 3``."""
-    if s_max > LADDER_LENGTH_CAP:
-        raise MagnitudeError(
-            f"stage {s_max} length is not representable, cannot compare", depth=s_max)
     lengths = ladder_lengths(s_max)
     entries = tuple(LowerBoundEntry(s, lengths[s], tower(s, 1)) for s in range(s_max + 1))
     return LadderLowerBoundReport(entries=entries)
@@ -414,7 +423,6 @@ def ps_problems(prefix: BlockPrefix, gaps: Coloring) -> list:
             expect = gaps.values[n]
             if any(b - a != expect for a, b in zip(block, block[1:])):
                 problems.append(f"block {n} internal gaps differ from {expect}")
-        if n >= 2:
             prev_end = prefix.bounds[n - 2][1]
             separation = block[0] - xs[prev_end - 1]
             if separation != n - 1:
@@ -478,10 +486,14 @@ def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
     y = tuple(index_set)
     k = (2 * n * e - 1) * (2 * n * e) // 2
     needed = k + 2 * n
-    window = _first_bounded_window(y, e, needed)
-    if window is None:
+    # the first maximal e-bounded run of ``needed`` indices starts at the
+    # least start of any such run, since needed >= 2
+    start = min((lo for g, lo, hi in _runs(y) if g <= e and hi - lo + 1 >= needed),
+                default=None)
+    if start is None:
         raise InsufficientPrefixError(
             f"index set has no window of {needed} indices with gaps <= {e}")
+    window = y[start:start + needed]
     if y[-1] >= len(prefix.elements):
         raise InsufficientPrefixError(
             f"index {y[-1]} outside the generated prefix of {len(prefix.elements)} elements")
@@ -505,16 +517,3 @@ def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
     return ExtractReport(image=image, subset=subset, source_block=chosen,
                          used_first_half=used_first, gap_bound=e * d)
 
-
-def _first_bounded_window(y: Sequence[int], e: int, size: int):
-    """First run of ``size`` consecutive elements of y with gaps <= e."""
-    i = 0
-    m = len(y)
-    while i < m:
-        j = i
-        while j + 1 < m and y[j + 1] - y[j] <= e:
-            j += 1
-            if j - i + 1 == size:
-                return y[i:i + size]
-        i = j + 1
-    return None

@@ -69,11 +69,6 @@ class Coloring:
         return [tuple(c) for c in out]
 
 
-def color_class(coloring: Coloring, color: int) -> FiniteSet:
-    """Function form of :meth:`Coloring.color_class`."""
-    return coloring.color_class(color)
-
-
 # ---------------------------------------------------------------------------
 # Growth functions
 # ---------------------------------------------------------------------------
@@ -279,6 +274,36 @@ def windows(h: Sequence[int]) -> Iterator[FiniteSet]:
             yield h[j:k + 1]
 
 
+def _runs(h: Sequence[int]) -> Iterator[tuple]:
+    """Yield ``(g, lo, hi)`` once for each maximal run ``h[lo..hi]`` whose
+    gaps are all <= g and include one equal to g.
+
+    Every window with gap size g >= 2 lies inside exactly one such g-run;
+    singletons are never yielded.  One left-to-right pass keeps a stack of
+    the open runs, with strictly decreasing gap sizes: a larger gap closes
+    every open run below it.
+    """
+    if len(h) < 2:
+        return
+    gs, los = [h[-1] - h[0] + 1], [0]   # sentinel: larger than every gap
+    it = iter(h)
+    prev = next(it)
+    for hi, x in enumerate(it, 1):
+        g = x - prev
+        prev = x
+        if g == gs[-1]:
+            continue
+        lo = hi - 1
+        while gs[-1] < g:
+            lo = los.pop()
+            yield gs.pop(), lo, hi - 1
+        if g != gs[-1]:
+            gs.append(g)
+            los.append(lo)
+    while len(gs) > 1:
+        yield gs.pop(), los.pop(), len(h) - 1
+
+
 def max_run_size(h: Sequence[int], d: int) -> int:
     """Size of the largest window of ``h`` whose gaps are all <= ``d``.
 
@@ -291,14 +316,7 @@ def max_run_size(h: Sequence[int], d: int) -> int:
         raise InvalidArgumentError("gap bound must be >= 1")
     if not h:
         return 0
-    best = cur = 1
-    prev = h[0]
-    for x in h[1:]:
-        cur = cur + 1 if x - prev <= d else 1
-        if cur > best:
-            best = cur
-        prev = x
-    return best
+    return max((hi - lo + 1 for g, lo, hi in _runs(h) if g <= d), default=1)
 
 
 @dataclass(frozen=True)
@@ -321,32 +339,20 @@ class GapSpectrum:
 def gap_spectrum(h: Sequence[int], d_max: int) -> GapSpectrum:
     """Tabulate, for d in 1..d_max, the longest windows with gap size <= d / == d.
 
-    A window with gap size exactly d (d >= 2) must contain a consecutive
-    difference equal to d, so the maximum is attained on maximal d-bounded
-    runs that contain such a difference.  For d == 1 every singleton counts,
-    matching the ``|H| <= 1`` convention of :func:`gap_size`.
+    A window with gap size exactly d (d >= 2) lies inside the maximal
+    d-bounded run around it, and that run contains a difference equal to d,
+    so one pass over the runs of :func:`_runs` fills both columns.  For
+    d == 1 every singleton counts, matching the ``|H| <= 1`` convention of
+    :func:`gap_size`.
     """
-    h = tuple(h)
+    sizes: dict[int, int] = {}
+    for g, lo, hi in _runs(h):
+        sizes[g] = max(sizes.get(g, 0), hi - lo + 1)
+    bounded = 1 if h else 0      # a singleton is a window of gap size 1
     entries = {}
     for d in range(1, d_max + 1):
-        bounded = 0
-        exact = 0
-        i = 0
-        n = len(h)
-        while i < n:
-            j = i
-            has_d = False
-            while j + 1 < n and h[j + 1] - h[j] <= d:
-                if h[j + 1] - h[j] == d:
-                    has_d = True
-                j += 1
-            length = j - i + 1
-            if length > bounded:
-                bounded = length
-            if has_d and length > exact:
-                exact = length
-            i = j + 1
-        if d == 1 and n >= 1 and exact == 0:
-            exact = 1
+        exact = sizes.get(d, bounded if d == 1 else 0)
+        if exact > bounded:
+            bounded = exact
         entries[d] = (bounded, exact)
     return GapSpectrum(entries)

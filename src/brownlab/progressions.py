@@ -102,14 +102,9 @@ def ap_transfer(host: Sequence[int], inner_positions: Sequence[int]) -> FiniteSe
     """
     host = tuple(host)
     inner = tuple(inner_positions)
-    if len(host) >= 2:
-        d = host[1] - host[0]
-        if any(b - a != d for a, b in zip(host, host[1:])):
-            raise InvalidArgumentError("host set is not an arithmetic progression")
-    if len(inner) >= 2:
-        d = inner[1] - inner[0]
-        if any(b - a != d for a, b in zip(inner, inner[1:])):
-            raise InvalidArgumentError("inner positions are not an arithmetic progression")
+    for what, seq in (("host set is", host), ("inner positions are", inner)):
+        if any(b - a != seq[1] - seq[0] for a, b in zip(seq, seq[1:])):
+            raise InvalidArgumentError(f"{what} not an arithmetic progression")
     for m in inner:
         if not 0 <= m < len(host):
             raise InvalidArgumentError(f"index {m} outside the host progression")

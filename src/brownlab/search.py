@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional
 
-from .checker import WitnessCertificate, is_witness
-from .constructions import ardal_bound, upper_bound_seq
+from .checker import WitnessCertificate, has_large_homogeneous_bruteforce, is_witness
+from .constructions import ardal_bound, linear_slope, upper_bound_seq
 from .core import Coloring, GrowthFn, monotone_closure
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, MagnitudeError, PreconditionError
 from .progressions import ap_partition_check
 
 
@@ -41,6 +41,12 @@ class SearchBudget:
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise InvalidArgumentError("node budget must be a natural")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise InvalidArgumentError("time budget must be >= 0 seconds")
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,6 @@ class _ApRule:
         pass
 
 
-def _make_rule(desc, values):
-    kind = desc[0]
-    if kind == "star":
-        return _StarRule(desc[1], desc[2], values)
-    return _ApRule(desc[1], values)
-
-
 # ---------------------------------------------------------------------------
 # DFS engine
 # ---------------------------------------------------------------------------
@@ -179,15 +178,24 @@ class _DfsStats:
     reached_cap: bool
 
 
-def _dfs(palette, cap, rule, values, used0, max_nodes, deadline,
-         canonical, stop_at_cap, collect) -> _DfsStats:
-    """Iterative DFS over valid extensions; lowest color first.
+def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical=True,
+              stop_at_cap=True, collect=None) -> _DfsStats:
+    """Iterative DFS over valid extensions of ``prefix``; lowest color first.
 
-    ``values`` arrives pre-seeded with a valid prefix already pushed into
-    ``rule``.  ``best`` tracks the first (hence lexicographically least)
-    deepest valid coloring.  With ``collect`` set, depth-``cap`` nodes are
-    gathered as subtree roots instead of stopping the search.
+    ``rule_desc`` is ``("star", f, r)`` or ``("ap", l)``.  ``best`` tracks
+    the first (hence lexicographically least) deepest valid coloring.  With
+    ``collect`` set, depth-``cap`` nodes are gathered as subtree roots
+    instead of stopping the search.
     """
+    values: list[int] = []
+    if rule_desc[0] == "star":
+        rule = _StarRule(rule_desc[1], rule_desc[2], values)
+    else:
+        rule = _ApRule(rule_desc[1], values)
+    for pos, c in enumerate(prefix):
+        if not rule.try_push(pos, c):
+            raise InvalidArgumentError("search prefix is not a valid coloring")
+        values.append(c)
     nodes = 0
     exhausted = False
     reached_cap = False
@@ -199,7 +207,7 @@ def _dfs(palette, cap, rule, values, used0, max_nodes, deadline,
         return _DfsStats(best, nodes, False, True)
 
     frames = [0]
-    used_stack = [used0]
+    used_stack = [max(prefix) + 1 if prefix else 0]
     last_color = palette - 1
     while frames:
         if max_nodes is not None and nodes >= max_nodes:
@@ -242,78 +250,86 @@ def _dfs(palette, cap, rule, values, used0, max_nodes, deadline,
     return _DfsStats(best, nodes, exhausted, reached_cap)
 
 
-def _run_tree(rule_desc, palette, cap, budget, prefix=(), canonical=True,
-              stop_at_cap=True, collect=None) -> _DfsStats:
-    values: list[int] = []
-    rule = _make_rule(rule_desc, values)
-    for pos, c in enumerate(prefix):
-        if not rule.try_push(pos, c):
-            raise InvalidArgumentError("search prefix is not a valid coloring")
-        values.append(c)
-    used0 = max(prefix) + 1 if prefix else 0
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    return _dfs(palette, cap, rule, values, used0, budget.max_nodes,
-                deadline, canonical, stop_at_cap, collect)
-
-
-def _subtree_task(args):
-    rule_desc, palette, cap, prefix, max_nodes, max_seconds, canonical = args
-    stats = _run_tree(rule_desc, palette, cap,
-                      SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds),
-                      prefix=prefix, canonical=canonical)
-    return stats.best, stats.nodes, stats.exhausted, stats.reached_cap
-
-
-def _run_parallel(rule_desc, palette, cap, budget, jobs, canonical) -> _DfsStats:
+def _run_parallel(rule_desc, palette, cap, max_nodes, deadline, jobs,
+                  canonical) -> _DfsStats:
     """Static frontier split: enumerate the valid prefixes at a shallow
-    depth, then explore each subtree in a worker.  Merging is deterministic:
+    depth, then explore each subtree in a worker.  The probe and every
+    worker share the one absolute deadline.  Merging is deterministic:
     prefixes are generated in DFS (lex) order, so the first task attaining
     the maximum depth holds the lexicographically least deepest coloring."""
-    split_depth = None
     prefixes: list[tuple] = []
     probe_nodes = 0
     max_depth = cap if cap is not None else 12
     for k in range(1, min(max_depth, 12) + 1):
         collected: list[tuple] = []
-        stats = _run_tree(rule_desc, palette, k, SearchBudget(),
-                          canonical=canonical, stop_at_cap=False, collect=collected)
+        stats = _run_tree(rule_desc, palette, k, None, deadline, canonical=canonical,
+                          stop_at_cap=False, collect=collected)
         probe_nodes = stats.nodes
-        if not collected:
-            return stats  # the whole tree is shallower than k
-        split_depth, prefixes = k, collected
+        if not collected or stats.exhausted:
+            return stats  # the whole tree is shallower than k, or time is up
+        prefixes = collected
         if len(collected) >= 4 * jobs or len(collected) > 5000:
             break
     if not prefixes:
-        return _run_tree(rule_desc, palette, cap, budget, canonical=canonical)
+        return _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=canonical)
     node_share = None
-    if budget.max_nodes is not None:
-        node_share = max(1, (budget.max_nodes - probe_nodes) // len(prefixes))
-    sec_share = None
-    if budget.max_seconds is not None:
-        sec_share = budget.max_seconds / max(1, jobs)
-    tasks = [(rule_desc, palette, cap, p, node_share, sec_share, canonical)
+    if max_nodes is not None:
+        node_share = max(1, (max_nodes - probe_nodes) // len(prefixes))
+    tasks = [(rule_desc, palette, cap, node_share, deadline, p, canonical)
              for p in prefixes]
     with Pool(processes=jobs) as pool:
-        results = pool.map(_subtree_task, tasks)
+        results = pool.starmap(_run_tree, tasks)
     best = prefixes[0]
     exhausted = False
     reached_cap = False
     nodes = probe_nodes
-    for task_best, task_nodes, task_exhausted, task_cap in results:
-        nodes += task_nodes
-        exhausted = exhausted or task_exhausted
-        reached_cap = reached_cap or task_cap
-        if len(task_best) > len(best):
-            best = task_best
+    for task in results:
+        nodes += task.nodes
+        exhausted = exhausted or task.exhausted
+        reached_cap = reached_cap or task.reached_cap
+        if len(task.best) > len(best):
+            best = task.best
     return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
 
 
 def _dispatch(rule_desc, palette, cap, budget, jobs, canonical) -> _DfsStats:
+    if jobs < 1:
+        raise InvalidArgumentError("jobs must be >= 1")
+    budget = budget or SearchBudget()
+    deadline = None
+    if budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
     if jobs > 1:
-        return _run_parallel(rule_desc, palette, cap, budget, jobs, canonical)
-    return _run_tree(rule_desc, palette, cap, budget, canonical=canonical)
+        return _run_parallel(rule_desc, palette, cap, budget.max_nodes, deadline,
+                             jobs, canonical)
+    return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline,
+                     canonical=canonical)
+
+
+def _threshold(rule_desc, palette, cap, upper, budget, jobs, canonical, audit,
+               used_closure=False) -> SearchOutcome:
+    """Search, audit the deepest coloring and report the threshold; ``audit``
+    returns the witness's certificate (or None) and raises on a bad witness."""
+    started = time.monotonic()
+    stats = _dispatch(rule_desc, palette, cap, budget, jobs, canonical)
+    wall = time.monotonic() - started
+    witness = Coloring(palette=palette, values=stats.best)
+    certificate = audit(witness)
+    lower = len(stats.best) + 1
+    exact = not (stats.exhausted or stats.reached_cap)
+    return SearchOutcome(kind="exact" if exact else "bracketed",
+                         value=lower if exact else None, lower=lower,
+                         upper=lower if exact else upper, witness=witness,
+                         certificate=certificate, nodes_explored=stats.nodes,
+                         wall_time=wall, used_closure=used_closure)
+
+
+def _confirm(rule_desc, palette, n, budget, jobs, canonical) -> ConfirmOutcome:
+    """Complete canonicalized DFS capped at depth n: True when no valid
+    coloring of length n exists, None when the budget ran out first."""
+    stats = _dispatch(rule_desc, palette, n, budget, jobs, canonical)
+    result = False if stats.reached_cap else None if stats.exhausted else True
+    return ConfirmOutcome(result=result, nodes=stats.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +337,17 @@ def _dispatch(rule_desc, palette, cap, budget, jobs, canonical) -> _DfsStats:
 # ---------------------------------------------------------------------------
 
 
-def formula_upper_bound(f: GrowthFn, r: int) -> int:
+def formula_upper_bound(f: GrowthFn, r: int) -> Optional[int]:
     """Best closed-form bound available for (f, r): the recursion value,
-    improved by the linear-growth bound when f is linear."""
-    bound = upper_bound_seq(f, r)
-    if f.kind in ("id", "linear"):
-        m = 1 if f.kind == "id" else f.slope
-        bound = min(bound, ardal_bound(m, r))
-    return bound
+    improved by the linear-growth bound when f is linear.  None when the
+    recursion overflows the magnitude cap (never for linear f)."""
+    m = linear_slope(f)
+    if m is not None:
+        return min(upper_bound_seq(f, r), ardal_bound(m, r))
+    try:
+        return upper_bound_seq(f, r)
+    except MagnitudeError:
+        return None
 
 
 def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
@@ -340,37 +359,27 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
     Exact when the pruned DFS exhausts the witness tree within budget and
     below ``n_cap``; otherwise a bracket whose lower end is one past the
     longest witness found and whose upper end comes from the closed-form
-    bounds.  Growth functions without the nondecreasing flag are replaced
-    by their monotone closure, which bounds the original quantity from
-    above; the outcome is flagged ``used_closure``.
+    bounds (None when they overflow).  Growth functions without the
+    nondecreasing flag are replaced by their monotone closure, which bounds
+    the original quantity from above; the outcome is flagged ``used_closure``.
     """
     if r < 1:
         raise InvalidArgumentError("r must be >= 1")
-    budget = budget or SearchBudget()
-    started = time.monotonic()
-    used_closure = False
-    if not f.nondecreasing:
+    used_closure = not f.nondecreasing
+    if used_closure:
         f = monotone_closure(f)
-        used_closure = True
     formula = formula_upper_bound(f, r)
     cap = n_cap if n_cap is not None else formula
-    stats = _dispatch(("star", f, r), r, cap, budget, jobs, canonical)
-    wall = time.monotonic() - started
-    witness = Coloring(palette=r, values=stats.best)
-    certificate = is_witness(witness, f)
-    if certificate is None:
-        raise RuntimeError("search returned a coloring that fails certification; "
-                           "this is a bug in the incremental checker")
-    lower = len(stats.best) + 1
-    if stats.exhausted or stats.reached_cap:
-        return SearchOutcome(kind="bracketed", value=None, lower=lower,
-                             upper=formula, witness=witness, certificate=certificate,
-                             nodes_explored=stats.nodes, wall_time=wall,
-                             used_closure=used_closure)
-    return SearchOutcome(kind="exact", value=lower, lower=lower, upper=lower,
-                         witness=witness, certificate=certificate,
-                         nodes_explored=stats.nodes, wall_time=wall,
-                         used_closure=used_closure)
+
+    def audit(witness):
+        certificate = is_witness(witness, f)
+        if certificate is None:
+            raise RuntimeError("search returned a coloring that fails certification; "
+                               "this is a bug in the incremental checker")
+        return certificate
+
+    return _threshold(("star", f, r), r, cap, formula, budget, jobs, canonical,
+                      audit, used_closure)
 
 
 def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
@@ -384,22 +393,14 @@ def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
     """
     if r < 1 or l < 1:
         raise InvalidArgumentError("r and l must be >= 1")
-    budget = budget or SearchBudget()
-    started = time.monotonic()
-    stats = _dispatch(("ap", l), r, n_cap, budget, jobs, canonical)
-    wall = time.monotonic() - started
-    witness = Coloring(palette=r, values=stats.best)
-    if ap_partition_check(witness, l) is not None:
-        raise RuntimeError("search returned a coloring containing a monochromatic "
-                           "progression; this is a bug in the completion check")
-    lower = len(stats.best) + 1
-    if stats.exhausted or stats.reached_cap:
-        return SearchOutcome(kind="bracketed", value=None, lower=lower, upper=None,
-                             witness=witness, certificate=None,
-                             nodes_explored=stats.nodes, wall_time=wall)
-    return SearchOutcome(kind="exact", value=lower, lower=lower, upper=lower,
-                         witness=witness, certificate=None,
-                         nodes_explored=stats.nodes, wall_time=wall)
+
+    def audit(witness):
+        if ap_partition_check(witness, l) is not None:
+            raise RuntimeError("search returned a coloring containing a monochromatic "
+                               "progression; this is a bug in the completion check")
+        return None
+
+    return _threshold(("ap", l), r, n_cap, None, budget, jobs, canonical, audit)
 
 
 def confirm_no_witness(n: int, f: GrowthFn, r: int,
@@ -411,14 +412,9 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     if n < 0 or r < 1:
         raise InvalidArgumentError("n must be a natural and r >= 1")
     if not f.nondecreasing:
-        raise PreconditionError("no-witness confirmation needs a nondecreasing growth function")
-    budget = budget or SearchBudget()
-    stats = _dispatch(("star", f, r), r, n, budget, jobs, canonical)
-    if stats.reached_cap:
-        return ConfirmOutcome(result=False, nodes=stats.nodes)
-    if stats.exhausted:
-        return ConfirmOutcome(result=None, nodes=stats.nodes)
-    return ConfirmOutcome(result=True, nodes=stats.nodes)
+        raise PreconditionError("no-witness confirmation needs a nondecreasing growth "
+                                "function (try closure:<spec>)")
+    return _confirm(("star", f, r), r, n, budget, jobs, canonical)
 
 
 def confirm_no_ap_witness(n: int, r: int, l: int,
@@ -429,13 +425,7 @@ def confirm_no_ap_witness(n: int, r: int, l: int,
     :func:`confirm_no_witness`."""
     if n < 0 or r < 1 or l < 1:
         raise InvalidArgumentError("n must be a natural, r and l >= 1")
-    budget = budget or SearchBudget()
-    stats = _dispatch(("ap", l), r, n, budget, jobs, canonical)
-    if stats.reached_cap:
-        return ConfirmOutcome(result=False, nodes=stats.nodes)
-    if stats.exhausted:
-        return ConfirmOutcome(result=None, nodes=stats.nodes)
-    return ConfirmOutcome(result=True, nodes=stats.nodes)
+    return _confirm(("ap", l), r, n, budget, jobs, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -443,31 +433,32 @@ def confirm_no_ap_witness(n: int, r: int, l: int,
 # ---------------------------------------------------------------------------
 
 
+def _first_forced_length(r: int, n_limit: int, avoids) -> int:
+    """Walk n upward over every r-coloring of n (the first color pinned to 0
+    by palette symmetry) until none of them ``avoids`` the structure."""
+    for n in range(1, n_limit + 1):
+        for code in range(r ** (n - 1)):
+            values, rest = [0], code
+            for _ in range(n - 1):
+                rest, c = divmod(rest, r)
+                values.append(c)
+            if avoids(Coloring(palette=r, values=tuple(values))):
+                break
+        else:
+            return n
+    raise InvalidArgumentError(f"no value found up to the enumeration limit {n_limit}")
+
+
 def brown_number_bruteforce(f: GrowthFn, r: int, n_limit: int = 24) -> int:
     """Independent oracle: walk n upward, enumerating every r-coloring of n
     and testing each via subset enumeration, until all colorings have a
-    large homogeneous set.  The first color is pinned to 0 (palette
-    symmetry); everything else is exhaustive.  Usable for tiny r and n only.
+    large homogeneous set.  Everything but the pinned first color is
+    exhaustive.  Usable for tiny r and n only.
     """
-    from .checker import has_large_homogeneous_bruteforce
-
     if r < 1:
         raise InvalidArgumentError("r must be >= 1")
-    for n in range(1, n_limit + 1):
-        found_witness = False
-        for code in range(r ** max(0, n - 1)):
-            values = [0]
-            rest = code
-            for _ in range(n - 1):
-                values.append(rest % r)
-                rest //= r
-            coloring = Coloring(palette=r, values=tuple(values))
-            if has_large_homogeneous_bruteforce(coloring, f) is None:
-                found_witness = True
-                break
-        if not found_witness:
-            return n
-    raise InvalidArgumentError(f"no value found up to the enumeration limit {n_limit}")
+    return _first_forced_length(
+        r, n_limit, lambda c: has_large_homogeneous_bruteforce(c, f) is None)
 
 
 def vdw_number_bruteforce(r: int, l: int, n_limit: int = 16) -> int:
@@ -475,18 +466,4 @@ def vdw_number_bruteforce(r: int, l: int, n_limit: int = 16) -> int:
     :func:`brown_number_bruteforce`."""
     if r < 1 or l < 1:
         raise InvalidArgumentError("r and l must be >= 1")
-    for n in range(1, n_limit + 1):
-        found_witness = False
-        for code in range(r ** max(0, n - 1)):
-            values = [0]
-            rest = code
-            for _ in range(n - 1):
-                values.append(rest % r)
-                rest //= r
-            coloring = Coloring(palette=r, values=tuple(values))
-            if ap_partition_check(coloring, l) is None:
-                found_witness = True
-                break
-        if not found_witness:
-            return n
-    raise InvalidArgumentError(f"no value found up to the enumeration limit {n_limit}")
+    return _first_forced_length(r, n_limit, lambda c: ap_partition_check(c, l) is None)

@@ -11,7 +11,7 @@ from brownlab.checker import (WitnessCertificate, bruteforce_profile,
                               has_large_homogeneous_bruteforce, is_witness,
                               profile_has_large, satisfies_star,
                               verify_certificate)
-from brownlab.core import (Coloring, GrowthFn, finite_set, gap_size, windows)
+from brownlab.core import Coloring, GrowthFn, _runs, finite_set, gap_size, windows
 from brownlab.errors import PreconditionError, ResourceLimitError
 
 LIN1 = GrowthFn.linear(1)
@@ -27,11 +27,48 @@ C1 = Coloring(2, tuple(int(ch) for ch in "0011001100110011"))
 
 small_sets = st.lists(st.integers(min_value=0, max_value=30),
                       max_size=10).map(finite_set)
+# sets built from a few gap values, so that gaps repeat inside and across runs
+gap_walks = st.tuples(st.integers(min_value=0, max_value=5),
+                      st.lists(st.integers(min_value=1, max_value=3), max_size=12)
+                      ).map(lambda t: tuple(itertools.accumulate(t[1], initial=t[0])))
+# nondecreasing growth functions, including ones with f(1) = 0
+STAR_GROWTHS = [f for f in GROWTHS if f.nondecreasing] + [
+    ZERO, GrowthFn.from_table((0, 0, 1, 2)), GrowthFn.from_table((0, 0, 3), tail="linear")]
 
 
 def windows_all_bounded(h, f):
     """The definition, as an oracle: every window stays within budget."""
     return all(len(w) <= f(gap_size(w)) for w in windows(h))
+
+
+def window_triples(h, f):
+    """Certificate triples by definition: for d in {1} and the gaps of h, the
+    longest window with gap size <= d, and f(d)."""
+    if not h:
+        return ()
+    ds = sorted({1} | {b - a for a, b in zip(h, h[1:])})
+    return tuple((d, max(len(w) for w in windows(h) if gap_size(w) <= d), f(d))
+                 for d in ds)
+
+
+def maximal_windows(h):
+    """``(gap size, j, k)`` of each window h[j..k] that no neighbour extends
+    without a larger gap, in (j, k) order."""
+    n = len(h)
+    for j in range(n):
+        for k in range(j, n):
+            g = gap_size(h[j:k + 1])
+            if (j == 0 or h[j] - h[j - 1] > g) and (k == n - 1 or h[k + 1] - h[k] > g):
+                yield g, j, k
+
+
+def least_window_violation(h, f):
+    """The least (start, end) maximal window whose length exceeds f of its
+    gap size."""
+    for g, j, k in maximal_windows(h):
+        if k - j + 1 > f(g):
+            return (h[j], h[k], g, k - j + 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +101,28 @@ def test_satisfies_star_empty_set_holds():
     assert satisfies_star((), LIN1).holds
 
 
-@settings(max_examples=150)
-@given(small_sets, st.sampled_from([f for f in GROWTHS if f.nondecreasing]))
+@settings(max_examples=300)
+@given(st.one_of(small_sets, gap_walks), st.sampled_from(STAR_GROWTHS))
 def test_satisfies_star_matches_window_enumeration(h, f):
-    assert satisfies_star(h, f).holds == windows_all_bounded(h, f)
+    # the run kernel yields each maximal window of two or more elements once
+    assert sorted(_runs(h)) == sorted((g, j, k) for g, j, k in maximal_windows(h) if k > j)
+    report = satisfies_star(h, f)
+    assert report.holds == windows_all_bounded(h, f)
+    v = report.violation
+    found = None if v is None else (v.start, v.end, v.gap_size, v.length)
+    assert found == least_window_violation(h, f)
+    # class 0 is h and every other position of 0..max(h) has a colour of its
+    # own; the certificate's triples must be the definition's, class by class
+    other = iter(range(1, 64))
+    members = set(h)
+    values = tuple(0 if x in members else next(other) for x in range(h[-1] + 1 if h else 0))
+    coloring = Coloring(max(values, default=0) + 1, values)
+    classes = coloring.classes()
+    cert = is_witness(coloring, f)
+    if all(windows_all_bounded(c, f) for c in classes):
+        assert cert.per_class == tuple(window_triples(c, f) for c in classes)
+    else:
+        assert cert is None
 
 
 @settings(max_examples=80)

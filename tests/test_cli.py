@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,35 @@ def test_brown_usage_errors(cache_env, capsys):
     assert code == 2 and "growth spec" in err
     code, _, err = _run(capsys, "brown", "--f", "linear:1", "--r", "0")
     assert code == 2
+    commands = (("brown", "--f", "linear:1", "--r", "1"),
+                ("vdw", "--r", "2", "--l", "3"),
+                ("confirm", "--n", "2", "--f", "linear:1", "--r", "1"))
+    bad_flags = (("--jobs", "0"), ("--jobs", "-3"), ("--budget-nodes", "-5"),
+                 ("--budget-seconds", "-1"))
+    for command in commands:
+        for flags in bad_flags:
+            code, payload, err = _run(capsys, *command, *flags)
+            assert (code, payload) == (2, None), (command, flags)
+            assert "error" in err
+
+
+def test_brown_overflowing_bound_brackets_without_upper(cache_env, capsys):
+    # the recursion's fourth term is 2**(3 * 2**33 + 1) and must not be built
+    code, payload, _ = _run(capsys, "brown", "--f", "exp2", "--r", "4",
+                            "--budget-nodes", "100", "--no-cache")
+    assert code == 0
+    assert payload["kind"] == "bracketed"
+    assert payload["upper"] is None
+    assert payload["bounds"] == {"ardal": None, "recursion": None}
+
+
+def test_parallel_search_keeps_one_deadline(cache_env, capsys):
+    started = time.monotonic()
+    code, payload, _ = _run(capsys, "brown", "--f", "exp2", "--r", "3", "--jobs", "2",
+                            "--budget-seconds", "2", "--budget-nodes", "0", "--no-cache")
+    assert time.monotonic() - started <= 2 + 1
+    assert code == 0
+    assert payload["kind"] == "bracketed"
 
 
 def test_brown_writes_certificate_file(cache_env, capsys, tmp_path):

@@ -150,6 +150,16 @@ def test_recursion_bound_closes_non_monotone_input():
     assert upper_bound_seq(bumpy, 2) == upper_bound_seq(closed, 2)
 
 
+def test_recursion_bound_overflow_raises_before_allocating():
+    # the fourth term would be 4 * 2**(3 * 2**33 + 1) + 1, far past the bit cap
+    with pytest.raises(MagnitudeError) as info:
+        upper_bound_seq(EXP2, 4)
+    assert info.value.base == 3 * 2 ** 33 + 1
+    with pytest.raises(MagnitudeError):
+        upper_bound_seq(GrowthFn.closure(EXP2), 4)
+    assert upper_bound_seq(GrowthFn.linear(1000), 4) > 0
+
+
 def test_recursion_bound_rejects_zero_colors():
     with pytest.raises(InvalidArgumentError):
         upper_bound_seq(EXP2, 0)

@@ -115,6 +115,38 @@ def test_formula_upper_bound_picks_the_best():
     assert formula_upper_bound(EXP2, 2) == 33
 
 
+def test_overflowed_recursion_means_no_known_upper():
+    assert formula_upper_bound(EXP2, 4) is None
+    outcome = brown_number(EXP2, 4, budget=SearchBudget(max_nodes=100))
+    assert outcome.kind == "bracketed"
+    assert outcome.upper is None
+    assert verify_certificate(outcome.certificate)
+
+
+def test_bad_budgets_and_jobs_are_rejected():
+    for bad in ({"max_nodes": -5}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}):
+        with pytest.raises(InvalidArgumentError):
+            SearchBudget(**bad)
+    assert SearchBudget(max_nodes=0, max_seconds=0.0).max_seconds == 0.0
+    for jobs in (0, -3):
+        with pytest.raises(InvalidArgumentError):
+            brown_number(LIN1, 1, jobs=jobs)
+        with pytest.raises(InvalidArgumentError):
+            vdw_number(2, 3, jobs=jobs)
+        with pytest.raises(InvalidArgumentError):
+            confirm_no_witness(2, LIN1, 1, jobs=jobs)
+        with pytest.raises(InvalidArgumentError):
+            confirm_no_ap_witness(9, 2, 3, jobs=jobs)
+
+
+def test_deadline_passing_in_the_parallel_probe_brackets():
+    outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0), jobs=2)
+    assert outcome.kind == "bracketed"
+    assert outcome.lower <= 13 <= outcome.upper
+    assert confirm_no_witness(13, LIN2, 2, budget=SearchBudget(max_seconds=0.0),
+                              jobs=2).result is None
+
+
 # ---------------------------------------------------------------------------
 # confirm_no_witness
 # ---------------------------------------------------------------------------
@@ -209,7 +241,7 @@ def test_tree_nodes_are_exactly_the_valid_colorings(f, r):
     # length-k colorings whose classes all pass the subset oracle
     for k in (1, 2, 3, 5):
         collected = []
-        _run_tree(("star", f, r), r, k, SearchBudget(), canonical=False,
+        _run_tree(("star", f, r), r, k, None, None, canonical=False,
                   stop_at_cap=False, collect=collected)
         expected = set()
         for values in itertools.product(range(r), repeat=k):
@@ -222,6 +254,6 @@ def test_tree_nodes_are_exactly_the_valid_colorings(f, r):
 def test_deepest_witness_is_lexicographically_least():
     outcome = brown_number(LIN1, 2)
     collected = []
-    _run_tree(("star", LIN1, 2), 2, outcome.value - 1, SearchBudget(),
+    _run_tree(("star", LIN1, 2), 2, outcome.value - 1, None, None,
               canonical=False, stop_at_cap=False, collect=collected)
     assert outcome.witness.values == min(collected)
