@@ -2,8 +2,8 @@
 
 Entries are JSON files named by the SHA-256 of their canonical key, each
 recording the key, the result payload, and the producing version.  Writes
-go through a temp file and an atomic rename; unreadable or mismatched
-entries are ignored and recomputed, never trusted.
+go through a temp file and an atomic rename; unreadable entries, and those
+of another key or version, are ignored and recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class ResultCache:
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
+        if (not isinstance(entry, dict) or entry.get("key") != key
+                or entry.get("version") != CACHE_VERSION):
             return None
         result = entry.get("result")
         return result if isinstance(result, dict) else None

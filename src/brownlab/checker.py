@@ -158,15 +158,14 @@ def profile_has_large(profile: dict, f: GrowthFn) -> bool:
     return any(size > f(g) for g, size in profile.items())
 
 
-def has_large_homogeneous_bruteforce(coloring: Coloring, f: GrowthFn,
-                                     length_cap: int = BRUTEFORCE_LENGTH_CAP):
+def has_large_homogeneous_bruteforce(coloring: Coloring, f: GrowthFn):
     """Oracle decider: enumerate every subset S of every class and test
     ``|S| > f(gap_size(S))``.  Works for arbitrary f; the coloring length
-    must stay under ``length_cap``.  Returns ``(color, subset)`` for the
-    first large subset in (color, bitmask) order, or None.
+    must stay under ``BRUTEFORCE_LENGTH_CAP``.  Returns ``(color, subset)``
+    for the first large subset in (color, bitmask) order, or None.
     """
-    if coloring.length > length_cap:
-        raise ResourceLimitError(f"brute-force oracle capped at length {length_cap}")
+    if coloring.length > BRUTEFORCE_LENGTH_CAP:
+        raise ResourceLimitError(f"brute-force oracle capped at length {BRUTEFORCE_LENGTH_CAP}")
     limits: dict[int, int] = {}
     for color, h in enumerate(coloring.classes()):
         for m, g in _subset_gaps(h):

@@ -15,11 +15,12 @@ from pathlib import Path
 
 from . import constructions
 from .cache import ResultCache, resolve_cache_dir
-from .checker import has_large_homogeneous, is_witness
-from .colorfile import decode_coloring, encode_coloring, rle_string
-from .core import Coloring, GrowthFn, gap_size, parse_growth_spec
+from .checker import (WitnessCertificate, has_large_homogeneous, is_witness,
+                      verify_certificate)
+from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
+from .core import Coloring, GrowthFn, gap_size, monotone_closure, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
-                     InvalidArgumentError, MagnitudeError, PreconditionError)
+                     InvalidArgumentError, MagnitudeError)
 from .progressions import ap_partition_check
 from .search import (SearchBudget, SearchOutcome, brown_number,
                      brown_number_bruteforce, confirm_no_witness, vdw_number,
@@ -33,12 +34,6 @@ EXIT_MAGNITUDE = 4
 
 DEFAULT_NODE_BUDGET = 1_000_000
 ORACLE_VALUE_CAP = 18
-
-
-class CLIError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _emit(payload: dict) -> None:
@@ -61,25 +56,25 @@ def _parse_growth(text: str) -> GrowthFn:
     try:
         return parse_growth_spec(text)
     except GrowthSpecError as exc:
-        raise CLIError(f"bad growth spec: {exc}") from exc
+        raise InvalidArgumentError(f"bad growth spec: {exc}") from exc
 
 
 def _budget(args) -> SearchBudget:
     nodes = args.budget_nodes
     if nodes == 0:
         nodes = None
-    return SearchBudget(max_nodes=nodes, max_seconds=args.budget_seconds)
+    return SearchBudget(max_nodes=nodes, max_seconds=args.budget_seconds, jobs=args.jobs)
 
 
 def _read_coloring(path: str) -> Coloring:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}") from exc
+        raise InvalidArgumentError(f"cannot read {path}: {exc}") from exc
     try:
         return decode_coloring(text)
     except ColoringFileError as exc:
-        raise CLIError(f"malformed coloring file {path}: {exc}") from exc
+        raise InvalidArgumentError(f"malformed coloring file {path}: {exc}") from exc
 
 
 def _outcome_payload(outcome: SearchOutcome) -> dict:
@@ -105,6 +100,36 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _cached(cache, key: dict):
+    """``(result, state)`` for a search result in the cache: a ``hit`` only if
+    it passes a fresh result's audit (exact, ``value == lower == upper ==
+    witness_length + 1``, a witness that checks for the key), else None with
+    ``off``, ``miss`` or ``rejected``."""
+    if cache is None:
+        return None, "off"
+    result = cache.get(key)
+    if result is None:
+        return None, "miss"
+    try:
+        n = result["witness_length"]
+        sound = (result["kind"] == "exact"
+                 and result["value"] == result["lower"] == result["upper"] == n + 1)
+        if sound and key["op"] == "vdw":
+            values = parse_rle_string(result["witness_rle"])
+            sound = (len(values) == n
+                     and ap_partition_check(Coloring(key["r"], values), key["l"]) is None)
+        elif sound:
+            f = parse_growth_spec(key["growth"])
+            growth = monotone_closure(f) if result["used_closure"] else f
+            cert = WitnessCertificate.from_json(json.dumps(result["certificate"]))
+            sound = (cert.coloring.length == n and cert.coloring.palette == key["r"]
+                     and cert.growth_spec == growth.spec_string()
+                     and verify_certificate(cert))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        sound = False
+    return (result, "hit") if sound else (None, "rejected")
+
+
 def _search_command(args) -> int:
     op = args.command
     cache = None
@@ -117,25 +142,19 @@ def _search_command(args) -> int:
         key = {"op": "vdw", "r": args.r, "l": args.l}
 
     budget = _budget(args)
-    cached = cache.get(key) if cache is not None else None
-    if cached is not None:
-        result = cached
-        cache_state = "hit"
-    else:
+    result, cache_state = _cached(cache, key)
+    if result is None:
         if op == "brown":
-            outcome = brown_number(f, args.r, n_cap=args.max_n, budget=budget,
-                                   jobs=args.jobs)
+            outcome = brown_number(f, args.r, n_cap=args.max_n, budget=budget)
             result = _outcome_payload(outcome)
             result["growth"] = f.spec_string()
             result["r"] = args.r
             result["bounds"] = _brown_bounds(f, args.r)
         else:
-            outcome = vdw_number(args.r, args.l, n_cap=args.max_n, budget=budget,
-                                 jobs=args.jobs)
+            outcome = vdw_number(args.r, args.l, n_cap=args.max_n, budget=budget)
             result = _outcome_payload(outcome)
             result["r"] = args.r
             result["l"] = args.l
-        cache_state = "off" if cache is None else "miss"
         if cache is not None and result["kind"] == "exact" and args.max_n is None:
             cache.put(key, result)
 
@@ -186,11 +205,12 @@ def _brown_bounds(f: GrowthFn, r: int) -> dict:
 
 def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
     if result["kind"] != "exact":
-        raise CLIError("--oracle needs an exact outcome; raise the budget or drop --max-n")
+        raise InvalidArgumentError("--oracle needs an exact outcome; "
+                                   "raise the budget or drop --max-n")
     value = result["value"]
     if value > ORACLE_VALUE_CAP or args.r > 3:
-        raise CLIError(f"--oracle is for small instances only "
-                       f"(value <= {ORACLE_VALUE_CAP}, r <= 3)")
+        raise InvalidArgumentError(f"--oracle is for small instances only "
+                                   f"(value <= {ORACLE_VALUE_CAP}, r <= 3)")
     if op == "brown":
         oracle_value = brown_number_bruteforce(_parse_growth(args.f), args.r,
                                                n_limit=value + 1)
@@ -207,7 +227,7 @@ def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
 
 def _cmd_confirm(args) -> int:
     f = _parse_growth(args.f)
-    outcome = confirm_no_witness(args.n, f, args.r, budget=_budget(args), jobs=args.jobs)
+    outcome = confirm_no_witness(args.n, f, args.r, budget=_budget(args))
     payload = {"command": "confirm", "n": args.n, "growth": f.spec_string(),
                "r": args.r, "no_witness": outcome.result, "nodes": outcome.nodes}
     _emit(payload)
@@ -251,18 +271,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    try:
-        stage = constructions.ladder(args.s)
-    except MagnitudeError as exc:
-        _note(f"stage {args.s} out of range: {exc}")
-        raise CLIError(str(exc), EXIT_MAGNITUDE) from exc
+    stage = constructions.ladder(args.s)
     exit_code = EXIT_OK
-    if args.out or args.verify:
-        if not stage.materialized:
-            _note(f"stage {args.s} has length {_sci(stage.length)} and exceeds the "
-                  f"materialization cap; only the length and the positional "
-                  f"evaluator are available")
-            raise CLIError(f"stage {args.s} cannot be materialized", EXIT_MAGNITUDE)
+    if (args.out or args.verify) and not stage.materialized:
+        raise MagnitudeError(f"stage {args.s} has length {_sci(stage.length)}, past the "
+                             f"materialization cap; only its length is available")
     payload = {"command": "ladder", "s": args.s,
                "length": constructions.decimal_str(stage.length),
                "palette": stage.palette, "materialized": stage.materialized}
@@ -295,9 +308,9 @@ _BOUNDS_CSV_HEADER = "r,ardal,recursion,cached_kind,cached_value"
 
 def _cmd_bounds(args) -> int:
     if (args.f is None) == (args.m is None):
-        raise CLIError("give exactly one of --f or --m")
+        raise InvalidArgumentError("give exactly one of --f or --m")
     if args.r_max < 1:
-        raise CLIError("--r-max must be >= 1")
+        raise InvalidArgumentError("--r-max must be >= 1")
     if args.m is not None:
         f = GrowthFn.linear(args.m)
     else:
@@ -307,9 +320,9 @@ def _cmd_bounds(args) -> int:
     for r in range(1, args.r_max + 1):
         bounds = _brown_bounds(f, r)
         if bounds["recursion"] is None:
-            raise CLIError(f"recursion bound for r={r} overflows the "
-                           f"{constructions.BIT_CAP}-bit cap", EXIT_MAGNITUDE)
-        cached = cache.get({"op": "brown", "growth": f.spec_string(), "r": r})
+            raise MagnitudeError(f"recursion bound for r={r} overflows the "
+                                 f"{constructions.BIT_CAP}-bit cap")
+        cached, _ = _cached(cache, {"op": "brown", "growth": f.spec_string(), "r": r})
         rows.append({"r": r, **bounds,
                      "cached": None if cached is None else
                      {"kind": cached.get("kind"), "value": cached.get("value")}})
@@ -339,7 +352,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_diag(args) -> int:
     if args.n < 0:
-        raise CLIError("--n must be a natural")
+        raise InvalidArgumentError("--n must be a natural")
     coloring = constructions.diag_prefix(args.d, args.n)
     payload = {"command": "diag", "d": args.d, "n": args.n,
                "coloring_rle": rle_string(coloring.values)}
@@ -352,7 +365,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_psgen(args) -> int:
     if (args.gaps is None) == (args.input is None):
-        raise CLIError("give exactly one of --gaps or --input")
+        raise InvalidArgumentError("give exactly one of --gaps or --input")
     if args.input is not None:
         gaps = _read_coloring(args.input)
         blocks = args.blocks if args.blocks is not None else gaps.length - 1
@@ -360,15 +373,12 @@ def _cmd_psgen(args) -> int:
         try:
             values = [int(tok) for tok in args.gaps.split(",")]
         except ValueError as exc:
-            raise CLIError(f"bad --gaps list: {exc}") from exc
+            raise InvalidArgumentError(f"bad --gaps list: {exc}") from exc
         # inline values feed blocks 2, 3, ...; positions 0 and 1 are unused
         palette = max(values + [1]) + 1
         gaps = Coloring(palette=palette, values=tuple([1, 1] + values))
         blocks = args.blocks if args.blocks is not None else len(values) + 1
-    try:
-        prefix = constructions.ps_generate(gaps, blocks)
-    except InvalidArgumentError as exc:
-        raise CLIError(str(exc)) from exc
+    prefix = constructions.ps_generate(gaps, blocks)
     problems = constructions.ps_problems(prefix, gaps)
     payload = {"command": "psgen", "blocks": blocks,
                "elements": list(prefix.elements),
@@ -384,11 +394,8 @@ def _cmd_decompose(args) -> int:
     try:
         xs = [int(tok) for tok in args.x.split(",")] if args.x else []
     except ValueError as exc:
-        raise CLIError(f"bad --x list: {exc}") from exc
-    try:
-        y, z = constructions.decompose_ps(tuple(sorted(set(xs))), args.d, args.horizon)
-    except InvalidArgumentError as exc:
-        raise CLIError(str(exc)) from exc
+        raise InvalidArgumentError(f"bad --x list: {exc}") from exc
+    y, z = constructions.decompose_ps(tuple(sorted(set(xs))), args.d, args.horizon)
     cut = args.horizon - args.d
     xset = {v for v in xs if v < cut}
     identity_ok = xset == {v for v in set(y) & set(z) if v < cut}
@@ -515,16 +522,9 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CLIError as exc:
-        _note(f"error: {exc}")
-        return exc.exit_code
     except MagnitudeError as exc:
         _note(f"magnitude overflow: {exc}")
         return EXIT_MAGNITUDE
-    except (InvalidArgumentError, PreconditionError, ColoringFileError,
-            GrowthSpecError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
     except BrownlabError as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE

@@ -10,8 +10,8 @@ This module materializes and verifies the library's reference objects:
   the corresponding Brown number exceeds ``n_s``;
 * closed-form upper bounds (a linear-growth bound and the generic
   recursion ``n_1 = f(1) + 2``, ``n_{r+1} = (r+1) * f(n_r) + 1``);
-* iterated exponentials (towers) with a configurable bit cap, which also
-  guards the recursion bound against values that cannot fit in memory;
+* iterated exponentials (towers) under a bit cap, which also guards the
+  recursion bound against values that cannot fit in memory;
 * generators for piecewise-syndetic prefixes, the syndetic/thick
   decomposition, and the block-selection extraction that pulls a
   gap-bounded homogeneous subset out of an index set.
@@ -177,7 +177,7 @@ def _ladder_values(s: int, lengths: Sequence[int]) -> list:
     return values
 
 
-def ladder(s: int, materialize_cap: int = LADDER_MATERIALIZE_CAP) -> LadderStage:
+def ladder(s: int) -> LadderStage:
     """Build stage s.  Stages past the materialization cap come back
     evaluator-only (flagged via ``materialized``); stages whose length is not
     even representable raise :class:`MagnitudeError`."""
@@ -185,7 +185,7 @@ def ladder(s: int, materialize_cap: int = LADDER_MATERIALIZE_CAP) -> LadderStage
         raise InvalidArgumentError("stage index must be a natural")
     lengths = ladder_lengths(s)
     coloring = None
-    if s <= materialize_cap:
+    if s <= LADDER_MATERIALIZE_CAP:
         coloring = Coloring(palette=1 << s, values=tuple(_ladder_values(s, lengths)))
     return LadderStage(index=s, length=lengths[s], palette=1 << s,
                        coloring=coloring, lengths=tuple(lengths))
@@ -250,12 +250,15 @@ def ladder_verify(s: int) -> LadderVerifyReport:
 
 
 def _guard(f: GrowthFn, n: int) -> None:
-    """Refuse growth evaluations whose result cannot fit in memory."""
+    """Refuse evaluations past the caps: 2**n bits, or (n + 1)**k terms for k nested closures."""
+    terms = n + 1
+    while f.kind == "closure":
+        if terms > BIT_CAP:
+            raise MagnitudeError(f"closure at {n} sums more than {BIT_CAP} terms", base=n)
+        f, terms = f.inner, terms * (n + 1)
     if f.kind == "exp2" and n > BIT_CAP:
         raise MagnitudeError(f"2**n with n of {n.bit_length()} bits exceeds "
                              f"the {BIT_CAP}-bit cap", depth=1, base=n)
-    if f.kind == "closure":
-        _guard(f.inner, n)
 
 
 def upper_bound_seq(f: GrowthFn, r: int) -> int:
@@ -290,19 +293,19 @@ def ardal_bound(m: int, r: int) -> int:
     return r * ((1 << (m * r)) - m * r) + 1
 
 
-def tower(k: int, n: int, bit_cap: int = BIT_CAP) -> int:
+def tower(k: int, n: int) -> int:
     """Iterated exponential: height 0 is n, each level is 2 to the previous.
 
-    Results whose bit count would exceed ``bit_cap`` raise
+    Results whose bit count would exceed ``BIT_CAP`` raise
     :class:`MagnitudeError` carrying the offending (k, n).
     """
     if k < 0 or n < 0:
         raise InvalidArgumentError("tower arguments must be naturals")
     v = n
     for _ in range(k):
-        if v >= bit_cap:
+        if v >= BIT_CAP:
             raise MagnitudeError(
-                f"tower of height {k} over {n} exceeds the {bit_cap}-bit cap",
+                f"tower of height {k} over {n} exceeds the {BIT_CAP}-bit cap",
                 depth=k, base=n)
         v = 1 << v
     return v

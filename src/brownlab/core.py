@@ -15,7 +15,7 @@ sorted enumeration; windows are the sets the growth-bound checks in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import GrowthSpecError, InvalidArgumentError
@@ -86,8 +86,8 @@ class GrowthFn:
     last difference, which must be >= 0), and the monotone closure of
     another growth function (pointwise partial sums).
 
-    ``nondecreasing`` is certified at construction for id/linear/exp2/closure
-    and checked over the table for lookups; the fast checker paths rely on it.
+    ``nondecreasing`` holds for id/linear/exp2/closure and is checked over
+    the table for lookups; the fast checker paths rely on it.
     """
 
     kind: str
@@ -95,7 +95,6 @@ class GrowthFn:
     table: tuple = ()
     tail: str = "const"
     inner: Optional["GrowthFn"] = None
-    nondecreasing: bool = field(default=True)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -116,9 +115,9 @@ class GrowthFn:
                     raise InvalidArgumentError("linear tail must extrapolate with step >= 0")
         if self.kind == "closure" and self.inner is None:
             raise InvalidArgumentError("closure needs an inner growth function")
-        object.__setattr__(self, "nondecreasing", self._compute_nondecreasing())
 
-    def _compute_nondecreasing(self) -> bool:
+    @property
+    def nondecreasing(self) -> bool:
         if self.kind == "table":
             return all(a <= b for a, b in zip(self.table, self.table[1:]))
         return True

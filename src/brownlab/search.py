@@ -11,6 +11,8 @@ Symmetry is broken by first-use color canonicalization: a branch may
 introduce color c only when colors ``0..c-1`` are already in use.  Every
 coloring is a palette permutation of a canonical one and validity is
 permutation invariant, so outcomes are unchanged (only node counts drop).
+Every search is canonical; only the private ``_run_tree`` can walk the
+full tree, as the tests' reference.
 
 For the Brown-number search each color class keeps, per distinct gap
 value d it has ever seen, the length of the maximal d-bounded run ending
@@ -37,16 +39,20 @@ from .progressions import ap_partition_check
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource caps for a search; None means unlimited."""
+    """Resources for a search: node and time caps (None means unlimited)
+    and the worker processes of the subtree split."""
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+    jobs: int = 1
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 0:
             raise InvalidArgumentError("node budget must be a natural")
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise InvalidArgumentError("time budget must be >= 0 seconds")
+        if self.jobs < 1:
+            raise InvalidArgumentError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class _StarRule:
 
     __slots__ = ("_f", "_limits", "elems", "runs", "undo")
 
-    def __init__(self, f: GrowthFn, palette: int, values):
+    def __init__(self, f: GrowthFn, palette: int):
         self._f = f
         self._limits: dict[int, int] = {}
         self.elems = [[] for _ in range(palette)]
@@ -131,7 +137,7 @@ class _StarRule:
         elems.append(pos)
         return True
 
-    def pop(self, pos: int, color: int) -> None:
+    def pop(self, color: int) -> None:
         self.elems[color].pop()
         self.runs[color] = self.undo[color].pop()
 
@@ -161,7 +167,7 @@ class _ApRule:
             q += 1
         return True
 
-    def pop(self, pos: int, color: int) -> None:
+    def pop(self, color: int) -> None:
         pass
 
 
@@ -179,7 +185,7 @@ class _DfsStats:
 
 
 def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical=True,
-              stop_at_cap=True, collect=None) -> _DfsStats:
+              collect=None) -> _DfsStats:
     """Iterative DFS over valid extensions of ``prefix``; lowest color first.
 
     ``rule_desc`` is ``("star", f, r)`` or ``("ap", l)``.  ``best`` tracks
@@ -189,7 +195,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     """
     values: list[int] = []
     if rule_desc[0] == "star":
-        rule = _StarRule(rule_desc[1], rule_desc[2], values)
+        rule = _StarRule(rule_desc[1], rule_desc[2])
     else:
         rule = _ApRule(rule_desc[1], values)
     for pos, c in enumerate(prefix):
@@ -224,7 +230,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
             frames.pop()
             if frames:
                 prev = values.pop()
-                rule.pop(len(values), prev)
+                rule.pop(prev)
                 used_stack.pop()
             continue
         frames[-1] = c + 1
@@ -238,20 +244,18 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                 best = tuple(values)
             if cap is not None and depth >= cap:
                 reached_cap = True
-                if collect is not None:
-                    collect.append(tuple(values))
-                values.pop()
-                rule.pop(pos, c)
-                if stop_at_cap and collect is None:
+                if collect is None:
                     break
+                collect.append(tuple(values))
+                values.pop()
+                rule.pop(c)
                 continue
             used_stack.append(max(used_stack[-1], c + 1))
             frames.append(0)
     return _DfsStats(best, nodes, exhausted, reached_cap)
 
 
-def _run_parallel(rule_desc, palette, cap, max_nodes, deadline, jobs,
-                  canonical) -> _DfsStats:
+def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
     """Static frontier split: enumerate the valid prefixes at a shallow
     depth, then explore each subtree in a worker.  The probe and every
     worker share the one absolute deadline.  Merging is deterministic:
@@ -262,22 +266,20 @@ def _run_parallel(rule_desc, palette, cap, max_nodes, deadline, jobs,
     max_depth = cap if cap is not None else 12
     for k in range(1, min(max_depth, 12) + 1):
         collected: list[tuple] = []
-        stats = _run_tree(rule_desc, palette, k, None, deadline, canonical=canonical,
-                          stop_at_cap=False, collect=collected)
+        stats = _run_tree(rule_desc, palette, k, None, deadline, collect=collected)
         probe_nodes = stats.nodes
         if not collected or stats.exhausted:
             return stats  # the whole tree is shallower than k, or time is up
         prefixes = collected
-        if len(collected) >= 4 * jobs or len(collected) > 5000:
+        if len(collected) >= 4 * budget.jobs or len(collected) > 5000:
             break
     if not prefixes:
-        return _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=canonical)
+        return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline)
     node_share = None
-    if max_nodes is not None:
-        node_share = max(1, (max_nodes - probe_nodes) // len(prefixes))
-    tasks = [(rule_desc, palette, cap, node_share, deadline, p, canonical)
-             for p in prefixes]
-    with Pool(processes=jobs) as pool:
+    if budget.max_nodes is not None:
+        node_share = max(1, (budget.max_nodes - probe_nodes) // len(prefixes))
+    tasks = [(rule_desc, palette, cap, node_share, deadline, p) for p in prefixes]
+    with Pool(processes=budget.jobs) as pool:
         results = pool.starmap(_run_tree, tasks)
     best = prefixes[0]
     exhausted = False
@@ -292,26 +294,22 @@ def _run_parallel(rule_desc, palette, cap, max_nodes, deadline, jobs,
     return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
 
 
-def _dispatch(rule_desc, palette, cap, budget, jobs, canonical) -> _DfsStats:
-    if jobs < 1:
-        raise InvalidArgumentError("jobs must be >= 1")
+def _dispatch(rule_desc, palette, cap, budget) -> _DfsStats:
     budget = budget or SearchBudget()
     deadline = None
     if budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
-    if jobs > 1:
-        return _run_parallel(rule_desc, palette, cap, budget.max_nodes, deadline,
-                             jobs, canonical)
-    return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline,
-                     canonical=canonical)
+    if budget.jobs > 1:
+        return _run_parallel(rule_desc, palette, cap, budget, deadline)
+    return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline)
 
 
-def _threshold(rule_desc, palette, cap, upper, budget, jobs, canonical, audit,
+def _threshold(rule_desc, palette, cap, upper, budget, audit,
                used_closure=False) -> SearchOutcome:
     """Search, audit the deepest coloring and report the threshold; ``audit``
     returns the witness's certificate (or None) and raises on a bad witness."""
     started = time.monotonic()
-    stats = _dispatch(rule_desc, palette, cap, budget, jobs, canonical)
+    stats = _dispatch(rule_desc, palette, cap, budget)
     wall = time.monotonic() - started
     witness = Coloring(palette=palette, values=stats.best)
     certificate = audit(witness)
@@ -324,10 +322,10 @@ def _threshold(rule_desc, palette, cap, upper, budget, jobs, canonical, audit,
                          wall_time=wall, used_closure=used_closure)
 
 
-def _confirm(rule_desc, palette, n, budget, jobs, canonical) -> ConfirmOutcome:
+def _confirm(rule_desc, palette, n, budget) -> ConfirmOutcome:
     """Complete canonicalized DFS capped at depth n: True when no valid
     coloring of length n exists, None when the budget ran out first."""
-    stats = _dispatch(rule_desc, palette, n, budget, jobs, canonical)
+    stats = _dispatch(rule_desc, palette, n, budget)
     result = False if stats.reached_cap else None if stats.exhausted else True
     return ConfirmOutcome(result=result, nodes=stats.nodes)
 
@@ -351,8 +349,7 @@ def formula_upper_bound(f: GrowthFn, r: int) -> Optional[int]:
 
 
 def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
-                 budget: Optional[SearchBudget] = None, *,
-                 jobs: int = 1, canonical: bool = True) -> SearchOutcome:
+                 budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Least n such that every r-coloring of ``0..n-1`` has a homogeneous
     set H with ``|H| > f(gap_size(H))``.
 
@@ -378,13 +375,11 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
                                "this is a bug in the incremental checker")
         return certificate
 
-    return _threshold(("star", f, r), r, cap, formula, budget, jobs, canonical,
-                      audit, used_closure)
+    return _threshold(("star", f, r), r, cap, formula, budget, audit, used_closure)
 
 
 def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
-               budget: Optional[SearchBudget] = None, *,
-               jobs: int = 1, canonical: bool = True) -> SearchOutcome:
+               budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Least n such that every r-coloring of ``0..n-1`` contains a
     monochromatic l-term arithmetic progression.
 
@@ -400,12 +395,11 @@ def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
                                "progression; this is a bug in the completion check")
         return None
 
-    return _threshold(("ap", l), r, n_cap, None, budget, jobs, canonical, audit)
+    return _threshold(("ap", l), r, n_cap, None, budget, audit)
 
 
 def confirm_no_witness(n: int, f: GrowthFn, r: int,
-                       budget: Optional[SearchBudget] = None, *,
-                       jobs: int = 1, canonical: bool = True) -> ConfirmOutcome:
+                       budget: Optional[SearchBudget] = None) -> ConfirmOutcome:
     """Audit the upper half of an exact claim: does NO valid coloring of
     length n exist?  Runs the complete canonicalized DFS capped at depth n;
     an indeterminate (None) result flags budget exhaustion."""
@@ -414,18 +408,17 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     if not f.nondecreasing:
         raise PreconditionError("no-witness confirmation needs a nondecreasing growth "
                                 "function (try closure:<spec>)")
-    return _confirm(("star", f, r), r, n, budget, jobs, canonical)
+    return _confirm(("star", f, r), r, n, budget)
 
 
 def confirm_no_ap_witness(n: int, r: int, l: int,
-                          budget: Optional[SearchBudget] = None, *,
-                          jobs: int = 1, canonical: bool = True) -> ConfirmOutcome:
+                          budget: Optional[SearchBudget] = None) -> ConfirmOutcome:
     """Progression-side audit: does NO r-coloring of length n avoid a
     monochromatic l-term progression?  Same semantics as
     :func:`confirm_no_witness`."""
     if n < 0 or r < 1 or l < 1:
         raise InvalidArgumentError("n must be a natural, r and l >= 1")
-    return _confirm(("ap", l), r, n, budget, jobs, canonical)
+    return _confirm(("ap", l), r, n, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
+from brownlab.checker import is_witness
 from brownlab.cli import run_cli
 from brownlab.colorfile import encode_coloring
-from brownlab.core import Coloring
+from brownlab.core import Coloring, parse_growth_spec
 
 
 @pytest.fixture()
@@ -19,6 +20,13 @@ def _run(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
+
+
+def _edit_cache_entry(cache_dir, edit):
+    [path] = cache_dir.glob("*.json")
+    entry = json.loads(path.read_text())
+    edit(entry)
+    path.write_text(json.dumps(entry))
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +87,65 @@ def test_brown_corrupt_cache_entry_is_recomputed(cache_env, capsys):
     assert code == 0
     assert payload["cache"] == "miss"
     assert payload["value"] == 2
+
+
+def test_cache_entry_of_another_version_is_a_miss(cache_env, capsys):
+    _run(capsys, "brown", "--f", "linear:1", "--r", "1")
+    _edit_cache_entry(cache_env / "cache", lambda e: e.update(version="brownlab-0.0.0"))
+    code, payload, _ = _run(capsys, "brown", "--f", "linear:1", "--r", "1")
+    assert (code, payload["cache"], payload["value"]) == (0, "miss", 2)
+
+
+BROWN_LIN1_R2 = ("brown", "--f", "linear:1", "--r", "2")   # value 5, witness length 4
+VDW_R2_L3 = ("vdw", "--r", "2", "--l", "3")                # value 9, witness length 8
+
+
+def _certificate(palette, values, growth):
+    """A valid certificate, but for another palette or growth than the entry's."""
+    return json.loads(is_witness(Coloring(palette, values), parse_growth_spec(growth)).to_json())
+
+
+@pytest.mark.parametrize("argv,value,edit", [
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(value=4)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(value=4, lower=4, upper=4,
+                                                     witness_length=3)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"]["certificate"].update(coloring_rle="0x4")),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(used_closure=True)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
+        certificate=_certificate(3, (0, 1, 2, 0), "linear:1"))),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
+        certificate=_certificate(2, (0, 0, 1, 1), "linear:2"))),
+    (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8)),
+    (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8,
+                                                 witness_length=7)),
+    (VDW_R2_L3, 9, lambda e: e["result"].update(witness_rle="0x8")),
+], ids=["brown-value", "brown-bracket-and-length", "brown-certificate-body",
+        "brown-closure-flag", "brown-certificate-palette", "brown-certificate-growth",
+        "vdw-bracket", "vdw-bracket-and-length", "vdw-witness-body"])
+def test_cache_entry_failing_its_audit_is_rejected_and_overwritten(cache_env, capsys,
+                                                                   argv, value, edit):
+    _run(capsys, *argv)
+    _edit_cache_entry(cache_env / "cache", edit)
+    code, payload, _ = _run(capsys, *argv)
+    assert (code, payload["cache"], payload["value"]) == (0, "rejected", value)
+    code, payload, _ = _run(capsys, *argv)
+    assert (code, payload["cache"], payload["value"]) == (0, "hit", value)
+
+
+def test_bounds_lists_only_audited_cache_entries(cache_env, capsys):
+    _run(capsys, *BROWN_LIN1_R2)
+    _edit_cache_entry(cache_env / "cache", lambda e: e["result"].update(value=4))
+    code, payload, _ = _run(capsys, "bounds", "--m", "1", "--r-max", "2")
+    assert code == 0
+    assert payload["rows"][1]["cached"] is None
+
+
+def test_bad_jobs_exits_two_on_a_warm_cache(tmp_path, capsys):
+    argv = ("brown", "--f", "linear:1", "--r", "1", "--cache-dir", str(tmp_path))
+    assert _run(capsys, *argv)[0] == 0
+    code, payload, err = _run(capsys, *argv, "--jobs", "0")
+    assert (code, payload) == (2, None)
+    assert "error" in err
 
 
 def test_brown_usage_errors(cache_env, capsys):
@@ -244,6 +311,21 @@ def test_bounds_single_row_csv_header_stable(cache_env, capsys):
     assert code == 0
     lines = captured.out.strip().splitlines()
     assert lines == ["r,ardal,recursion,cached_kind,cached_value", "1,,4,,"]
+
+
+def test_closure_bound_overflow_stops_at_once(cache_env, capsys):
+    # the sixth recursion term of closure:linear:1 would sum about 5.7e10 terms
+    started = time.monotonic()
+    code, payload, err = _run(capsys, "bounds", "--f", "closure:linear:1", "--r-max", "6")
+    assert time.monotonic() - started < 1
+    assert (code, payload) == (4, None)
+    assert "r=6" in err
+    code, payload, _ = _run(capsys, "brown", "--f", "closure:linear:1", "--r", "6",
+                            "--budget-nodes", "100", "--no-cache")
+    assert code == 0
+    assert payload["kind"] == "bracketed"
+    assert payload["upper"] is None
+    assert payload["bounds"] == {"ardal": None, "recursion": None}
 
 
 def test_bounds_argument_errors(cache_env, capsys):

@@ -157,6 +157,16 @@ def test_recursion_bound_overflow_raises_before_allocating():
     assert info.value.base == 3 * 2 ** 33 + 1
     with pytest.raises(MagnitudeError):
         upper_bound_seq(GrowthFn.closure(EXP2), 4)
+    # a closure term sums n + 1 inner values; the sixth term would sum ~5.7e10
+    closed_lin1 = GrowthFn.closure(GrowthFn.linear(1))
+    assert upper_bound_seq(closed_lin1, 5) == 56777355256
+    with pytest.raises(MagnitudeError):
+        upper_bound_seq(closed_lin1, 6)
+    # three nested closures at n sum about n**3 / 6 terms; the fourth term's n is 139129
+    thrice_closed = GrowthFn.closure(GrowthFn.closure(closed_lin1))
+    assert upper_bound_seq(thrice_closed, 3) == 139129
+    with pytest.raises(MagnitudeError):
+        upper_bound_seq(thrice_closed, 4)
     assert upper_bound_seq(GrowthFn.linear(1000), 4) > 0
 
 
@@ -183,8 +193,8 @@ def test_tower_values():
 
 def test_tower_cap_carries_arguments():
     with pytest.raises(MagnitudeError) as err:
-        tower(4, 2, bit_cap=1 << 10)
-    assert err.value.depth == 4
+        tower(5, 2)
+    assert err.value.depth == 5
     assert err.value.base == 2
 
 

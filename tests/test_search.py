@@ -130,21 +130,21 @@ def test_bad_budgets_and_jobs_are_rejected():
     assert SearchBudget(max_nodes=0, max_seconds=0.0).max_seconds == 0.0
     for jobs in (0, -3):
         with pytest.raises(InvalidArgumentError):
-            brown_number(LIN1, 1, jobs=jobs)
+            brown_number(LIN1, 1, budget=SearchBudget(jobs=jobs))
         with pytest.raises(InvalidArgumentError):
-            vdw_number(2, 3, jobs=jobs)
+            vdw_number(2, 3, budget=SearchBudget(jobs=jobs))
         with pytest.raises(InvalidArgumentError):
-            confirm_no_witness(2, LIN1, 1, jobs=jobs)
+            confirm_no_witness(2, LIN1, 1, budget=SearchBudget(jobs=jobs))
         with pytest.raises(InvalidArgumentError):
-            confirm_no_ap_witness(9, 2, 3, jobs=jobs)
+            confirm_no_ap_witness(9, 2, 3, budget=SearchBudget(jobs=jobs))
 
 
 def test_deadline_passing_in_the_parallel_probe_brackets():
-    outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0), jobs=2)
+    outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0, jobs=2))
     assert outcome.kind == "bracketed"
     assert outcome.lower <= 13 <= outcome.upper
-    assert confirm_no_witness(13, LIN2, 2, budget=SearchBudget(max_seconds=0.0),
-                              jobs=2).result is None
+    assert confirm_no_witness(13, LIN2, 2,
+                              budget=SearchBudget(max_seconds=0.0, jobs=2)).result is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,24 @@ def test_vdw_two_two():
     assert vdw_number(2, 2).value == vdw_number_bruteforce(2, 2)
 
 
+def test_vdw_literature_values_are_exact():
+    # Chvatal 1970
+    assert vdw_number(2, 4).value == 35
+    assert vdw_number(3, 3).value == 27
+
+
+@pytest.mark.parametrize("r,l,value", [
+    (4, 3, 76),    # Beeler & O'Neil 1979
+    (2, 5, 178),   # Stevens & Shantaram 1978
+])
+def test_vdw_brackets_contain_literature_values(r, l, value):
+    for nodes in (0, 100, 20_000):
+        outcome = vdw_number(r, l, budget=SearchBudget(max_nodes=nodes))
+        assert outcome.kind == "bracketed"
+        assert outcome.lower <= value
+        assert outcome.upper is None or outcome.upper >= value
+
+
 def test_vdw_bracket_has_no_upper():
     outcome = vdw_number(2, 3, budget=SearchBudget(max_nodes=5))
     assert outcome.kind == "bracketed"
@@ -214,24 +232,25 @@ def test_vdw_bracket_has_no_upper():
 
 
 def test_canonicalization_preserves_outcomes():
+    # the searches break color symmetry; the reference tree walks every coloring
     for f, r in [(LIN1, 2), (LIN2, 2)]:
-        on = brown_number(f, r, canonical=True)
-        off = brown_number(f, r, canonical=False)
-        assert on.value == off.value
-        assert on.witness.values == off.witness.values
-        assert on.nodes_explored != off.nodes_explored
-    on = vdw_number(2, 3, canonical=True)
-    off = vdw_number(2, 3, canonical=False)
-    assert on.value == off.value
-    assert on.nodes_explored != off.nodes_explored
+        on = brown_number(f, r)
+        off = _run_tree(("star", f, r), r, None, None, None, canonical=False)
+        assert on.value == len(off.best) + 1
+        assert on.witness.values == off.best
+        assert on.nodes_explored != off.nodes
+    on = vdw_number(2, 3)
+    off = _run_tree(("ap", 3), 2, None, None, None, canonical=False)
+    assert on.value == len(off.best) + 1
+    assert on.nodes_explored != off.nodes
 
 
 def test_parallel_split_matches_sequential():
     seq = brown_number(LIN2, 2)
-    par = brown_number(LIN2, 2, jobs=2)
+    par = brown_number(LIN2, 2, budget=SearchBudget(jobs=2))
     assert (seq.value, seq.witness.values) == (par.value, par.witness.values)
     seq = vdw_number(2, 3)
-    par = vdw_number(2, 3, jobs=2)
+    par = vdw_number(2, 3, budget=SearchBudget(jobs=2))
     assert (seq.value, seq.witness.values) == (par.value, par.witness.values)
 
 
@@ -241,8 +260,7 @@ def test_tree_nodes_are_exactly_the_valid_colorings(f, r):
     # length-k colorings whose classes all pass the subset oracle
     for k in (1, 2, 3, 5):
         collected = []
-        _run_tree(("star", f, r), r, k, None, None, canonical=False,
-                  stop_at_cap=False, collect=collected)
+        _run_tree(("star", f, r), r, k, None, None, canonical=False, collect=collected)
         expected = set()
         for values in itertools.product(range(r), repeat=k):
             coloring = Coloring(r, values)
@@ -255,5 +273,5 @@ def test_deepest_witness_is_lexicographically_least():
     outcome = brown_number(LIN1, 2)
     collected = []
     _run_tree(("star", LIN1, 2), 2, outcome.value - 1, None, None,
-              canonical=False, stop_at_cap=False, collect=collected)
+              canonical=False, collect=collected)
     assert outcome.witness.values == min(collected)
