@@ -11,10 +11,9 @@ arbitrary-precision arithmetic.
 from .core import (Coloring, FiniteSet, GapSpectrum, GrowthFn, finite_set,
                    gap_size, gap_spectrum, max_run_size, monotone_closure,
                    parse_growth_spec, windows)
-from .checker import (StarReport, WindowViolation, WitnessCertificate,
-                      bruteforce_profile, certificate_problems,
+from .checker import (WindowViolation, WitnessCertificate, bruteforce_profile,
                       has_large_homogeneous, has_large_homogeneous_bruteforce,
-                      is_witness, satisfies_star, verify_certificate)
+                      is_witness, star_violation, verify_certificate)
 from .search import (ConfirmOutcome, SearchBudget, SearchOutcome, brown_number,
                      brown_number_bruteforce, confirm_no_ap_witness,
                      confirm_no_witness, formula_upper_bound, vdw_number,
@@ -36,10 +35,9 @@ __all__ = [
     "Coloring", "FiniteSet", "GapSpectrum", "GrowthFn", "finite_set",
     "gap_size", "gap_spectrum", "max_run_size", "monotone_closure",
     "parse_growth_spec", "windows",
-    "StarReport", "WindowViolation", "WitnessCertificate",
-    "bruteforce_profile", "certificate_problems", "has_large_homogeneous",
-    "has_large_homogeneous_bruteforce", "is_witness", "satisfies_star",
-    "verify_certificate",
+    "WindowViolation", "WitnessCertificate", "bruteforce_profile",
+    "has_large_homogeneous", "has_large_homogeneous_bruteforce", "is_witness",
+    "star_violation", "verify_certificate",
     "ConfirmOutcome", "SearchBudget", "SearchOutcome", "brown_number",
     "brown_number_bruteforce", "confirm_no_ap_witness", "confirm_no_witness",
     "formula_upper_bound", "vdw_number", "vdw_number_bruteforce",

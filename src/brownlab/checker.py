@@ -8,12 +8,15 @@ condition*.  A coloring whose classes all satisfy the star condition is a
 homogeneous sets, i.e. that the corresponding Brown number exceeds its
 length.
 
-Two deciders are provided.  The fast path makes one left-to-right pass
-over each class and checks every maximal run against f of its own gap
-size, the largest difference inside it; for nondecreasing f this is
-equivalent to checking every window.  The brute-force oracle enumerates
-every subset of every class and is the semantics of record, usable with
-arbitrary growth functions.
+Two deciders are provided.  The fast path is one scan of a coloring: a
+left-to-right pass over each class checks every maximal run against f of
+its own gap size, the largest difference inside it; for nondecreasing f
+this is equivalent to checking every window.  The scan stops at the first
+class that breaks the star condition with its least such window, a
+:class:`WindowViolation`, or else yields the :class:`WitnessCertificate`;
+a certificate verifies only when the scan reproduces it exactly.  The
+brute-force oracle enumerates every subset of every class and is the
+semantics of record, usable with arbitrary growth functions.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import Optional, Sequence
 
 from .colorfile import parse_rle_string, rle_string
 from .core import Coloring, GrowthFn, _runs, parse_growth_spec
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .errors import (GrowthSpecError, InvalidArgumentError, PreconditionError,
+                     ResourceLimitError)
 
 BRUTEFORCE_LENGTH_CAP = 20
 
@@ -40,19 +44,13 @@ class WindowViolation:
     length: int
 
 
-@dataclass(frozen=True)
-class StarReport:
-    holds: bool
-    violation: Optional[WindowViolation] = None
-
-
-def _check_class(h: Sequence[int], f: GrowthFn):
+def _check_class(h: Sequence[int], f: GrowthFn, color: Optional[int] = None):
     """Fast star check: every maximal run stays within f of its gap size.
 
-    Returns ``(violation or None, certificate triples)``.  The triples are
-    ``(d, longest d-bounded run, f(d))`` for each distinct gap value d of h
-    (plus d = 1); the violation is the least ``(start, end)`` maximal run
-    longer than f of its own gap size, as ``(start, end, gap size, length)``.
+    Returns ``(WindowViolation or None, certificate triples)``.  The triples
+    are ``(d, longest d-bounded run, f(d))`` for each distinct gap value d of
+    h (plus d = 1); the violation is the least ``(start, end)`` maximal run
+    longer than f of its own gap size, reported for ``color``.
     Sound and complete for nondecreasing f: a window with gap size d sits
     inside the maximal d-bounded run around it, whose gap size is d.
     """
@@ -74,43 +72,25 @@ def _check_class(h: Sequence[int], f: GrowthFn):
     for d in sorted(limits):
         best = max(best, sizes.get(d, 1))
         triples.append((d, best, limits[d]))
-    return least, triples
+    return (None if least is None else WindowViolation(color, *least)), triples
 
 
-def satisfies_star(h: Sequence[int], f: GrowthFn, color: Optional[int] = None) -> StarReport:
-    """Decide whether every window I of ``h`` has ``|I| <= f(gap_size(I))``.
-
-    Requires f flagged nondecreasing (the run reduction relies on it); use
-    :func:`has_large_homogeneous_bruteforce` for arbitrary growth functions.
-    """
+def _nondecreasing(f: GrowthFn) -> GrowthFn:
+    """The fast checks' precondition: the run reduction needs f nondecreasing."""
     if not f.nondecreasing:
-        raise PreconditionError("the fast star check needs a nondecreasing growth function")
-    h = tuple(h)
-    violation, _ = _check_class(h, f)
-    if violation is None:
-        return StarReport(holds=True)
-    start, end, gs, length = violation
-    return StarReport(holds=False,
-                      violation=WindowViolation(color, start, end, gs, length))
+        raise PreconditionError("the star check needs a nondecreasing growth "
+                                "function (try closure:<spec>)")
+    return f
 
 
-def has_large_homogeneous(coloring: Coloring, f: GrowthFn):
-    """Find a color class window H with ``|H| > f(gap_size(H))``, if any.
-
-    Returns ``(color, window)`` for the least (color, start, end) violation
-    found by the run scan, or None when every class satisfies the star
-    condition.  Requires f nondecreasing.
+def star_violation(h: Sequence[int], f: GrowthFn) -> Optional[WindowViolation]:
+    """The least ``(start, end)`` window I of the set ``h`` with
+    ``|I| > f(gap_size(I))``, or None when ``h`` satisfies the star
+    condition.  The violation's ``color`` is None.  Requires f
+    nondecreasing; use :func:`has_large_homogeneous_bruteforce` for
+    arbitrary growth functions.
     """
-    if not f.nondecreasing:
-        raise PreconditionError("the fast star check needs a nondecreasing growth function")
-    for color, h in enumerate(coloring.classes()):
-        violation, _ = _check_class(h, f)
-        if violation is not None:
-            start, end, _, _ = violation
-            lo = h.index(start)
-            hi = h.index(end)
-            return color, h[lo:hi + 1]
-    return None
+    return _check_class(tuple(h), _nondecreasing(f))[0]
 
 
 def _subset_gaps(h: Sequence[int]):
@@ -220,54 +200,44 @@ class WitnessCertificate:
         coloring = Coloring(palette=doc["palette"], values=tuple(values))
         if coloring.length != doc["length"]:
             raise InvalidArgumentError("certificate length field disagrees with coloring body")
+        if not isinstance(doc["growth"], str):
+            raise InvalidArgumentError("certificate growth field is not a spec string")
         per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])
         return cls(coloring=coloring, growth_spec=doc["growth"], per_class=per_class)
 
 
-def is_witness(coloring: Coloring, f: GrowthFn) -> Optional[WitnessCertificate]:
-    """Certify that every class of ``coloring`` satisfies the star condition.
-
-    Returns the certificate, or None as soon as some class has a window
-    exceeding its growth budget.  Requires f nondecreasing.
-    """
-    if not f.nondecreasing:
-        raise PreconditionError("witness certification needs a nondecreasing growth "
-                                "function (try closure:<spec>)")
+def _scan(coloring: Coloring, f: GrowthFn):
+    """The one star check of a coloring: ``(violation, None)`` for the least
+    (start, end) window of the first class that breaks the star condition,
+    else ``(None, certificate)``."""
+    _nondecreasing(f)
     per_class = []
-    for h in coloring.classes():
-        violation, triples = _check_class(h, f)
+    for color, h in enumerate(coloring.classes()):
+        violation, triples = _check_class(h, f, color)
         if violation is not None:
-            return None
+            return violation, None
         per_class.append(tuple(triples))
-    return WitnessCertificate(coloring=coloring,
-                              growth_spec=f.spec_string(),
-                              per_class=tuple(per_class))
+    return None, WitnessCertificate(coloring=coloring, growth_spec=f.spec_string(),
+                                    per_class=tuple(per_class))
 
 
-def certificate_problems(cert: WitnessCertificate) -> list:
-    """Re-derive a certificate from its raw coloring; list any mismatches."""
-    problems = []
-    try:
-        f = parse_growth_spec(cert.growth_spec)
-    except Exception as exc:  # malformed growth spec is itself a problem
-        return [f"unparseable growth spec: {exc}"]
-    if not f.nondecreasing:
-        problems.append("growth function is not flagged nondecreasing")
-        return problems
-    if len(cert.per_class) != cert.coloring.palette:
-        problems.append("per-class transcript count differs from palette")
-        return problems
-    for color, h in enumerate(cert.coloring.classes()):
-        violation, triples = _check_class(h, f)
-        if violation is not None:
-            problems.append(f"class {color} has a window exceeding its budget: {violation}")
-        if tuple(triples) != tuple(cert.per_class[color]):
-            problems.append(f"class {color} transcript does not match recomputation")
-        for d, run, limit in cert.per_class[color]:
-            if run > limit:
-                problems.append(f"class {color} records run {run} > f({d}) = {limit}")
-    return problems
+def is_witness(coloring: Coloring, f: GrowthFn) -> Optional[WitnessCertificate]:
+    """The certificate that every class of ``coloring`` satisfies the star
+    condition, or None.  Requires f nondecreasing."""
+    return _scan(coloring, f)[1]
+
+
+def has_large_homogeneous(coloring: Coloring, f: GrowthFn) -> Optional[WindowViolation]:
+    """The least (color, start, end) class window H with
+    ``|H| > f(gap_size(H))``, or None.  Requires f nondecreasing."""
+    return _scan(coloring, f)[0]
 
 
 def verify_certificate(cert: WitnessCertificate) -> bool:
-    return not certificate_problems(cert)
+    """True when the growth spec parses, is nondecreasing and a fresh scan of
+    the coloring reproduces the certificate exactly: the canonical spec
+    spelling, one transcript per palette color and every triple."""
+    try:
+        return _scan(cert.coloring, parse_growth_spec(cert.growth_spec))[1] == cert
+    except (GrowthSpecError, PreconditionError):
+        return False

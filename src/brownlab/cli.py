@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import constructions
@@ -18,7 +19,7 @@ from .cache import ResultCache, resolve_cache_dir
 from .checker import (WitnessCertificate, has_large_homogeneous, is_witness,
                       verify_certificate)
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
-from .core import Coloring, GrowthFn, gap_size, monotone_closure, parse_growth_spec
+from .core import Coloring, GrowthFn, monotone_closure, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
 from .progressions import ap_partition_check
@@ -44,12 +45,11 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _sci(n: int) -> str:
-    """Decimal below a million, scientific notation above."""
-    if n < 10 ** 6:
-        return str(n)
-    s = constructions.decimal_str(n)
-    return f"{s[0]}.{s[1:5]}e+{len(s) - 1}"
+def _sci(digits: str) -> str:
+    """A decimal rendering as is below a million, in scientific notation above."""
+    if len(digits) <= 6:
+        return digits
+    return f"{digits[0]}.{digits[1:5]}e+{len(digits) - 1}"
 
 
 def _parse_growth(text: str) -> GrowthFn:
@@ -185,7 +185,7 @@ def _search_command(args) -> int:
               f"(nodes={result['nodes']}, {result['wall_time']}s, cache {cache_state})")
     else:
         upper = result["upper"]
-        upper_text = _sci(upper) if upper is not None else "?"
+        upper_text = _sci(constructions.decimal_str(upper)) if upper is not None else "?"
         _note(f"{label} in [{result['lower']}, {upper_text}] "
               f"(budget exhausted after {result['nodes']} nodes)")
     return exit_code
@@ -254,14 +254,9 @@ def _cmd_check(args) -> int:
         _note(f"witness: every class fits {f.spec_string()}; "
               f"proves the threshold exceeds {coloring.length}")
         return EXIT_OK
-    hit = has_large_homogeneous(coloring, f)
-    color, window = hit
-    payload = {"command": "check", "witness": False,
-               "violation": {"color": color, "start": window[0], "end": window[-1],
-                             "gap_size": gap_size(window), "length": len(window)}}
-    _emit(payload)
-    _note(f"not a witness: class {color} window {window[0]}..{window[-1]} "
-          f"has {len(window)} elements")
+    v = has_large_homogeneous(coloring, f)
+    _emit({"command": "check", "witness": False, "violation": asdict(v)})
+    _note(f"not a witness: class {v.color} window {v.start}..{v.end} has {v.length} elements")
     return EXIT_NEGATIVE
 
 
@@ -273,11 +268,11 @@ def _cmd_check(args) -> int:
 def _cmd_ladder(args) -> int:
     stage = constructions.ladder(args.s)
     exit_code = EXIT_OK
+    length = constructions.decimal_str(stage.length)
     if (args.out or args.verify) and not stage.materialized:
-        raise MagnitudeError(f"stage {args.s} has length {_sci(stage.length)}, past the "
+        raise MagnitudeError(f"stage {args.s} has length {_sci(length)}, past the "
                              f"materialization cap; only its length is available")
-    payload = {"command": "ladder", "s": args.s,
-               "length": constructions.decimal_str(stage.length),
+    payload = {"command": "ladder", "s": args.s, "length": length,
                "palette": stage.palette, "materialized": stage.materialized}
     if args.out:
         Path(args.out).write_text(encode_coloring(stage.coloring))
@@ -294,7 +289,7 @@ def _cmd_ladder(args) -> int:
         if not report.all_ok:
             exit_code = EXIT_NEGATIVE
     _emit(payload)
-    _note(f"ladder stage {args.s}: length {_sci(stage.length)}, palette {stage.palette}"
+    _note(f"ladder stage {args.s}: length {_sci(length)}, palette {stage.palette}"
           + (", all claims hold" if args.verify and exit_code == EXIT_OK else ""))
     return exit_code
 

@@ -25,7 +25,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .checker import satisfies_star
+from .checker import star_violation
 from .core import (Coloring, FiniteSet, GrowthFn, _runs, gap_size, max_run_size,
                    monotone_closure)
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
@@ -233,7 +233,7 @@ def ladder_verify(s: int) -> LadderVerifyReport:
     failures = []
     for color, h in enumerate(stage.coloring.classes()):
         size_ok = len(h) == stage.length // stage.palette
-        star_ok = satisfies_star(h, exp2, color=color).holds
+        star_ok = star_violation(h, exp2) is None
         span_ok = bool(h) and stage.length == h[-1] - h[0] + pad
         claims.append(LadderClaim(color, size_ok, star_ok, span_ok))
         for name, ok in (("class size", size_ok), ("star condition", star_ok),

@@ -16,6 +16,7 @@ sorted enumeration; windows are the sets the growth-bound checks in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import GrowthSpecError, InvalidArgumentError
@@ -165,8 +166,14 @@ class GrowthFn:
             step = table[-1] - table[-2] if len(table) >= 2 else 0
             return table[-1] + (n - (len(table) - 1)) * step
         # closure: pointwise partial sums of the inner function
-        inner = self.inner
-        return sum(inner(i) for i in range(n + 1))
+        return sum(self.inner._values(n))
+
+    def _values(self, n: int) -> Iterator[int]:
+        """``f(0), ..., f(n)`` in order.  A closure keeps a running sum of its
+        inner sequence, so k nested closures cost O(k * n) inner calls."""
+        if self.kind == "closure":
+            return accumulate(self.inner._values(n))
+        return map(self, range(n + 1))
 
     # -- spec strings --------------------------------------------------------
 

@@ -258,18 +258,23 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
 def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
     """Static frontier split: enumerate the valid prefixes at a shallow
     depth, then explore each subtree in a worker.  The probe and every
-    worker share the one absolute deadline.  Merging is deterministic:
-    prefixes are generated in DFS (lex) order, so the first task attaining
-    the maximum depth holds the lexicographically least deepest coloring."""
+    worker share the one absolute deadline and the one node budget: the
+    probe spends from it, and the workers split what is left.  Merging is
+    deterministic: prefixes are generated in DFS (lex) order, so the first
+    task attaining the maximum depth holds the lexicographically least
+    deepest coloring."""
     prefixes: list[tuple] = []
     probe_nodes = 0
     max_depth = cap if cap is not None else 12
     for k in range(1, min(max_depth, 12) + 1):
         collected: list[tuple] = []
-        stats = _run_tree(rule_desc, palette, k, None, deadline, collect=collected)
+        stats = _run_tree(rule_desc, palette, k, budget.max_nodes, deadline, collect=collected)
         probe_nodes = stats.nodes
         if not collected or stats.exhausted:
-            return stats  # the whole tree is shallower than k, or time is up
+            # the whole tree is shallower than k, or the budget is spent; the
+            # probe's depth k is the search's own cap only when k == cap
+            stats.reached_cap = stats.reached_cap and k == cap
+            return stats
         prefixes = collected
         if len(collected) >= 4 * budget.jobs or len(collected) > 5000:
             break
@@ -277,7 +282,7 @@ def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
         return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline)
     node_share = None
     if budget.max_nodes is not None:
-        node_share = max(1, (budget.max_nodes - probe_nodes) // len(prefixes))
+        node_share = (budget.max_nodes - probe_nodes) // len(prefixes)
     tasks = [(rule_desc, palette, cap, node_share, deadline, p) for p in prefixes]
     with Pool(processes=budget.jobs) as pool:
         results = pool.starmap(_run_tree, tasks)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownlab.checker import (WitnessCertificate, bruteforce_profile,
-                              certificate_problems, has_large_homogeneous,
+from brownlab.checker import (WindowViolation, WitnessCertificate, _check_class,
+                              bruteforce_profile, has_large_homogeneous,
                               has_large_homogeneous_bruteforce, is_witness,
-                              profile_has_large, satisfies_star,
+                              profile_has_large, star_violation,
                               verify_certificate)
-from brownlab.core import Coloring, GrowthFn, _runs, finite_set, gap_size, windows
-from brownlab.errors import PreconditionError, ResourceLimitError
+from brownlab.core import (Coloring, GrowthFn, _runs, finite_set, gap_size,
+                           parse_growth_spec, windows)
+from brownlab.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 
 LIN1 = GrowthFn.linear(1)
 LIN2 = GrowthFn.linear(2)
@@ -72,33 +73,31 @@ def least_window_violation(h, f):
 
 
 # ---------------------------------------------------------------------------
-# satisfies_star
+# star_violation: the star condition of one set
 # ---------------------------------------------------------------------------
 
 
 def test_satisfies_star_examples():
-    report = satisfies_star((0, 1, 2), LIN1)
-    assert not report.holds
-    v = report.violation
-    assert (v.start, v.end, v.gap_size, v.length) == (0, 2, 1, 3)
-
-    assert satisfies_star(C1.color_class(0), EXP2).holds
-    assert satisfies_star((0, 2, 4), LIN2).holds
+    assert star_violation((0, 1, 2), LIN1) == WindowViolation(None, 0, 2, 1, 3)
+    assert star_violation(C1.color_class(0), EXP2) is None
+    assert star_violation((0, 2, 4), LIN2) is None
 
 
 def test_satisfies_star_requires_nondecreasing_flag():
-    with pytest.raises(PreconditionError):
-        satisfies_star((0, 1), GrowthFn.from_table((3, 1, 2)))
+    bumpy = GrowthFn.from_table((3, 1, 2))
+    for check in (lambda: star_violation((0, 1), bumpy),
+                  lambda: is_witness(Coloring(1, (0, 0)), bumpy),
+                  lambda: has_large_homogeneous(Coloring(1, (0, 0)), bumpy)):
+        with pytest.raises(PreconditionError, match=r"closure:<spec>"):
+            check()
 
 
 def test_satisfies_star_zero_budget_flags_singletons():
-    report = satisfies_star((4,), ZERO)
-    assert not report.holds
-    assert report.violation.length == 1
+    assert star_violation((4,), ZERO).length == 1
 
 
 def test_satisfies_star_empty_set_holds():
-    assert satisfies_star((), LIN1).holds
+    assert star_violation((), LIN1) is None
 
 
 @settings(max_examples=300)
@@ -106,9 +105,8 @@ def test_satisfies_star_empty_set_holds():
 def test_satisfies_star_matches_window_enumeration(h, f):
     # the run kernel yields each maximal window of two or more elements once
     assert sorted(_runs(h)) == sorted((g, j, k) for g, j, k in maximal_windows(h) if k > j)
-    report = satisfies_star(h, f)
-    assert report.holds == windows_all_bounded(h, f)
-    v = report.violation
+    v = star_violation(h, f)
+    assert (v is None) == windows_all_bounded(h, f)
     found = None if v is None else (v.start, v.end, v.gap_size, v.length)
     assert found == least_window_violation(h, f)
     # class 0 is h and every other position of 0..max(h) has a colour of its
@@ -123,6 +121,9 @@ def test_satisfies_star_matches_window_enumeration(h, f):
         assert cert.per_class == tuple(window_triples(c, f) for c in classes)
     else:
         assert cert is None
+    # the coloring's scan reports the set's violation under class 0
+    hit = has_large_homogeneous(coloring, f)
+    assert hit == (None if v is None else WindowViolation(0, *found))
 
 
 @settings(max_examples=80)
@@ -130,24 +131,25 @@ def test_satisfies_star_matches_window_enumeration(h, f):
        st.sampled_from([LIN1, LIN2, EXP2]))
 def test_star_condition_is_shift_invariant(h, t, f):
     shifted = tuple(x + t for x in h)
-    assert satisfies_star(h, f).holds == satisfies_star(shifted, f).holds
+    assert (star_violation(h, f) is None) == (star_violation(shifted, f) is None)
 
 
 @settings(max_examples=80)
 @given(small_sets)
 def test_star_monotone_in_growth(h):
     # linear:1 <= linear:2 <= exp2 pointwise on d >= 1
-    if satisfies_star(h, LIN1).holds:
-        assert satisfies_star(h, LIN2).holds
-    if satisfies_star(h, LIN2).holds:
-        assert satisfies_star(h, EXP2).holds
+    if star_violation(h, LIN1) is None:
+        assert star_violation(h, LIN2) is None
+    if star_violation(h, LIN2) is None:
+        assert star_violation(h, EXP2) is None
 
 
 def test_violation_is_recomputable():
-    report = satisfies_star((0, 2, 4, 5, 6, 7), LIN1, color=3)
-    v = report.violation
+    # class 3 is (0, 2, 4, 5, 6, 7); classes 0..2 hold at most one position
+    coloring = Coloring(4, (3, 0, 3, 1, 3, 3, 3, 3))
+    v = has_large_homogeneous(coloring, LIN1)
     assert v.color == 3
-    window = tuple(x for x in (0, 2, 4, 5, 6, 7) if v.start <= x <= v.end)
+    window = tuple(x for x in coloring.color_class(3) if v.start <= x <= v.end)
     assert len(window) == v.length
     assert gap_size(window) == v.gap_size
     assert v.length > LIN1(v.gap_size)
@@ -159,12 +161,11 @@ def test_violation_is_recomputable():
 
 
 def test_has_large_homogeneous_examples():
-    assert has_large_homogeneous(Coloring(1, (0, 0, 0)), LIN1) == (0, (0, 1, 2))
+    assert has_large_homogeneous(Coloring(1, (0, 0, 0)), LIN1) == WindowViolation(0, 0, 2, 1, 3)
     assert has_large_homogeneous(C1, EXP2) is None
-    hit = has_large_homogeneous(Coloring(2, (0, 1, 0, 1, 0)), LIN1)
-    assert hit == (0, (0, 2, 4))
-    color, h = hit
-    assert len(h) > LIN1(gap_size(h))
+    v = has_large_homogeneous(Coloring(2, (0, 1, 0, 1, 0)), LIN1)
+    assert v == WindowViolation(0, 0, 4, 2, 3)
+    assert v.length > LIN1(v.gap_size)
 
 
 def test_bruteforce_examples():
@@ -263,7 +264,6 @@ def test_certificate_round_trip_and_byte_stability():
 def test_certificate_revalidates_from_raw_coloring():
     cert = is_witness(C1, EXP2)
     assert verify_certificate(cert)
-    assert certificate_problems(cert) == []
 
 
 def test_tampered_certificates_are_rejected():
@@ -278,6 +278,60 @@ def test_tampered_certificates_are_rejected():
     wrong_runs["classes"][0][0][1] += 1
     bad = WitnessCertificate.from_json(json.dumps(wrong_runs))
     assert not verify_certificate(bad)
+
+    with pytest.raises(InvalidArgumentError):
+        WitnessCertificate.from_json(json.dumps(dict(doc, growth=5)))
+
+
+def _tamper_palette(doc):
+    doc["classes"].append([])
+
+
+def _tamper_run(doc):
+    doc["classes"][0][1][1] += 1
+
+
+def _tamper_limit(doc):
+    doc["classes"][0][1][2] += 1
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_palette, _tamper_run, _tamper_limit,
+    lambda doc: doc.update(growth="table:"),                   # unparseable
+    lambda doc: doc.update(growth="table:3,1,2"),              # not nondecreasing
+    lambda doc: doc.update(growth="table:1,2;tail=const"),     # not the canonical spelling
+], ids=["palette-count", "run", "f-of-d", "unparseable", "non-monotone", "non-canonical"])
+def test_verify_certificate_rejects_each_tampering(tamper):
+    cert = is_witness(Coloring(2, (0, 1, 0, 1)), GrowthFn.from_table((1, 2)))
+    assert cert.per_class[0] == ((1, 1, 2), (2, 2, 2))
+    assert verify_certificate(cert)
+    doc = json.loads(cert.to_json())
+    tamper(doc)
+    assert not verify_certificate(WitnessCertificate.from_json(json.dumps(doc)))
+
+
+VERIFY_SPECS = ["linear:1", "linear:2", "exp2", "table:1,2", "table:1,2;tail=const",
+                "table:0,2;tail=linear", "closure:table:3,1,2", "closure:linear:1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=0, max_value=2), max_size=10),
+       st.sampled_from(VERIFY_SPECS), st.sampled_from(["none", "triple", "count"]),
+       st.integers(min_value=0))
+def test_verify_certificate_is_exact_reproduction(palette, raw, spec, mutation, seed):
+    coloring = Coloring(palette, tuple(v % palette for v in raw))
+    f = parse_growth_spec(spec)
+    # the kernel's transcripts for every class, violating classes included
+    per_class = [[list(t) for t in _check_class(h, f)[1]] for h in coloring.classes()]
+    rng = random.Random(seed)
+    if mutation == "triple" and any(per_class):
+        triple = rng.choice(rng.choice([c for c in per_class if c]))
+        triple[rng.randrange(3)] += rng.choice((-1, 1))
+    elif mutation == "count":
+        per_class.append([])
+    cert = WitnessCertificate(coloring, spec, tuple(tuple(map(tuple, c)) for c in per_class))
+    assert verify_certificate(cert) == (is_witness(coloring, f) == cert)
 
 
 def test_empty_coloring_is_a_witness():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from brownlab import constructions
 from brownlab.checker import is_witness
 from brownlab.cli import run_cli
 from brownlab.colorfile import encode_coloring
@@ -184,6 +185,21 @@ def test_parallel_search_keeps_one_deadline(cache_env, capsys):
     assert payload["kind"] == "bracketed"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("budget", ["10", "40"])
+def test_node_budget_holds_under_jobs(cache_env, capsys, jobs, budget):
+    flags = ("--budget-nodes", budget, "--jobs", jobs)
+    for argv in (("brown", "--f", "linear:3", "--r", "2", "--no-cache"),
+                 ("vdw", "--r", "3", "--l", "3", "--no-cache")):
+        code, payload, _ = _run(capsys, *argv, *flags)
+        assert code == 0 and payload["kind"] == "bracketed"
+        assert payload["nodes"] <= int(budget)
+    # B(linear:3, 2) = 25, so an exhausted budget must leave the answer open
+    code, payload, _ = _run(capsys, "confirm", "--n", "25", "--f", "linear:3", "--r", "2", *flags)
+    assert (code, payload["no_witness"]) == (1, None)
+    assert payload["nodes"] <= int(budget)
+
+
 def test_brown_writes_certificate_file(cache_env, capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, payload, _ = _run(capsys, "brown", "--f", "linear:1", "--r", "1",
@@ -265,11 +281,17 @@ def test_ladder_verify_stage_one(capsys):
     assert len(payload["verify"]["claims"]) == 2
 
 
-def test_ladder_stage_three_reports_length_only(capsys):
-    code, payload, _ = _run(capsys, "ladder", "--s", "3")
+def test_ladder_stage_three_reports_length_only(capsys, monkeypatch):
+    renders = []
+    decimal_str = constructions.decimal_str
+    monkeypatch.setattr(constructions, "decimal_str",
+                        lambda n: renders.append(n) or decimal_str(n))
+    code, payload, err = _run(capsys, "ladder", "--s", "3")
     assert code == 0
     assert payload["materialized"] is False
     assert len(payload["length"]) > 600_000   # decimal digits of the exact length
+    assert len(renders) == 1                  # the payload and the note share one render
+    assert f"length {payload['length'][0]}.{payload['length'][1:5]}e+" in err
 
 
 def test_ladder_too_large_exits_magnitude(capsys):
@@ -320,6 +342,13 @@ def test_closure_bound_overflow_stops_at_once(cache_env, capsys):
     assert time.monotonic() - started < 1
     assert (code, payload) == (4, None)
     assert "r=6" in err
+    # two nested closures: the fifth term is refused, the fourth sums in linear time
+    started = time.monotonic()
+    code, payload, err = _run(capsys, "bounds", "--f", "closure:closure:linear:1",
+                              "--r-max", "5")
+    assert time.monotonic() - started < 1
+    assert (code, payload) == (4, None)
+    assert "r=5" in err
     code, payload, _ = _run(capsys, "brown", "--f", "closure:linear:1", "--r", "6",
                             "--budget-nodes", "100", "--no-cache")
     assert code == 0

@@ -162,6 +162,8 @@ def test_recursion_bound_overflow_raises_before_allocating():
     assert upper_bound_seq(closed_lin1, 5) == 56777355256
     with pytest.raises(MagnitudeError):
         upper_bound_seq(closed_lin1, 6)
+    # two nested closures: the fourth term's n is about 5,300, summed in linear time
+    assert upper_bound_seq(GrowthFn.closure(closed_lin1), 4) == 100096417041
     # three nested closures at n sum about n**3 / 6 terms; the fourth term's n is 139129
     thrice_closed = GrowthFn.closure(GrowthFn.closure(closed_lin1))
     assert upper_bound_seq(thrice_closed, 3) == 139129

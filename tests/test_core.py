@@ -221,7 +221,8 @@ def test_monotone_closure_examples():
 
 @given(st.sampled_from([GrowthFn.exp2(), GrowthFn.linear(2),
                         GrowthFn.from_table((3, 1, 2)),
-                        GrowthFn.from_table((0, 5), tail="linear")]),
+                        GrowthFn.from_table((0, 5), tail="linear"),
+                        GrowthFn.closure(GrowthFn.closure(GrowthFn.from_table((3, 1, 2))))]),
        st.integers(min_value=0, max_value=12))
 def test_monotone_closure_dominates_pointwise(f, n):
     g = monotone_closure(f)
@@ -265,3 +266,15 @@ def test_growth_spec_explicit_const_tail_accepted():
     f = parse_growth_spec("table:1,2;tail=const")
     assert f == GrowthFn.from_table((1, 2))
     assert f.spec_string() == "table:1,2"
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+
+def test_every_export_resolves_once():
+    import brownlab
+    assert len(brownlab.__all__) == len(set(brownlab.__all__))
+    missing = [name for name in brownlab.__all__ if not hasattr(brownlab, name)]
+    assert missing == []
