@@ -21,6 +21,21 @@ runs either extend by one or restart, and a brand-new gap value g
 inherits the run of the largest tracked bound below it, because no gap in
 between occurs in the class.  Checking each run against its budget as it
 grows covers every window once the growth function is nondecreasing.
+Budgets are read from a per-rule limit table that holds f(d) for each gap
+d seen so far, so f is evaluated only at gaps that occur.  A run whose
+bound d is below the new gap restarts at 1 and needs no check: the first
+element of any class passed ``1 <= f(1)``, and f is nondecreasing, so
+``f(d) >= 1``.  The progression rule compares, for each common difference
+q, the slice of the l - 1 earlier terms against a prebuilt list of l - 1
+copies of the color.
+
+The deepest coloring found so far (the record) is a list that shares its
+first ``agree`` positions with the live path.  A pop lowers ``agree`` to
+the path length, and a new record copies only the positions past
+``agree``, after which the two agree in full.  Each pushed position is
+copied at most once, so keeping the record costs O(nodes) and a deep,
+narrow search runs in time linear in its nodes, not quadratic in its
+depth.
 """
 
 from __future__ import annotations
@@ -115,13 +130,17 @@ class _StarRule:
         elems = self.elems[color]
         runs = self.runs[color]
         if elems:
+            limits = self._limits
             g = pos - elems[-1]
             new_runs = {}
             for d, length in runs.items():
-                length = length + 1 if d >= g else 1
-                if length > self._limit(d):
-                    return False
-                new_runs[d] = length
+                if d < g:
+                    new_runs[d] = 1
+                else:
+                    length += 1
+                    if length > limits[d]:
+                        return False
+                    new_runs[d] = length
             if g not in new_runs:
                 below = max(d for d in runs if d <= g)
                 length = runs[below] + 1
@@ -145,26 +164,22 @@ class _StarRule:
 class _ApRule:
     """Reject assignments that complete a monochromatic l-term progression."""
 
-    __slots__ = ("l", "values")
+    __slots__ = ("l", "values", "full")
 
-    def __init__(self, l: int, values):
+    def __init__(self, l: int, values, palette: int):
         self.l = l
         self.values = values
+        self.full = [[c] * (l - 1) for c in range(palette)]
 
     def try_push(self, pos: int, color: int) -> bool:
-        l = self.l
-        if l == 1:
+        if self.l == 1:
             return False
         values = self.values
-        span = l - 1
-        q = 1
-        while q * span <= pos:
-            for i in range(1, l):
-                if values[pos - i * q] != color:
-                    break
-            else:
+        full = self.full[color]
+        span = self.l - 1
+        for q in range(1, pos // span + 1):
+            if values[pos - q] == color and values[pos - span * q:pos:q] == full:
                 return False
-            q += 1
         return True
 
     def pop(self, color: int) -> None:
@@ -197,7 +212,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     if rule_desc[0] == "star":
         rule = _StarRule(rule_desc[1], rule_desc[2])
     else:
-        rule = _ApRule(rule_desc[1], values)
+        rule = _ApRule(rule_desc[1], values, palette)
     for pos, c in enumerate(prefix):
         if not rule.try_push(pos, c):
             raise InvalidArgumentError("search prefix is not a valid coloring")
@@ -205,12 +220,13 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     nodes = 0
     exhausted = False
     reached_cap = False
-    best = tuple(values)
-    best_len = len(values)
+    # the record shares its first ``agree`` positions with the live path
+    best = list(values)
+    best_len = agree = len(values)
     if cap is not None and best_len >= cap:
         if collect is not None:
-            collect.append(best)
-        return _DfsStats(best, nodes, False, True)
+            collect.append(tuple(best))
+        return _DfsStats(tuple(best), nodes, False, True)
 
     frames = [0]
     used_stack = [max(prefix) + 1 if prefix else 0]
@@ -232,6 +248,8 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                 prev = values.pop()
                 rule.pop(prev)
                 used_stack.pop()
+                if agree > len(values):
+                    agree = len(values)
             continue
         frames[-1] = c + 1
         nodes += 1
@@ -240,19 +258,20 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
             values.append(c)
             depth = len(values)
             if depth > best_len:
-                best_len = depth
-                best = tuple(values)
+                best[agree:] = values[agree:]
+                best_len = agree = depth
             if cap is not None and depth >= cap:
                 reached_cap = True
                 if collect is None:
                     break
                 collect.append(tuple(values))
-                values.pop()
-                rule.pop(c)
+                # a leaf: its spent frame makes the next step backtrack
+                used_stack.append(palette)
+                frames.append(palette)
                 continue
             used_stack.append(max(used_stack[-1], c + 1))
             frames.append(0)
-    return _DfsStats(best, nodes, exhausted, reached_cap)
+    return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
 
 
 def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:

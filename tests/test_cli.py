@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,15 @@ def _edit_cache_entry(cache_dir, edit):
 # ---------------------------------------------------------------------------
 # brown / vdw
 # ---------------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli(cache_env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "brownlab", "vdw", "--r", "2", "--l", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == 9
 
 
 def test_brown_exact_json(cache_env, capsys):

@@ -1,16 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from brownlab.checker import has_large_homogeneous_bruteforce, verify_certificate
-from brownlab.core import Coloring, GrowthFn, monotone_closure
+from brownlab.checker import has_large_homogeneous_bruteforce, star_violation, verify_certificate
+from brownlab.core import Coloring, GrowthFn, monotone_closure, parse_growth_spec
 from brownlab.constructions import ardal_bound, upper_bound_seq
 from brownlab.errors import InvalidArgumentError, PreconditionError
 from brownlab.progressions import ap_partition_check
 from brownlab.search import (SearchBudget, brown_number,
                              brown_number_bruteforce, confirm_no_ap_witness,
                              confirm_no_witness, formula_upper_bound,
-                             vdw_number, vdw_number_bruteforce, _run_tree)
+                             vdw_number, vdw_number_bruteforce, _ApRule, _run_tree,
+                             _StarRule)
 
 LIN1 = GrowthFn.linear(1)
 LIN2 = GrowthFn.linear(2)
@@ -254,18 +257,28 @@ def test_parallel_split_matches_sequential():
     assert (seq.value, seq.witness.values) == (par.value, par.witness.values)
 
 
-@pytest.mark.parametrize("f,r", [(LIN1, 2), (LIN2, 2), (EXP2, 2), (LIN1, 3)])
-def test_tree_nodes_are_exactly_the_valid_colorings(f, r):
+TREE_CASES = (
+    [pytest.param(("star", f, r), r, id=f"f{i}-{r}")
+     for i, (f, r) in enumerate([(LIN1, 2), (LIN2, 2), (EXP2, 2), (LIN1, 3)])]
+    + [pytest.param(("ap", l), r, id=f"ap{l}-{r}") for r in (2, 3) for l in (3, 4)])
+
+
+@pytest.mark.parametrize("rule_desc,r", TREE_CASES)
+def test_tree_nodes_are_exactly_the_valid_colorings(rule_desc, r):
     # without canonicalization, the depth-k frontier must equal the set of
-    # length-k colorings whose classes all pass the subset oracle
+    # length-k colorings that the independent oracle accepts: subset
+    # enumeration for the star rule, the progression scan for the ap rule
+    if rule_desc[0] == "star":
+        def valid(coloring):
+            return has_large_homogeneous_bruteforce(coloring, rule_desc[1]) is None
+    else:
+        def valid(coloring):
+            return ap_partition_check(coloring, rule_desc[1]) is None
     for k in (1, 2, 3, 5):
         collected = []
-        _run_tree(("star", f, r), r, k, None, None, canonical=False, collect=collected)
-        expected = set()
-        for values in itertools.product(range(r), repeat=k):
-            coloring = Coloring(r, values)
-            if has_large_homogeneous_bruteforce(coloring, f) is None:
-                expected.add(values)
+        _run_tree(rule_desc, r, k, None, None, canonical=False, collect=collected)
+        expected = {values for values in itertools.product(range(r), repeat=k)
+                    if valid(Coloring(r, values))}
         assert set(collected) == expected
 
 
@@ -275,3 +288,117 @@ def test_deepest_witness_is_lexicographically_least():
     _run_tree(("star", LIN1, 2), 2, outcome.value - 1, None, None,
               canonical=False, collect=collected)
     assert outcome.witness.values == min(collected)
+
+
+# ---------------------------------------------------------------------------
+# the shared-prefix record and the extension rules
+# ---------------------------------------------------------------------------
+
+
+STAR_SPECS = ("linear:1", "linear:2", "exp2", "table:1,1,2,2,3;tail=linear",
+              "closure:table:3,1,2")
+RULES = [("star", parse_growth_spec(spec)) for spec in STAR_SPECS] + [("ap", 3), ("ap", 4)]
+
+
+def _new_rule(rule_desc, palette, values):
+    if rule_desc[0] == "star":
+        return _StarRule(rule_desc[1], palette)
+    return _ApRule(rule_desc[1], values, palette)
+
+
+def _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, collect):
+    """The DFS of ``_run_tree`` with the record kept the plain way: a full
+    tuple snapshot of the path on every new depth record."""
+    values = []
+    rule = _new_rule(rule_desc, palette, values)
+    for pos, c in enumerate(prefix):
+        assert rule.try_push(pos, c)
+        values.append(c)
+    best = tuple(values)
+    if cap is not None and len(best) >= cap:
+        if collect is not None:
+            collect.append(best)
+        return best, 0, False, True
+    nodes, exhausted, reached_cap = 0, False, False
+    frames, used = [0], [max(prefix) + 1 if prefix else 0]
+    while frames:
+        if max_nodes is not None and nodes >= max_nodes:
+            exhausted = True
+            break
+        c = frames[-1]
+        if c > min(used[-1] if canonical else palette - 1, palette - 1):
+            frames.pop()
+            if frames:
+                rule.pop(values.pop())
+                used.pop()
+            continue
+        frames[-1] = c + 1
+        nodes += 1
+        if rule.try_push(len(values), c):
+            values.append(c)
+            if len(values) > len(best):
+                best = tuple(values)
+            if cap is not None and len(values) >= cap:
+                reached_cap = True
+                if collect is None:
+                    break
+                collect.append(tuple(values))
+                rule.pop(values.pop())
+                continue
+            used.append(max(used[-1], c + 1))
+            frames.append(0)
+    return best, nodes, exhausted, reached_cap
+
+
+@st.composite
+def _tree_cases(draw):
+    kind, param = draw(st.sampled_from(RULES))
+    palette = draw(st.integers(1, 3))
+    rule_desc = (kind, param, palette) if kind == "star" else (kind, param)
+    # the longest valid prefix of a random color sequence
+    prefix = []
+    rule = _new_rule(rule_desc, palette, prefix)
+    for c in draw(st.lists(st.integers(0, palette - 1), max_size=6)):
+        if not rule.try_push(len(prefix), c):
+            break
+        prefix.append(c)
+    cap = draw(st.none() | st.integers(1, 8))
+    return (rule_desc, palette, cap, draw(st.integers(0, 400)), tuple(prefix),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tree_cases())
+def test_shared_prefix_record_matches_snapshots(case):
+    rule_desc, palette, cap, max_nodes, prefix, canonical, collect = case
+    got_collected = [] if collect else None
+    want_collected = [] if collect else None
+    got = _run_tree(rule_desc, palette, cap, max_nodes, None, prefix, canonical,
+                    got_collected)
+    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical,
+                          want_collected)
+    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+    assert got_collected == want_collected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STAR_SPECS), st.integers(1, 3),
+       st.lists(st.integers(-1, 2), max_size=60))
+# color 0 first meets gap 2 only after two pops
+@example("linear:1", 2, [0, 1, -1, -1, 0, 1, 0])
+def test_star_rule_accepts_exactly_the_star_classes(spec, palette, steps):
+    # -1 pops the last position; a color pushes it at the next position
+    f = parse_growth_spec(spec)
+    rule = _StarRule(f, palette)
+    values = []
+    for step in steps:
+        if step < 0:
+            if values:
+                rule.pop(values.pop())
+            continue
+        c = step % palette
+        grown = [pos for pos, v in enumerate(values) if v == c] + [len(values)]
+        accepted = rule.try_push(len(values), c)
+        assert accepted == (star_violation(grown, f) is None)
+        if accepted:
+            values.append(c)
