@@ -196,10 +196,8 @@ class WitnessCertificate:
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
         doc = json.loads(text)
-        values = parse_rle_string(doc["coloring_rle"])
+        values = parse_rle_string(doc["coloring_rle"], doc["length"])
         coloring = Coloring(palette=doc["palette"], values=tuple(values))
-        if coloring.length != doc["length"]:
-            raise InvalidArgumentError("certificate length field disagrees with coloring body")
         if not isinstance(doc["growth"], str):
             raise InvalidArgumentError("certificate growth field is not a spec string")
         per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])

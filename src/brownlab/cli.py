@@ -60,10 +60,11 @@ def _parse_growth(text: str) -> GrowthFn:
 
 
 def _budget(args) -> SearchBudget:
+    """DEFAULT_NODE_BUDGET caps the nodes only when neither budget flag is given."""
     nodes = args.budget_nodes
-    if nodes == 0:
-        nodes = None
-    return SearchBudget(max_nodes=nodes, max_seconds=args.budget_seconds, jobs=args.jobs)
+    if nodes is None and args.budget_seconds is None:
+        nodes = DEFAULT_NODE_BUDGET
+    return SearchBudget(max_nodes=nodes or None, max_seconds=args.budget_seconds, jobs=args.jobs)
 
 
 def _read_coloring(path: str) -> Coloring:
@@ -114,17 +115,17 @@ def _cached(cache, key: dict):
         n = result["witness_length"]
         sound = (result["kind"] == "exact"
                  and result["value"] == result["lower"] == result["upper"] == n + 1)
+        # n bounds the witness body before it is decoded
         if sound and key["op"] == "vdw":
-            values = parse_rle_string(result["witness_rle"])
-            sound = (len(values) == n
-                     and ap_partition_check(Coloring(key["r"], values), key["l"]) is None)
+            values = parse_rle_string(result["witness_rle"], n)
+            sound = ap_partition_check(Coloring(key["r"], values), key["l"]) is None
         elif sound:
             f = parse_growth_spec(key["growth"])
             growth = monotone_closure(f) if result["used_closure"] else f
-            cert = WitnessCertificate.from_json(json.dumps(result["certificate"]))
-            sound = (cert.coloring.length == n and cert.coloring.palette == key["r"]
-                     and cert.growth_spec == growth.spec_string()
-                     and verify_certificate(cert))
+            doc = result["certificate"]
+            sound = (doc["length"] == n and doc["palette"] == key["r"]
+                     and doc["growth"] == growth.spec_string()
+                     and verify_certificate(WitnessCertificate.from_json(json.dumps(doc))))
     except (AttributeError, KeyError, TypeError, ValueError):
         sound = False
     return (result, "hit") if sound else (None, "rejected")
@@ -436,8 +437,9 @@ def _add_budget_flags(parser) -> None:
                         help="worker processes for the subtree split (default 1)")
     parser.add_argument("--require-exact", action="store_true",
                         help="exit 3 instead of reporting a bracket")
-    parser.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-                        help=f"node budget, 0 = unlimited (default {DEFAULT_NODE_BUDGET})")
+    parser.add_argument("--budget-nodes", type=int, default=None,
+                        help=f"node budget, 0 = unlimited (default {DEFAULT_NODE_BUDGET}, "
+                             "none when --budget-seconds is given)")
     parser.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock budget in seconds")
 

@@ -2,14 +2,20 @@
 
 Header: ``palette <r> length <n> encoding <plain|rle>``.  The body holds
 whitespace-separated tokens, color indices for ``plain`` and
-``<value>x<count>`` tokens for ``rle``.  Encoding a coloring and decoding
-the bytes back is the identity, and re-encoding a canonical file
-reproduces it byte for byte.
+``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse,
+byte for byte on canonical files, and loop over runs and tokens in C.
+Decoding parses each *distinct* token once, through a token table, and
+checks the summed counts against the declared length before it builds
+anything.  Files this program writes have at most ``palette`` distinct
+plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
+distinct counts of one value sum to at most ``length``).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, compress, islice, repeat
+from operator import add, mul, ne, sub
 
 from .core import Coloring
 from .errors import ColoringFileError, InvalidArgumentError
@@ -18,15 +24,26 @@ _TOKENS_PER_LINE = 64
 _RLE_TOKEN = re.compile(r"^(\d+)x(\d+)$")
 
 
+def _runs(values) -> tuple:
+    """``(heads, counts)``: the value and the length of each maximal run."""
+    values = tuple(values)
+    n = len(values)
+    starts = list(compress(range(n), chain((True,), map(ne, islice(values, 1, None), values))))
+    return list(map(values.__getitem__, starts)), list(map(sub, starts[1:] + [n], starts))
+
+
+def _rle_tokens(values) -> list:
+    """Each run's token, spelled once per distinct key ``value + count * base``."""
+    heads, counts = _runs(values)
+    base = max(heads, default=0) + 1
+    keys = list(map(add, heads, map(mul, counts, repeat(base))))
+    spelled = {key: f"{key % base}x{key // base}" for key in set(keys)}
+    return list(map(spelled.__getitem__, keys))
+
+
 def rle_encode(values) -> list:
     """Collapse a sequence into (value, count) pairs."""
-    pairs: list[tuple[int, int]] = []
-    for v in values:
-        if pairs and pairs[-1][0] == v:
-            pairs[-1] = (v, pairs[-1][1] + 1)
-        else:
-            pairs.append((v, 1))
-    return pairs
+    return list(zip(*_runs(values)))
 
 
 def rle_decode(pairs) -> list:
@@ -39,18 +56,45 @@ def rle_decode(pairs) -> list:
 
 
 def rle_string(values) -> str:
-    """Space-separated ``<value>x<count>`` tokens (canonical certificate form)."""
-    return " ".join(f"{v}x{c}" for v, c in rle_encode(values))
+    """Space-separated ``<value>x<count>`` tokens of naturals (canonical certificate form)."""
+    return " ".join(_rle_tokens(values))
 
 
-def parse_rle_string(text: str) -> list:
-    pairs = []
-    for token in text.split():
-        m = _RLE_TOKEN.match(token)
-        if not m:
-            raise InvalidArgumentError(f"bad run-length token {token!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return rle_decode(pairs)
+def _parse_token(token: str, rle: bool, palette=None):
+    """``(value, count)`` of one body token, or the message that rejects it:
+    malformed, a zero count, or a value outside ``palette``, checked in that order."""
+    m = _RLE_TOKEN.match(token) if rle else None
+    run = (int(m[1]), int(m[2])) if m else (int(token), 1) if not rle and token.isdecimal() else None
+    if run is None:
+        return f"expected {'<value>x<count>' if rle else 'a color index'}, got {token!r}"
+    if run[1] < 1:
+        return "run length must be >= 1"
+    if palette is not None and run[0] >= palette:
+        return f"value {run[0]} outside palette of size {palette}"
+    return run
+
+
+def _decode_tokens(tokens: list, rle: bool, length: int, palette=None):
+    """An iterator over the values the tokens spell; None when a distinct token is
+    rejected or the counts, summed before anything is built, miss ``length``."""
+    runs = {token: _parse_token(token, rle, palette) for token in set(tokens)}
+    if any(isinstance(run, str) for run in runs.values()):
+        return None
+    counts = {token: count for token, (_, count) in runs.items()}
+    if sum(map(counts.__getitem__, tokens)) != length:
+        return None
+    expansion = {token: (value,) * count for token, (value, count) in runs.items()}
+    return chain.from_iterable(map(expansion.__getitem__, tokens))
+
+
+def parse_rle_string(text: str, length: int) -> list:
+    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``."""
+    tokens = text.split()
+    values = _decode_tokens(tokens, True, length)
+    if values is None:
+        bad = (run for run in map(_parse_token, tokens, repeat(True)) if isinstance(run, str))
+        raise InvalidArgumentError(next(bad, f"run-length body does not hold {length} positions"))
+    return list(values)
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
@@ -60,64 +104,48 @@ def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
     if encoding not in ("plain", "rle"):
         raise InvalidArgumentError(f"unknown encoding {encoding!r}")
     header = f"palette {coloring.palette} length {coloring.length} encoding {encoding}"
-    if encoding == "plain":
-        tokens = [str(v) for v in coloring.values]
-    else:
-        tokens = [f"{v}x{c}" for v, c in rle_encode(coloring.values)]
-    lines = [header]
-    for i in range(0, len(tokens), _TOKENS_PER_LINE):
-        lines.append(" ".join(tokens[i:i + _TOKENS_PER_LINE]))
-    return "\n".join(lines) + "\n"
+    tokens = _rle_tokens(coloring.values) if encoding == "rle" else list(map(str, coloring.values))
+    lines = [" ".join(tokens[i:i + _TOKENS_PER_LINE])
+             for i in range(0, len(tokens), _TOKENS_PER_LINE)]
+    return "\n".join([header, *lines]) + "\n"
 
 
-def _header_error(message: str, column: int) -> ColoringFileError:
-    return ColoringFileError(message, 1, column)
+def _body_error(lines, rle, palette, length, length_column) -> ColoringFileError:
+    """The error at the first body token that is malformed, has a zero count, lies
+    outside the palette or runs past ``length``, else at the header's length."""
+    total = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        for match in re.finditer(r"\S+", line):
+            parsed = _parse_token(match.group(0), rle, palette)
+            if not isinstance(parsed, str):
+                total += parsed[1]
+                if total <= length:
+                    continue
+                parsed = f"body exceeds declared length {length}"
+            return ColoringFileError(parsed, lineno, match.start() + 1)
+    return ColoringFileError(f"body holds {total} positions but header declares {length}",
+                             1, length_column)
 
 
 def decode_coloring(text: str) -> Coloring:
     """Parse a coloring file; malformed input raises with line and column."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
-        raise _header_error("missing header line", 1)
+        raise ColoringFileError("missing header line", 1, 1)
     header = lines[0]
     fields = header.split()
     if len(fields) != 6 or fields[0] != "palette" or fields[2] != "length" or fields[4] != "encoding":
-        raise _header_error("header must read 'palette <r> length <n> encoding <plain|rle>'", 1)
-    if not fields[1].isdigit():
-        raise _header_error("palette must be a natural", header.index(fields[1]) + 1)
-    if not fields[3].isdigit():
-        raise _header_error("length must be a natural", header.index(fields[3]) + 1)
-    palette = int(fields[1])
-    length = int(fields[3])
-    encoding = fields[5]
+        raise ColoringFileError("header must read 'palette <r> length <n> encoding <plain|rle>'",
+                                1, 1)
+    if not fields[1].isdecimal():
+        raise ColoringFileError("palette must be a natural", 1, header.index(fields[1]) + 1)
+    if not fields[3].isdecimal():
+        raise ColoringFileError("length must be a natural", 1, header.index(fields[3]) + 1)
+    palette, length, encoding = int(fields[1]), int(fields[3]), fields[5]
     if encoding not in ("plain", "rle"):
-        raise _header_error(f"unknown encoding {encoding!r}", header.rindex(encoding) + 1)
-
-    values: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        for match in re.finditer(r"\S+", line):
-            token = match.group(0)
-            column = match.start() + 1
-            if encoding == "plain":
-                if not token.isdigit():
-                    raise ColoringFileError(f"expected a color index, got {token!r}", lineno, column)
-                value, count = int(token), 1
-            else:
-                m = _RLE_TOKEN.match(token)
-                if not m:
-                    raise ColoringFileError(f"expected <value>x<count>, got {token!r}", lineno, column)
-                value, count = int(m.group(1)), int(m.group(2))
-                if count < 1:
-                    raise ColoringFileError("run length must be >= 1", lineno, column)
-            if value >= palette:
-                raise ColoringFileError(
-                    f"value {value} outside palette of size {palette}", lineno, column)
-            values.extend([value] * count)
-            if len(values) > length:
-                raise ColoringFileError(
-                    f"body exceeds declared length {length}", lineno, column)
-    if len(values) != length:
-        raise _header_error(
-            f"body holds {len(values)} positions but header declares {length}",
-            header.index(fields[3]) + 1)
+        raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
+    # line breaks are whitespace, so the header is the first six tokens
+    values = _decode_tokens(text.split()[6:], encoding == "rle", length, palette)
+    if values is None:
+        raise _body_error(lines, encoding == "rle", palette, length, header.index(fields[3]) + 1)
     return Coloring(palette=palette, values=tuple(values))

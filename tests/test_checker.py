@@ -281,6 +281,8 @@ def test_tampered_certificates_are_rejected():
 
     with pytest.raises(InvalidArgumentError):
         WitnessCertificate.from_json(json.dumps(dict(doc, growth=5)))
+    with pytest.raises(InvalidArgumentError):
+        WitnessCertificate.from_json(json.dumps(dict(doc, length=None)))
 
 
 def _tamper_palette(doc):

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from brownlab import constructions
+from brownlab.cache import ResultCache
 from brownlab.checker import is_witness
-from brownlab.cli import run_cli
+from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
 from brownlab.colorfile import encode_coloring
 from brownlab.core import Coloring, parse_growth_spec
 
@@ -154,6 +156,35 @@ def test_bounds_lists_only_audited_cache_entries(cache_env, capsys):
     assert payload["rows"][1]["cached"] is None
 
 
+def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, capsys):
+    _run(capsys, *VDW_R2_L3)
+    _edit_cache_entry(cache_env / "cache",
+                      lambda e: e["result"].update(witness_rle="0x10000000"))   # 10**7
+    cache = ResultCache(cache_env / "cache")
+    tracemalloc.start()
+    try:
+        state = _cached(cache, {"op": "vdw", "r": 2, "l": 3})[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (state, peak < 1_000_000) == ("rejected", True)
+    code, payload, _ = _run(capsys, *VDW_R2_L3)
+    assert (code, payload["cache"], payload["value"]) == (0, "rejected", 9)
+
+
+@pytest.mark.parametrize("flags,nodes,seconds", [
+    ((), DEFAULT_NODE_BUDGET, None),
+    (("--budget-seconds", "10"), None, 10.0),
+    (("--budget-nodes", "500"), 500, None),
+    (("--budget-nodes", "500", "--budget-seconds", "10"), 500, 10.0),
+    (("--budget-nodes", "0"), None, None),
+], ids=["neither", "seconds-only", "nodes-only", "both", "nodes-unlimited"])
+def test_budget_flags(flags, nodes, seconds):
+    args = build_parser().parse_args(["brown", "--f", "exp2", "--r", "3", *flags])
+    budget = _budget(args)
+    assert (budget.max_nodes, budget.max_seconds) == (nodes, seconds)
+
+
 def test_bad_jobs_exits_two_on_a_warm_cache(tmp_path, capsys):
     argv = ("brown", "--f", "linear:1", "--r", "1", "--cache-dir", str(tmp_path))
     assert _run(capsys, *argv)[0] == 0
@@ -265,6 +296,14 @@ def test_check_malformed_file_exits_two(tmp_path, capsys):
     code, payload, err = _run(capsys, "check", "--input", str(path), "--f", "exp2")
     assert code == 2
     assert "line 2" in err and "column 3" in err
+
+
+def test_check_unicode_digit_exits_two(tmp_path, capsys):
+    path = tmp_path / "sup.col"
+    path.write_text("palette 2 length 1 encoding plain\n\u00b2\n")
+    code, payload, err = _run(capsys, "check", "--input", str(path), "--f", "exp2")
+    assert (code, payload) == (2, None)
+    assert "line 2, column 1" in err
 
 
 def test_check_missing_file_exits_two(capsys):

@@ -1,7 +1,14 @@
+import json
 import random
+import re
+import tracemalloc
+from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from brownlab.checker import WitnessCertificate
 from brownlab.colorfile import (decode_coloring, encode_coloring,
                                 parse_rle_string, rle_decode, rle_encode,
                                 rle_string)
@@ -14,9 +21,10 @@ def test_rle_pairs_round_trip():
     pairs = rle_encode(values)
     assert pairs == [(0, 2), (1, 3), (0, 1), (2, 1)]
     assert rle_decode(pairs) == values
-    assert parse_rle_string(rle_string(values)) == values
+    assert parse_rle_string(rle_string(values), len(values)) == values
+    assert rle_encode(iter(values)) == pairs
     assert rle_string([]) == ""
-    assert parse_rle_string("") == []
+    assert parse_rle_string("", 0) == []
 
 
 def test_rle_rejects_zero_counts():
@@ -66,6 +74,8 @@ def test_decode_tolerates_whitespace_layout():
     ("palette 2 length 3 encoding rle\n0x2 oops\n", 2, 5),
     ("palette 2 length 3 encoding plain\n0 0 0 0\n", 2, 7),
     ("palette 2 length 3 encoding plain\n0 0\n", 1, 18),
+    ("palette 2 length 1 encoding plain\n\u00b2\n", 2, 1),
+    ("palette \u00b2 length 1 encoding plain\n0\n", 1, 9),
 ])
 def test_malformed_files_report_line_and_column(text, line, column):
     with pytest.raises(ColoringFileError) as err:
@@ -87,3 +97,211 @@ def test_stage_two_ladder_file_round_trips():
     decoded = decode_coloring(text)
     assert decoded.values == stage.coloring.values
     assert encode_coloring(decoded) == text
+
+
+# ---------------------------------------------------------------------------
+# the codec against a per-token, per-element reference
+# ---------------------------------------------------------------------------
+#
+# The reference is the straightforward codec: one run at a time when
+# encoding, one regex match and one list extension per token when decoding.
+# Color indices are tested with ``isdecimal``, the character class of the
+# rle pattern's ``\d``.
+
+
+def _ref_rle_encode(values):
+    pairs = []
+    for v in values:
+        if pairs and pairs[-1][0] == v:
+            pairs[-1] = (v, pairs[-1][1] + 1)
+        else:
+            pairs.append((v, 1))
+    return pairs
+
+
+def _ref_encode(coloring, encoding):
+    header = f"palette {coloring.palette} length {coloring.length} encoding {encoding}"
+    if encoding == "plain":
+        tokens = [str(v) for v in coloring.values]
+    else:
+        tokens = [f"{v}x{c}" for v, c in _ref_rle_encode(coloring.values)]
+    lines = [header]
+    for i in range(0, len(tokens), 64):
+        lines.append(" ".join(tokens[i:i + 64]))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_decode(text):
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ColoringFileError("missing header line", 1, 1)
+    header = lines[0]
+    fields = header.split()
+    if fields[::2] != ["palette", "length", "encoding"] or len(fields) != 6:
+        raise ColoringFileError("header must read 'palette <r> length <n> encoding <plain|rle>'",
+                                1, 1)
+    if not fields[1].isdecimal():
+        raise ColoringFileError("palette must be a natural", 1, header.index(fields[1]) + 1)
+    if not fields[3].isdecimal():
+        raise ColoringFileError("length must be a natural", 1, header.index(fields[3]) + 1)
+    palette, length, encoding = int(fields[1]), int(fields[3]), fields[5]
+    if encoding not in ("plain", "rle"):
+        raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        for match in re.finditer(r"\S+", line):
+            token, column = match.group(0), match.start() + 1
+            if encoding == "plain":
+                if not token.isdecimal():
+                    raise ColoringFileError(f"expected a color index, got {token!r}",
+                                            lineno, column)
+                value, count = int(token), 1
+            else:
+                m = re.match(r"^(\d+)x(\d+)$", token)
+                if not m:
+                    raise ColoringFileError(f"expected <value>x<count>, got {token!r}",
+                                            lineno, column)
+                value, count = int(m.group(1)), int(m.group(2))
+                if count < 1:
+                    raise ColoringFileError("run length must be >= 1", lineno, column)
+            if value >= palette:
+                raise ColoringFileError(f"value {value} outside palette of size {palette}",
+                                        lineno, column)
+            values.extend([value] * count)
+            if len(values) > length:
+                raise ColoringFileError(f"body exceeds declared length {length}", lineno, column)
+    if len(values) != length:
+        raise ColoringFileError(f"body holds {len(values)} positions but header declares {length}",
+                                1, header.index(fields[3]) + 1)
+    return Coloring(palette=palette, values=tuple(values))
+
+
+def _runs_coloring(palette, runs):
+    return Coloring(palette, tuple(chain.from_iterable([v] * c for v, c in runs)))
+
+
+@st.composite
+def _colorings(draw, max_palette=300, max_count=2_000):
+    palette = draw(st.integers(1, max_palette))
+    count = st.one_of(st.integers(1, 3), st.integers(1, max_count))
+    runs = draw(st.lists(st.tuples(st.integers(0, palette - 1), count), max_size=20))
+    return _runs_coloring(palette, runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colorings())
+@example(Coloring(1, ()))
+@example(Coloring(300, ()))
+@example(Coloring(1, (0,)))
+@example(Coloring(1, (0,) * 70_000))
+@example(Coloring(300, tuple(range(300)) * 3))
+def test_encoders_match_the_reference(coloring):
+    values = coloring.values
+    assert rle_encode(values) == _ref_rle_encode(values)
+    assert rle_string(values) == " ".join(f"{v}x{c}" for v, c in _ref_rle_encode(values))
+    assert parse_rle_string(rle_string(values), coloring.length) == list(values)
+    for encoding in ("plain", "rle"):
+        assert encode_coloring(coloring, encoding) == _ref_encode(coloring, encoding)
+
+
+_BAD_TOKENS = ("a", "x", "1x", "x1", "1y2", "-1", "+1", "1x-2", "0x0x1", "1.0",
+               "\u00b2", "1x\u00b2", "\u0663", "1x\u0663")
+_SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85",
+               "\u2028", " \n ")
+_MUTATIONS = ("bad", "zero", "palette", "zeros", "dup", "drop", "length")
+
+
+@st.composite
+def _mutated_files(draw):
+    coloring = draw(_colorings(max_palette=12, max_count=6))
+    encoding = draw(st.sampled_from(["plain", "rle"]))
+    header, body = encode_coloring(coloring, encoding).split("\n", 1)
+    fields = header.split()
+    tokens = body.split()
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=4)):
+        i = draw(st.integers(0, len(tokens)))
+        token = tokens[i] if i < len(tokens) else "0x1" if encoding == "rle" else "0"
+        if kind == "bad":
+            tokens.insert(i, draw(st.sampled_from(_BAD_TOKENS)))
+        elif kind == "zero":
+            tokens.insert(i, token.split("x")[0] + "x0")
+        elif kind == "palette":
+            value = coloring.palette + draw(st.integers(0, 2))
+            tokens.insert(i, f"{value}x1" if encoding == "rle" else str(value))
+        elif kind == "zeros":
+            tokens[i:i + 1] = ["0" + token.replace("x", "x0" * draw(st.booleans()))]
+        elif kind == "dup":
+            tokens.insert(i, token)
+        elif kind == "drop":
+            del tokens[i:i + 1]
+        else:
+            fields[3] = str(max(0, coloring.length + draw(st.integers(-3, 3))))
+    separators = draw(st.lists(st.sampled_from(_SEPARATORS),
+                               min_size=len(tokens), max_size=len(tokens)))
+    tail = draw(st.sampled_from(["", "\n", "\r\n", " \t"]))
+    return " ".join(fields) + "\n" + "".join(chain.from_iterable(zip(tokens, separators))) + tail
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except ColoringFileError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_files())
+@example("palette 2 length 3 encoding rle\n0x1 a 1x0 9x1\n")
+@example("palette 2 length 3 encoding plain\n0\r1\t\x0c0 0 b\n")
+@example("palette 2 length 2 encoding rle\n0x1\x0c1x5 zz\n")
+@example("palette 3 length 4 encoding rle\n00x02 1x1\r\n2x01\n")
+@example("palette 2 length 5 encoding plain\n0 1\n")
+@example("palette 4 length 3 encoding plain\n0 \u0663 \u00b2\n")
+def test_decoder_matches_the_reference(text):
+    assert _outcome(decode_coloring, text) == _outcome(_ref_decode, text)
+
+
+# ---------------------------------------------------------------------------
+# run counts are bounded before anything is allocated
+# ---------------------------------------------------------------------------
+
+HUGE_RUN = "0x10000000"          # ten million positions
+
+
+def _peak_bytes(action):
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_run_in_a_file_is_rejected_before_allocation():
+    def decode():
+        with pytest.raises(ColoringFileError) as err:
+            decode_coloring(f"palette 1 length 1 encoding rle\n{HUGE_RUN}\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert "exceeds declared length 1" in str(err.value)
+    assert _peak_bytes(decode) < 1_000_000
+
+
+@pytest.mark.parametrize("length", [1, None])
+def test_huge_run_in_a_certificate_is_rejected_before_allocation(length):
+    doc = json.dumps({"palette": 1, "length": length, "growth": "exp2",
+                      "coloring_rle": HUGE_RUN, "classes": [[[1, 1, 2]]]})
+
+    def load():
+        with pytest.raises(InvalidArgumentError):
+            WitnessCertificate.from_json(doc)
+    assert _peak_bytes(load) < 1_000_000
+
+
+def test_rle_string_length_must_match():
+    assert parse_rle_string("0x2 1x1", 3) == [0, 0, 1]
+    with pytest.raises(InvalidArgumentError):
+        parse_rle_string("0x2 1x1", 2)
+    with pytest.raises(InvalidArgumentError, match="run length must be >= 1"):
+        parse_rle_string("0x2 1x0 2", 2)
+    with pytest.raises(InvalidArgumentError, match="got '2'"):
+        parse_rle_string("0x2 2 1x0", 2)
