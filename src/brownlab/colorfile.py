@@ -6,9 +6,11 @@ whitespace-separated tokens, color indices for ``plain`` and
 byte for byte on canonical files, and loop over runs and tokens in C.
 Decoding parses each *distinct* token once, through a token table, and
 checks the summed counts against the declared length before it builds
-anything.  Files this program writes have at most ``palette`` distinct
-plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
-distinct counts of one value sum to at most ``length``).
+anything; a number with more digits than Python converts is rejected at
+its line and column.  Files this program writes have at most
+``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
+distinct rle ones (the distinct counts of one value sum to at most
+``length``).
 """
 
 from __future__ import annotations
@@ -60,13 +62,24 @@ def rle_string(values) -> str:
     return " ".join(_rle_tokens(values))
 
 
+def _natural(digits: str):
+    """``int(digits)``, or None past Python's limit on the digits it converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _parse_token(token: str, rle: bool, palette=None):
     """``(value, count)`` of one body token, or the message that rejects it:
-    malformed, a zero count, or a value outside ``palette``, checked in that order."""
+    malformed, too long, a zero count, or a value outside ``palette``, checked in that order."""
     m = _RLE_TOKEN.match(token) if rle else None
-    run = (int(m[1]), int(m[2])) if m else (int(token), 1) if not rle and token.isdecimal() else None
+    run = (m[1], m[2]) if m else (token, "1") if not rle and token.isdecimal() else None
     if run is None:
         return f"expected {'<value>x<count>' if rle else 'a color index'}, got {token!r}"
+    run = tuple(map(_natural, run))
+    if None in run:
+        return "number has too many digits"
     if run[1] < 1:
         return "run length must be >= 1"
     if palette is not None and run[0] >= palette:
@@ -137,10 +150,10 @@ def decode_coloring(text: str) -> Coloring:
     if len(fields) != 6 or fields[0] != "palette" or fields[2] != "length" or fields[4] != "encoding":
         raise ColoringFileError("header must read 'palette <r> length <n> encoding <plain|rle>'",
                                 1, 1)
-    if not fields[1].isdecimal():
-        raise ColoringFileError("palette must be a natural", 1, header.index(fields[1]) + 1)
-    if not fields[3].isdecimal():
-        raise ColoringFileError("length must be a natural", 1, header.index(fields[3]) + 1)
+    for name, field in (("palette", fields[1]), ("length", fields[3])):
+        if not field.isdecimal() or _natural(field) is None:
+            problem = "has too many digits" if field.isdecimal() else "must be a natural"
+            raise ColoringFileError(f"{name} {problem}", 1, header.index(field) + 1)
     palette, length, encoding = int(fields[1]), int(fields[3]), fields[5]
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)

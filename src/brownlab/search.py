@@ -14,18 +14,21 @@ permutation invariant, so outcomes are unchanged (only node counts drop).
 Every search is canonical; only the private ``_run_tree`` can walk the
 full tree, as the tests' reference.
 
-For the Brown-number search each color class keeps, per distinct gap
-value d it has ever seen, the length of the maximal d-bounded run ending
-at its last element.  An extension is then checked in O(#distinct gaps):
-runs either extend by one or restart, and a brand-new gap value g
-inherits the run of the largest tracked bound below it, because no gap in
-between occurs in the class.  Checking each run against its budget as it
-grows covers every window once the growth function is nondecreasing.
-Budgets are read from a per-rule limit table that holds f(d) for each gap
-d seen so far, so f is evaluated only at gaps that occur.  A run whose
-bound d is below the new gap restarts at 1 and needs no check: the first
-element of any class passed ``1 <= f(1)``, and f is nondecreasing, so
-``f(d) >= 1``.  The progression rule compares, for each common difference
+For the Brown-number search each color class keeps the suffix maxima of
+its gap sequence as a persistent linked stack: each level is a gap G, the
+index of G's latest occurrence, a bound and the level below, with gaps
+strictly decreasing from the bottom up.  The windows that end at a new
+element take, as their gap size, the suffix maximum over their start, and
+since f is nondecreasing only the longest window at each level can fail:
+``count <= f(G) + B``, where B is the index of the level below.  Each
+level's bound is the minimum of ``f(G) + B`` over it and every level
+beneath it, so a push with gap g walks past the levels whose gap is at
+most g, computes one bound and accepts exactly when the class is shorter
+than it.  A rejected push changes nothing and a pop is two list pops.
+The first element of a class sits on a sentinel bottom level and passes
+when ``1 <= f(1)``.  Budgets are read from a per-rule limit table that
+holds f(d) for each gap d seen so far, so f is evaluated only at gaps
+that occur.  The progression rule compares, for each common difference
 q, the slice of the l - 1 earlier terms against a prebuilt list of l - 1
 copies of the color.
 
@@ -107,58 +110,49 @@ class ConfirmOutcome:
 # ---------------------------------------------------------------------------
 
 
+# the bottom level of every class's gap stack: (gap, index, bound, below)
+_BOTTOM = (float("inf"), 0, float("inf"), None)
+
+
 class _StarRule:
     """Incremental per-class star checking for a nondecreasing growth fn."""
 
-    __slots__ = ("_f", "_limits", "elems", "runs", "undo")
+    __slots__ = ("_f", "_limits", "elems", "levels")
 
     def __init__(self, f: GrowthFn, palette: int):
         self._f = f
-        self._limits: dict[int, int] = {}
+        self._limits: dict[int, int] = {1: f(1)}
         self.elems = [[] for _ in range(palette)]
-        self.runs = [{} for _ in range(palette)]
-        self.undo = [[] for _ in range(palette)]
-
-    def _limit(self, d: int) -> int:
-        limit = self._limits.get(d)
-        if limit is None:
-            limit = self._f(d)
-            self._limits[d] = limit
-        return limit
+        self.levels = [[] for _ in range(palette)]
 
     def try_push(self, pos: int, color: int) -> bool:
         elems = self.elems[color]
-        runs = self.runs[color]
         if elems:
-            limits = self._limits
             g = pos - elems[-1]
-            new_runs = {}
-            for d, length in runs.items():
-                if d < g:
-                    new_runs[d] = 1
-                else:
-                    length += 1
-                    if length > limits[d]:
-                        return False
-                    new_runs[d] = length
-            if g not in new_runs:
-                below = max(d for d in runs if d <= g)
-                length = runs[below] + 1
-                if length > self._limit(g):
-                    return False
-                new_runs[g] = length
-        else:
-            if 1 > self._limit(1):
+            levels = self.levels[color]
+            below = levels[-1]
+            while below[0] <= g:
+                below = below[3]
+            limit = self._limits.get(g)
+            if limit is None:
+                limit = self._limits[g] = self._f(g)
+            bound = limit + below[1]
+            if bound > below[2]:
+                bound = below[2]
+            n = len(elems)
+            if n >= bound:
                 return False
-            new_runs = {1: 1}
-        self.undo[color].append(runs)
-        self.runs[color] = new_runs
+            levels.append((g, n, bound, below))
+        else:
+            if 1 > self._limits[1]:
+                return False
+            self.levels[color].append(_BOTTOM)
         elems.append(pos)
         return True
 
     def pop(self, color: int) -> None:
         self.elems[color].pop()
-        self.runs[color] = self.undo[color].pop()
+        self.levels[color].pop()
 
 
 class _ApRule:
@@ -229,33 +223,35 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
         return _DfsStats(tuple(best), nodes, False, True)
 
     frames = [0]
-    used_stack = [max(prefix) + 1 if prefix else 0]
     last_color = palette - 1
+    # the highest color each depth may try, already clamped to the palette
+    used = max(prefix) + 1 if prefix else 0
+    color_limits = [min(used, last_color) if canonical else last_color]
+    try_push, rule_pop = rule.try_push, rule.pop
+    push_value, pop_value = values.append, values.pop
+    # the node cap and the clock are both looked at when nodes reaches check_at
+    check_at = 0
     while frames:
-        if max_nodes is not None and nodes >= max_nodes:
-            exhausted = True
-            break
-        if deadline is not None and nodes & 2047 == 0 and time.monotonic() > deadline:
-            exhausted = True
-            break
+        if nodes >= check_at:
+            if (max_nodes is not None and nodes >= max_nodes
+                    or deadline is not None and time.monotonic() > deadline):
+                exhausted = True
+                break
+            check_at = nodes + 2048 if max_nodes is None else min(nodes + 2048, max_nodes)
         c = frames[-1]
-        limit_c = used_stack[-1] if canonical else last_color
-        if limit_c > last_color:
-            limit_c = last_color
+        limit_c = color_limits[-1]
         if c > limit_c:
             frames.pop()
             if frames:
-                prev = values.pop()
-                rule.pop(prev)
-                used_stack.pop()
+                rule_pop(pop_value())
+                color_limits.pop()
                 if agree > len(values):
                     agree = len(values)
             continue
         frames[-1] = c + 1
         nodes += 1
-        pos = len(values)
-        if rule.try_push(pos, c):
-            values.append(c)
+        if try_push(len(values), c):
+            push_value(c)
             depth = len(values)
             if depth > best_len:
                 best[agree:] = values[agree:]
@@ -266,10 +262,10 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                     break
                 collect.append(tuple(values))
                 # a leaf: its spent frame makes the next step backtrack
-                used_stack.append(palette)
+                color_limits.append(last_color)
                 frames.append(palette)
                 continue
-            used_stack.append(max(used_stack[-1], c + 1))
+            color_limits.append(c + 1 if c == limit_c and c < last_color else limit_c)
             frames.append(0)
     return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
 

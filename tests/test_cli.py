@@ -306,6 +306,14 @@ def test_check_unicode_digit_exits_two(tmp_path, capsys):
     assert "line 2, column 1" in err
 
 
+def test_check_token_too_long_to_convert_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.col"
+    path.write_text("palette 2 length 1 encoding plain\n" + "0" * 5000 + "\n")
+    code, payload, err = _run(capsys, "check", "--input", str(path), "--f", "exp2")
+    assert (code, payload) == (2, None)
+    assert "line 2, column 1" in err and "too many digits" in err
+
+
 def test_check_missing_file_exits_two(capsys):
     code, _, err = _run(capsys, "check", "--input", "/nonexistent.col", "--f", "exp2")
     assert code == 2

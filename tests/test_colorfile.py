@@ -83,6 +83,32 @@ def test_malformed_files_report_line_and_column(text, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+# 5,000 digits: more than Python's int() converts by default (4,300)
+LONG = "0" * 5000
+
+
+@pytest.mark.parametrize("text,line,column", [
+    (f"palette 2 length 1 encoding plain\n{LONG}\n", 2, 1),
+    (f"palette 2 length 2 encoding rle\n0x1 1x{LONG}1\n", 2, 5),
+    (f"palette 2 length 2 encoding rle\n0x1 {LONG}1x1\n", 2, 5),
+    (f"palette {LONG}2 length 1 encoding plain\n0\n", 1, 9),
+    (f"palette 2 length {LONG}1 encoding plain\n0\n", 1, 18),
+], ids=["body token", "rle count", "rle value", "palette", "length"])
+def test_numbers_too_long_to_convert_are_rejected_at_their_column(text, line, column):
+    with pytest.raises(ColoringFileError, match="too many digits") as err:
+        decode_coloring(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_numbers_too_long_to_convert_in_rle_strings_are_invalid_arguments():
+    with pytest.raises(InvalidArgumentError, match="too many digits"):
+        parse_rle_string(f"0x{LONG}1", 1)
+    doc = json.dumps({"palette": 1, "length": 1, "growth": "exp2",
+                      "coloring_rle": f"0x{LONG}1", "classes": [[[1, 1, 2]]]})
+    with pytest.raises(InvalidArgumentError, match="too many digits"):
+        WitnessCertificate.from_json(doc)
+
+
 def test_value_at_palette_boundary_is_rejected():
     with pytest.raises(ColoringFileError):
         decode_coloring("palette 1 length 2 encoding rle\n1x2\n")

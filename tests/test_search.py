@@ -1,10 +1,13 @@
 import itertools
+import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brownlab.checker import has_large_homogeneous_bruteforce, star_violation, verify_certificate
+from brownlab.checker import (WitnessCertificate, has_large_homogeneous_bruteforce,
+                              star_violation, verify_certificate)
 from brownlab.core import Coloring, GrowthFn, monotone_closure, parse_growth_spec
 from brownlab.constructions import ardal_bound, upper_bound_seq
 from brownlab.errors import InvalidArgumentError, PreconditionError
@@ -73,6 +76,26 @@ def test_monotonicity_over_computed_values():
     for r in (1, 2):
         assert grid["lin1", r] <= grid["lin2", r]
         assert grid["lin2", r] <= grid["exp2", r]
+
+
+# B(linear:1, 4) = 35: the length-34 witness of
+# ``brown --f linear:1 --r 4 --jobs 2 --budget-nodes 0``, which reported
+# exact 35 after 109,056,116 nodes
+LINEAR1_R4_CERTIFICATE = {
+    "classes": [[[1, 1, 1], [2, 2, 2], [3, 3, 3], [5, 5, 5], [7, 7, 7], [9, 9, 9]],
+                [[1, 1, 1], [2, 2, 2], [3, 3, 3], [5, 5, 5], [6, 6, 6], [9, 9, 9]],
+                [[1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4], [8, 8, 8]],
+                [[1, 1, 1], [2, 2, 2], [3, 3, 3], [5, 5, 5], [8, 8, 8]]],
+    "coloring_rle": "0x1 1x1 0x1 2x1 1x1 3x1 1x1 2x1 3x1 0x1 2x1 0x1 2x1 3x1 0x1 1x1 "
+                    "3x1 1x1 3x1 0x1 2x1 0x1 1x1 2x1 1x1 2x1 3x1 1x1 3x1 2x1 0x1 3x1 "
+                    "0x1 1x1",
+    "growth": "linear:1", "length": 34, "palette": 4}
+
+
+def test_linear_one_four_colors_lower_half_is_certified():
+    cert = WitnessCertificate.from_json(json.dumps(LINEAR1_R4_CERTIFICATE))
+    assert verify_certificate(cert)
+    assert (cert.coloring.palette, cert.growth_spec, cert.coloring.length) == (4, "linear:1", 34)
 
 
 def test_non_monotone_growth_uses_closure():
@@ -148,6 +171,28 @@ def test_deadline_passing_in_the_parallel_probe_brackets():
     assert outcome.lower <= 13 <= outcome.upper
     assert confirm_no_witness(13, LIN2, 2,
                               budget=SearchBudget(max_seconds=0.0, jobs=2)).result is None
+
+
+def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
+    f = parse_growth_spec("linear:3")
+    stats = _run_tree(("star", f, 2), 2, None, None, time.monotonic() - 1.0)
+    assert (stats.nodes, stats.exhausted) == (0, True)
+    reads = 0
+    clock = time.monotonic
+
+    def counting_clock():
+        nonlocal reads
+        reads += 1
+        return clock()
+
+    monkeypatch.setattr(time, "monotonic", counting_clock)
+    for max_nodes in (10_000, None):
+        reads = 0
+        timed = _run_tree(("star", f, 2), 2, None, max_nodes, clock() + 3600.0)
+        untimed = _run_tree(("star", f, 2), 2, None, max_nodes, None)
+        assert (timed.best, timed.nodes, timed.exhausted) == (untimed.best, untimed.nodes,
+                                                              untimed.exhausted)
+        assert 1 <= reads <= timed.nodes // 2048 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +341,7 @@ def test_deepest_witness_is_lexicographically_least():
 
 
 STAR_SPECS = ("linear:1", "linear:2", "exp2", "table:1,1,2,2,3;tail=linear",
-              "closure:table:3,1,2")
+              "closure:table:3,1,2", "table:0,0,2;tail=linear")
 RULES = [("star", parse_growth_spec(spec)) for spec in STAR_SPECS] + [("ap", 3), ("ap", 4)]
 
 
@@ -383,9 +428,16 @@ def test_shared_prefix_record_matches_snapshots(case):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(STAR_SPECS), st.integers(1, 3),
-       st.lists(st.integers(-1, 2), max_size=60))
+       st.lists(st.integers(-1, 2), max_size=240))
 # color 0 first meets gap 2 only after two pops
 @example("linear:1", 2, [0, 1, -1, -1, 0, 1, 0])
+# color 0 holds gaps 1, 2, 1; its gap-2 push at 6 walks past two levels and
+# is rejected, its gap-3 push at 7 walks past the same two and is accepted,
+# and after two pops the gap-2 push is rejected again
+@example("linear:2", 2, [0, 0, 1, 0, 0, 1, 0, 1, 0, -1, -1, 0, 1, 0])
+# color 0's six elements 3 apart fill f(3) = 6; the gap-1 push at 16 passes
+# its own level (2 <= f(1)) and is rejected by the bound carried from below
+@example("linear:2", 3, [0, 1, 2] * 5 + [0, 0])
 def test_star_rule_accepts_exactly_the_star_classes(spec, palette, steps):
     # -1 pops the last position; a color pushes it at the next position
     f = parse_growth_spec(spec)
