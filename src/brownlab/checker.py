@@ -115,29 +115,6 @@ def _subset_gaps(h: Sequence[int]):
         yield m, g
 
 
-def _class_gap_profile(h: Sequence[int]) -> dict:
-    """Max subset size per exact gap size, over ALL subsets of h; one
-    enumeration serves many thresholds."""
-    profile: dict[int, int] = {}
-    for m, g in _subset_gaps(h):
-        size = m.bit_count()
-        if size > profile.get(g, 0):
-            profile[g] = size
-    return profile
-
-
-def bruteforce_profile(coloring: Coloring) -> list:
-    """Per color: the max-subset-size-by-gap-size profile of the class."""
-    if coloring.length > BRUTEFORCE_LENGTH_CAP:
-        raise ResourceLimitError(
-            f"brute-force enumeration capped at length {BRUTEFORCE_LENGTH_CAP}")
-    return [_class_gap_profile(h) for h in coloring.classes()]
-
-
-def profile_has_large(profile: dict, f: GrowthFn) -> bool:
-    return any(size > f(g) for g, size in profile.items())
-
-
 def has_large_homogeneous_bruteforce(coloring: Coloring, f: GrowthFn):
     """Oracle decider: enumerate every subset S of every class and test
     ``|S| > f(gap_size(S))``.  Works for arbitrary f; the coloring length
@@ -195,12 +172,20 @@ class WitnessCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
-        doc = json.loads(text)
-        values = parse_rle_string(doc["coloring_rle"], doc["length"])
-        coloring = Coloring(palette=doc["palette"], values=tuple(values))
-        if not isinstance(doc["growth"], str):
-            raise InvalidArgumentError("certificate growth field is not a spec string")
-        per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])
+        """Parse :meth:`to_json` output; a malformed document of any shape
+        raises :class:`InvalidArgumentError`."""
+        try:
+            doc = json.loads(text)
+            values = parse_rle_string(doc["coloring_rle"], doc["length"])
+            coloring = Coloring(palette=doc["palette"], values=tuple(values))
+            if not isinstance(doc["growth"], str):
+                raise InvalidArgumentError("certificate growth field is not a spec string")
+            per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])
+        except InvalidArgumentError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise InvalidArgumentError(
+                f"malformed certificate ({type(exc).__name__}: {exc})") from None
         return cls(coloring=coloring, growth_spec=doc["growth"], per_class=per_class)
 
 

@@ -43,20 +43,6 @@ def _rle_tokens(values) -> list:
     return list(map(spelled.__getitem__, keys))
 
 
-def rle_encode(values) -> list:
-    """Collapse a sequence into (value, count) pairs."""
-    return list(zip(*_runs(values)))
-
-
-def rle_decode(pairs) -> list:
-    out: list[int] = []
-    for value, count in pairs:
-        if count < 1:
-            raise InvalidArgumentError("run lengths must be >= 1")
-        out.extend([value] * count)
-    return out
-
-
 def rle_string(values) -> str:
     """Space-separated ``<value>x<count>`` tokens of naturals (canonical certificate form)."""
     return " ".join(_rle_tokens(values))

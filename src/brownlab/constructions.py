@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checker import star_violation
-from .core import (Coloring, FiniteSet, GrowthFn, _runs, gap_size, max_run_size,
-                   monotone_closure)
+from .core import Coloring, GrowthFn, _runs, gap_size, max_run_size, monotone_closure
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
 LADDER_MATERIALIZE_CAP = 2   # stages beyond this are evaluator-only
@@ -366,10 +365,6 @@ class BlockPrefix:
 
     elements: tuple
     bounds: tuple
-
-    def block(self, n: int) -> FiniteSet:
-        start, end = self.bounds[n - 1]
-        return self.elements[start:end]
 
     @property
     def block_count(self) -> int:

@@ -17,19 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GrowthSpecError, InvalidArgumentError
 
 FiniteSet = tuple  # strictly increasing tuple of naturals
-
-
-def finite_set(elements: Iterable[int]) -> FiniteSet:
-    """Build a finite set (sorted, duplicate-free tuple) from any iterable."""
-    out = tuple(sorted(set(elements)))
-    if out and out[0] < 0:
-        raise InvalidArgumentError("finite sets contain naturals only")
-    return out
 
 
 @dataclass(frozen=True)
@@ -55,12 +47,6 @@ class Coloring:
     @property
     def length(self) -> int:
         return len(self.values)
-
-    def color_class(self, color: int) -> FiniteSet:
-        """The positions carrying ``color``, as a sorted tuple."""
-        if not 0 <= color < self.palette:
-            raise InvalidArgumentError(f"color {color} outside palette of size {self.palette}")
-        return tuple(x for x, v in enumerate(self.values) if v == color)
 
     def classes(self) -> list:
         """All color classes at once, in one pass over the values."""
@@ -268,18 +254,6 @@ def gap_size(h: Sequence[int]) -> int:
     return max(b - a for a, b in zip(h, h[1:]))
 
 
-def windows(h: Sequence[int]) -> Iterator[FiniteSet]:
-    """All contiguous runs ``H[j..k]`` of ``h``, each exactly once.
-
-    Yields ``len(h) * (len(h) + 1) // 2`` windows; nothing for the empty set.
-    """
-    h = tuple(h)
-    n = len(h)
-    for j in range(n):
-        for k in range(j, n):
-            yield h[j:k + 1]
-
-
 def _runs(h: Sequence[int]) -> Iterator[tuple]:
     """Yield ``(g, lo, hi)`` once for each maximal run ``h[lo..hi]`` whose
     gaps are all <= g and include one equal to g.
@@ -323,42 +297,3 @@ def max_run_size(h: Sequence[int], d: int) -> int:
     if not h:
         return 0
     return max((hi - lo + 1 for g, lo, hi in _runs(h) if g <= d), default=1)
-
-
-@dataclass(frozen=True)
-class GapSpectrum:
-    """Per gap bound ``d``: the longest window with gap size <= d and == d.
-
-    The ``<=`` column is nondecreasing in d and reaches ``|H|`` once d passes
-    ``gap_size(H)``; the ``==`` column never exceeds it.
-    """
-
-    entries: Mapping[int, tuple]
-
-    def bounded(self, d: int) -> int:
-        return self.entries[d][0]
-
-    def exact(self, d: int) -> int:
-        return self.entries[d][1]
-
-
-def gap_spectrum(h: Sequence[int], d_max: int) -> GapSpectrum:
-    """Tabulate, for d in 1..d_max, the longest windows with gap size <= d / == d.
-
-    A window with gap size exactly d (d >= 2) lies inside the maximal
-    d-bounded run around it, and that run contains a difference equal to d,
-    so one pass over the runs of :func:`_runs` fills both columns.  For
-    d == 1 every singleton counts, matching the ``|H| <= 1`` convention of
-    :func:`gap_size`.
-    """
-    sizes: dict[int, int] = {}
-    for g, lo, hi in _runs(h):
-        sizes[g] = max(sizes.get(g, 0), hi - lo + 1)
-    bounded = 1 if h else 0      # a singleton is a window of gap size 1
-    entries = {}
-    for d in range(1, d_max + 1):
-        exact = sizes.get(d, bounded if d == 1 else 0)
-        if exact > bounded:
-            bounded = exact
-        entries[d] = (bounded, exact)
-    return GapSpectrum(entries)

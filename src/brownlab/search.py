@@ -48,10 +48,11 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional
 
-from .checker import WitnessCertificate, has_large_homogeneous_bruteforce, is_witness
+from .checker import (WitnessCertificate, _nondecreasing, has_large_homogeneous_bruteforce,
+                      is_witness)
 from .constructions import ardal_bound, linear_slope, upper_bound_seq
 from .core import Coloring, GrowthFn, monotone_closure
-from .errors import InvalidArgumentError, MagnitudeError, PreconditionError
+from .errors import InvalidArgumentError, MagnitudeError
 from .progressions import ap_partition_check
 
 
@@ -425,10 +426,7 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     an indeterminate (None) result flags budget exhaustion."""
     if n < 0 or r < 1:
         raise InvalidArgumentError("n must be a natural and r >= 1")
-    if not f.nondecreasing:
-        raise PreconditionError("no-witness confirmation needs a nondecreasing growth "
-                                "function (try closure:<spec>)")
-    return _confirm(("star", f, r), r, n, budget)
+    return _confirm(("star", _nondecreasing(f), r), r, n, budget)
 
 
 def confirm_no_ap_witness(n: int, r: int, l: int,

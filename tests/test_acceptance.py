@@ -5,8 +5,8 @@ import itertools
 import random
 import time
 
-from brownlab.checker import (bruteforce_profile, has_large_homogeneous,
-                              is_witness, profile_has_large,
+from brownlab.checker import (has_large_homogeneous,
+                              has_large_homogeneous_bruteforce, is_witness,
                               verify_certificate)
 from brownlab.core import Coloring, GrowthFn, gap_size
 from brownlab.constructions import (ardal_bound, decompose_ps,
@@ -108,10 +108,9 @@ def test_criterion_5_oracle_equivalence():
         for n in range(0, 13):
             for values in itertools.product(range(2), repeat=n):
                 coloring = Coloring(2, values)
-                profiles = bruteforce_profile(coloring)
                 for f in fns:
                     fast = has_large_homogeneous(coloring, f) is not None
-                    brute = any(profile_has_large(p, f) for p in profiles)
+                    brute = has_large_homogeneous_bruteforce(coloring, f) is not None
                     assert fast == brute, (values, f.spec_string())
                     checked += 1
         assert checked == 3 * (2 ** 13 - 1)
@@ -120,10 +119,9 @@ def test_criterion_5_oracle_equivalence():
         for _ in range(100_000):
             n = rng.randint(0, 12)
             coloring = Coloring(3, tuple(rng.randrange(3) for _ in range(n)))
-            profiles = bruteforce_profile(coloring)
             for f in fns:
                 fast = has_large_homogeneous(coloring, f) is not None
-                brute = any(profile_has_large(p, f) for p in profiles)
+                brute = has_large_homogeneous_bruteforce(coloring, f) is not None
                 assert fast == brute, (coloring.values, f.spec_string())
 
 

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brownlab.checker import (WindowViolation, WitnessCertificate, _check_class,
-                              bruteforce_profile, has_large_homogeneous,
+                              has_large_homogeneous,
                               has_large_homogeneous_bruteforce, is_witness,
-                              profile_has_large, star_violation,
-                              verify_certificate)
-from brownlab.core import (Coloring, GrowthFn, _runs, finite_set, gap_size,
-                           parse_growth_spec, windows)
+                              star_violation, verify_certificate)
+from brownlab.core import Coloring, GrowthFn, _runs, gap_size, parse_growth_spec
 from brownlab.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 
 LIN1 = GrowthFn.linear(1)
@@ -25,6 +23,17 @@ GROWTHS = [LIN1, LIN2, EXP2, GrowthFn.identity(),
            GrowthFn.closure(GrowthFn.from_table((3, 1, 2)))]
 
 C1 = Coloring(2, tuple(int(ch) for ch in "0011001100110011"))
+
+
+def finite_set(elements):
+    """A finite set as the library represents one: a sorted, duplicate-free tuple."""
+    return tuple(sorted(set(elements)))
+
+
+def windows(h):
+    """Reference enumeration: every contiguous run h[j..k] of h, each once."""
+    return [tuple(h[j:k + 1]) for j in range(len(h)) for k in range(j, len(h))]
+
 
 small_sets = st.lists(st.integers(min_value=0, max_value=30),
                       max_size=10).map(finite_set)
@@ -79,7 +88,7 @@ def least_window_violation(h, f):
 
 def test_satisfies_star_examples():
     assert star_violation((0, 1, 2), LIN1) == WindowViolation(None, 0, 2, 1, 3)
-    assert star_violation(C1.color_class(0), EXP2) is None
+    assert star_violation(C1.classes()[0], EXP2) is None
     assert star_violation((0, 2, 4), LIN2) is None
 
 
@@ -149,7 +158,7 @@ def test_violation_is_recomputable():
     coloring = Coloring(4, (3, 0, 3, 1, 3, 3, 3, 3))
     v = has_large_homogeneous(coloring, LIN1)
     assert v.color == 3
-    window = tuple(x for x in coloring.color_class(3) if v.start <= x <= v.end)
+    window = tuple(x for x in coloring.classes()[3] if v.start <= x <= v.end)
     assert len(window) == v.length
     assert gap_size(window) == v.gap_size
     assert v.length > LIN1(v.gap_size)
@@ -194,8 +203,7 @@ def test_bruteforce_respects_length_cap():
 
 def _naive_large_subset(coloring, f):
     """Transparent oracle-of-the-oracle: per-mask element extraction."""
-    for color in range(coloring.palette):
-        h = coloring.color_class(color)
+    for h in coloring.classes():
         for mask in range(1, 1 << len(h)):
             subset = [h[i] for i in range(len(h)) if mask >> i & 1]
             if len(subset) > f(gap_size(subset)):
@@ -211,18 +219,6 @@ def test_bruteforce_matches_naive_enumeration(n, seed, f):
     coloring = Coloring(3, tuple(rng.randrange(3) for _ in range(n)))
     fast = has_large_homogeneous_bruteforce(coloring, f) is not None
     assert fast == _naive_large_subset(coloring, f)
-
-
-def test_profiles_agree_with_oracle():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(0, 10)
-        coloring = Coloring(2, tuple(rng.randrange(2) for _ in range(n)))
-        profiles = bruteforce_profile(coloring)
-        for f in GROWTHS:
-            by_profile = any(profile_has_large(p, f) for p in profiles)
-            direct = has_large_homogeneous_bruteforce(coloring, f) is not None
-            assert by_profile == direct
 
 
 def test_window_reduction_agrees_with_subsets_exhaustively():
@@ -283,6 +279,13 @@ def test_tampered_certificates_are_rejected():
         WitnessCertificate.from_json(json.dumps(dict(doc, growth=5)))
     with pytest.raises(InvalidArgumentError):
         WitnessCertificate.from_json(json.dumps(dict(doc, length=None)))
+    # malformed documents: a missing key, a number too long to parse, a
+    # document that is not an object, classes that are not a list, and
+    # nesting too deep for the parser
+    for text in ('{"palette": 1}', '{"length": ' + "9" * 5001 + "}", "[1]",
+                 json.dumps(dict(doc, classes=5)), "[" * 100_000):
+        with pytest.raises(InvalidArgumentError):
+            WitnessCertificate.from_json(text)
 
 
 def _tamper_palette(doc):

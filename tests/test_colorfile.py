@@ -10,26 +10,23 @@ from hypothesis import strategies as st
 
 from brownlab.checker import WitnessCertificate
 from brownlab.colorfile import (decode_coloring, encode_coloring,
-                                parse_rle_string, rle_decode, rle_encode,
-                                rle_string)
+                                parse_rle_string, rle_string)
 from brownlab.core import Coloring
 from brownlab.errors import ColoringFileError, InvalidArgumentError
 
 
 def test_rle_pairs_round_trip():
     values = [0, 0, 1, 1, 1, 0, 2]
-    pairs = rle_encode(values)
-    assert pairs == [(0, 2), (1, 3), (0, 1), (2, 1)]
-    assert rle_decode(pairs) == values
+    assert rle_string(values) == "0x2 1x3 0x1 2x1"
     assert parse_rle_string(rle_string(values), len(values)) == values
-    assert rle_encode(iter(values)) == pairs
+    assert rle_string(iter(values)) == rle_string(values)
     assert rle_string([]) == ""
     assert parse_rle_string("", 0) == []
 
 
 def test_rle_rejects_zero_counts():
     with pytest.raises(InvalidArgumentError):
-        rle_decode([(0, 0)])
+        parse_rle_string("0x0", 1)
 
 
 @pytest.mark.parametrize("encoding", ["plain", "rle"])
@@ -223,7 +220,6 @@ def _colorings(draw, max_palette=300, max_count=2_000):
 @example(Coloring(300, tuple(range(300)) * 3))
 def test_encoders_match_the_reference(coloring):
     values = coloring.values
-    assert rle_encode(values) == _ref_rle_encode(values)
     assert rle_string(values) == " ".join(f"{v}x{c}" for v, c in _ref_rle_encode(values))
     assert parse_rle_string(rle_string(values), coloring.length) == list(values)
     for encoding in ("plain", "rle"):

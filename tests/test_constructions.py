@@ -32,7 +32,7 @@ def test_diag_values():
 def test_diag_prefix_is_a_two_coloring():
     c = diag_prefix(3, 12)
     assert c.palette == 2
-    assert c.color_class(0) == (0, 1, 2, 6, 7, 8)
+    assert c.classes()[0] == (0, 1, 2, 6, 7, 8)
 
 
 def test_diag_bound_is_attained_exactly():
@@ -50,7 +50,7 @@ def test_diag_bound_matches_direct_run_scan():
     for d in (1, 2, 5, 9):
         n = 6 * d + 3
         coloring = diag_prefix(d, n)
-        direct = max(max_run_size(coloring.color_class(i), d) for i in (0, 1))
+        direct = max(max_run_size(coloring.classes()[i], d) for i in (0, 1))
         assert diag_bound_check(d, n) == direct == d
 
 
@@ -117,7 +117,7 @@ def test_ladder_verify_small_stages():
         assert report.all_ok, report.failures
         assert len(report.claims) == 1 << s
     r0 = ladder_verify(0)
-    h = ladder(0).coloring.color_class(0)
+    h = ladder(0).coloring.classes()[0]
     assert len(h) == 2 == r0.length // r0.palette
     assert r0.length == h[-1] - h[0] + 0 + 1
 
@@ -223,13 +223,19 @@ def test_implied_lower_bound_for_color_counts():
 # ---------------------------------------------------------------------------
 
 
+def _block(prefix, n):
+    """Block n of a generated prefix, read from its index bounds."""
+    start, end = prefix.bounds[n - 1]
+    return prefix.elements[start:end]
+
+
 def test_ps_generate_worked_example():
     gaps = Coloring(3, (1, 1, 2, 1))
     prefix = ps_generate(gaps, 3)
     assert prefix.elements == (0, 1, 3, 5, 6, 7)
-    assert prefix.block(2) == (1, 3)
-    assert prefix.block(3) == (5, 6, 7)
-    assert prefix.block(3)[0] - prefix.block(2)[-1] == 2
+    assert _block(prefix, 2) == (1, 3)
+    assert _block(prefix, 3) == (5, 6, 7)
+    assert _block(prefix, 3)[0] - _block(prefix, 2)[-1] == 2
     assert ps_problems(prefix, gaps) == []
 
 
@@ -237,7 +243,7 @@ def test_ps_generate_uniform_gaps_give_intervals():
     ones = Coloring(2, tuple([1] * 12))
     prefix = ps_generate(ones, 11)
     for n in range(1, 12):
-        block = prefix.block(n)
+        block = _block(prefix, n)
         assert all(b - a == 1 for a, b in zip(block, block[1:]))
     assert ps_problems(prefix, ones) == []
 

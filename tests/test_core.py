@@ -2,10 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownlab.core import (Coloring, GrowthFn, finite_set, gap_size,
-                           gap_spectrum, max_run_size, monotone_closure,
-                           parse_growth_spec, windows)
+from brownlab.core import (Coloring, GrowthFn, gap_size, max_run_size,
+                           monotone_closure, parse_growth_spec)
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
+
+
+def finite_set(elements):
+    """A finite set as the library represents one: a sorted, duplicate-free tuple."""
+    return tuple(sorted(set(elements)))
+
+
+def windows(h):
+    """Reference enumeration: every contiguous run h[j..k] of h, each once."""
+    return [tuple(h[j:k + 1]) for j in range(len(h)) for k in range(j, len(h))]
+
 
 small_sets = st.lists(st.integers(min_value=0, max_value=40),
                       max_size=10).map(finite_set)
@@ -57,15 +67,8 @@ def test_max_window_gap_size_recovers_gap_size(h):
 
 def test_color_class_splits_reference_coloring():
     c1 = Coloring(2, tuple(int(ch) for ch in "0011001100110011"))
-    assert c1.color_class(0) == (0, 1, 4, 5, 8, 9, 12, 13)
-    assert c1.color_class(1) == (2, 3, 6, 7, 10, 11, 14, 15)
-    assert Coloring(1, (0, 0, 0)).color_class(0) == (0, 1, 2)
-
-
-def test_color_class_rejects_out_of_palette():
-    c = Coloring(2, (0, 1))
-    with pytest.raises(InvalidArgumentError):
-        c.color_class(2)
+    assert c1.classes() == [(0, 1, 4, 5, 8, 9, 12, 13), (2, 3, 6, 7, 10, 11, 14, 15)]
+    assert Coloring(1, (0, 0, 0)).classes() == [(0, 1, 2)]
 
 
 def test_coloring_invariants():
@@ -78,7 +81,8 @@ def test_coloring_invariants():
 
 def test_classes_matches_color_class():
     c = Coloring(3, (0, 2, 1, 2, 0, 0))
-    assert c.classes() == [c.color_class(i) for i in range(3)]
+    assert c.classes() == [tuple(x for x, v in enumerate(c.values) if v == i)
+                           for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,7 @@ def test_max_run_size_examples():
     assert max_run_size((0, 3, 6, 9), 2) == 1
     assert max_run_size((0, 1, 4, 5, 8, 9, 12, 13), 3) == 8
     assert max_run_size((), 5) == 0
+    assert [max_run_size((0, 2, 4, 5), d) for d in (1, 2)] == [2, 4]
 
 
 def test_max_run_size_rejects_zero_bound():
@@ -124,57 +129,10 @@ def test_max_run_size_monotone_and_saturating(h):
     previous = 0
     for d in range(1, gs + 2):
         cur = max_run_size(h, d)
+        assert cur == max(len(w) for w in windows(h) if gap_size(w) <= d)
         assert cur >= previous
         previous = cur
     assert max_run_size(h, gs) == len(h)
-
-
-# ---------------------------------------------------------------------------
-# gap_spectrum
-# ---------------------------------------------------------------------------
-
-
-def _spectrum_bruteforce(h, d_max):
-    """Oracle over the explicit window enumeration."""
-    entries = {}
-    ws = list(windows(h))
-    for d in range(1, d_max + 1):
-        le = max((len(w) for w in ws if gap_size(w) <= d), default=0)
-        eq = max((len(w) for w in ws if gap_size(w) == d), default=0)
-        entries[d] = (le, eq)
-    return entries
-
-
-def test_gap_spectrum_examples():
-    assert gap_spectrum((0, 1, 2), 2).entries == {1: (3, 3), 2: (3, 0)}
-    assert gap_spectrum((), 3).entries == {1: (0, 0), 2: (0, 0), 3: (0, 0)}
-    # checked by hand against the 10-window enumeration
-    assert gap_spectrum((0, 2, 4, 5), 2).entries == {1: (2, 2), 2: (4, 4)}
-    assert _spectrum_bruteforce((0, 2, 4, 5), 2) == {1: (2, 2), 2: (4, 4)}
-
-
-@settings(max_examples=60)
-@given(small_sets, st.integers(min_value=1, max_value=8))
-def test_gap_spectrum_matches_window_enumeration(h, d_max):
-    spectrum = gap_spectrum(h, d_max)
-    assert spectrum.entries == _spectrum_bruteforce(h, d_max)
-    for d in range(1, d_max + 1):
-        expected = max_run_size(h, d) if h else 0
-        assert spectrum.bounded(d) == expected
-
-
-@given(small_sets)
-def test_gap_spectrum_invariants(h):
-    d_max = gap_size(h) + 2
-    spectrum = gap_spectrum(h, d_max)
-    previous = 0
-    for d in range(1, d_max + 1):
-        le, eq = spectrum.entries[d]
-        assert eq <= le
-        assert le >= previous
-        previous = le
-    if h:
-        assert spectrum.bounded(d_max) == len(h)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +232,18 @@ def test_growth_spec_explicit_const_tail_accepted():
 
 
 def test_every_export_resolves_once():
+    import ast
+
     import brownlab
     assert len(brownlab.__all__) == len(set(brownlab.__all__))
     missing = [name for name in brownlab.__all__ if not hasattr(brownlab, name)]
     assert missing == []
+    # conversely, every public name the package imports from a submodule is exported
+    with open(brownlab.__file__) as source:
+        tree = ast.parse(source.read())
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names}
+    unlisted = sorted(name for name in bound
+                      if not name.startswith("_") and name not in brownlab.__all__)
+    assert unlisted == []

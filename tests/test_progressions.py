@@ -1,75 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from brownlab.core import Coloring, finite_set
+from brownlab.core import Coloring
 from brownlab.errors import InvalidArgumentError
-from brownlab.progressions import (ApWitness, ap_partition_check, ap_transfer,
-                                   class_ap_report, longest_ap)
+from brownlab.progressions import ApWitness, ap_partition_check
 from brownlab.search import vdw_number
-
-
-def _longest_ap_bruteforce(h):
-    """Oracle: extend every (start, difference) seed by membership lookups."""
-    elements = set(h)
-    if not h:
-        return 0
-    best = 1
-    for a in h:
-        for b in h:
-            if b <= a:
-                continue
-            d = b - a
-            length = 2
-            nxt = b + d
-            while nxt in elements:
-                length += 1
-                nxt += d
-            best = max(best, length)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# longest_ap
-# ---------------------------------------------------------------------------
-
-
-def test_longest_ap_examples():
-    assert longest_ap(()) == (0, None)
-    length, witness = longest_ap((0, 1, 2, 3))
-    assert length == 4 and witness == ApWitness(0, 1, 4)
-    length, witness = longest_ap((0, 2, 4, 7))
-    assert length == 3 and witness.elements() == (0, 2, 4)
-    assert _longest_ap_bruteforce((0, 2, 4, 7)) == 3
-
-
-def test_longest_ap_degenerate():
-    assert longest_ap((5,)) == (1, ApWitness(5, 0, 1))
-    assert longest_ap((3, 10)) == (2, ApWitness(3, 7, 2))
-
-
-def test_longest_ap_witness_lies_inside_the_set():
-    rng = random.Random(3)
-    for _ in range(100):
-        h = finite_set(rng.sample(range(60), k=rng.randint(1, 20)))
-        length, witness = longest_ap(h)
-        assert set(witness.elements()) <= set(h)
-        assert witness.length == length
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=80), max_size=25).map(finite_set))
-def test_longest_ap_matches_bruteforce(h):
-    assert longest_ap(h)[0] == _longest_ap_bruteforce(h)
-
-
-def test_longest_ap_bruteforce_agreement_at_scale():
-    rng = random.Random(17)
-    for _ in range(5):
-        h = finite_set(rng.sample(range(600), k=200))
-        assert longest_ap(h)[0] == _longest_ap_bruteforce(h)
 
 
 # ---------------------------------------------------------------------------
@@ -113,52 +49,10 @@ def test_every_long_enough_coloring_has_a_progression():
         assert all(values[x] == color for x in witness.elements())
 
 
-def test_class_ap_report():
-    c = Coloring(2, (0, 1, 0, 1, 0))
-    report = class_ap_report(c)
-    assert report.per_color[0][0] == 3   # {0,2,4}
-    assert report.per_color[1][0] == 2   # {1,3}
-
-
-# ---------------------------------------------------------------------------
-# ap_transfer
-# ---------------------------------------------------------------------------
-
-
-def test_transfer_examples():
-    assert ap_transfer((0, 3, 6, 9, 12), (0, 2, 4)) == (0, 6, 12)
-    assert ap_transfer((5, 10, 15, 20, 25, 30), (1, 3, 5)) == (10, 20, 30)
-    assert ap_transfer((0, 3, 6), (1,)) == (3,)
-
-
-def test_transfer_rejects_bad_input():
-    with pytest.raises(InvalidArgumentError):
-        ap_transfer((0, 1, 3), (0, 1))       # host not a progression
-    with pytest.raises(InvalidArgumentError):
-        ap_transfer((0, 2, 4), (0, 3))       # index out of range
-    with pytest.raises(InvalidArgumentError):
-        ap_transfer((0, 2, 4, 6), (0, 1, 3)) # indices not a progression
-
-
-@settings(max_examples=80)
-@given(st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=9),
-       st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
-       st.integers(min_value=2, max_value=4))
-def test_transfer_multiplies_differences(start, dx, host_len, di, inner_len):
-    host = tuple(start + i * dx for i in range(host_len))
-    top = (inner_len - 1) * di
-    if top >= host_len:
-        return
-    inner = tuple(i * di for i in range(inner_len))
-    image = ap_transfer(host, inner)
-    diffs = {b - a for a, b in zip(image, image[1:])}
-    assert diffs == {dx * di}
-
-
 def test_partition_regularity_on_hosted_progressions():
     # color a 2*threshold-term progression; some class hosts a 3-term
-    # progression, and transferring it lands a monochromatic progression
-    # inside the host with the product difference
+    # progression of indices, and indexing the host with it lands a
+    # monochromatic progression with the product difference
     threshold = vdw_number(2, 3).value
     rng = random.Random(9)
     for q in (1, 3, 7):
@@ -168,7 +62,6 @@ def test_partition_regularity_on_hosted_progressions():
             hit = ap_partition_check(Coloring(2, values), 3)
             assert hit is not None
             color, witness = hit
-            image = ap_transfer(host, witness.elements())
-            assert len(image) == 3
+            image = [host[m] for m in witness.elements()]
             assert image[1] - image[0] == image[2] - image[1] == q * witness.difference
             assert all(values[m] == color for m in witness.elements())

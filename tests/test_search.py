@@ -207,7 +207,7 @@ def test_confirm_examples():
 
 
 def test_confirm_requires_nondecreasing():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"closure:<spec>"):
         confirm_no_witness(2, GrowthFn.from_table((3, 1, 2)), 1)
 
 
