@@ -9,7 +9,7 @@ arbitrary-precision arithmetic.
 """
 
 from .core import (Coloring, FiniteSet, GrowthFn, gap_size, max_run_size,
-                   monotone_closure, parse_growth_spec)
+                   parse_growth_spec)
 from .checker import (WindowViolation, WitnessCertificate, has_large_homogeneous,
                       has_large_homogeneous_bruteforce, is_witness, star_violation,
                       verify_certificate)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coloring", "FiniteSet", "GrowthFn", "gap_size", "max_run_size",
-    "monotone_closure", "parse_growth_spec",
+    "parse_growth_spec",
     "WindowViolation", "WitnessCertificate", "has_large_homogeneous",
     "has_large_homogeneous_bruteforce", "is_witness", "star_violation",
     "verify_certificate",

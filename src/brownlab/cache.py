@@ -48,7 +48,7 @@ class ResultCache:
         path = self._path(key)
         try:
             entry = json.loads(path.read_text())
-        except (OSError, ValueError):
+        except (OSError, RecursionError, ValueError):
             return None
         if (not isinstance(entry, dict) or entry.get("key") != key
                 or entry.get("version") != CACHE_VERSION):

@@ -19,7 +19,7 @@ from .cache import ResultCache, resolve_cache_dir
 from .checker import (WitnessCertificate, has_large_homogeneous, is_witness,
                       verify_certificate)
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
-from .core import Coloring, GrowthFn, monotone_closure, parse_growth_spec
+from .core import Coloring, GrowthFn, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
 from .progressions import ap_partition_check
@@ -104,8 +104,9 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
 def _cached(cache, key: dict):
     """``(result, state)`` for a search result in the cache: a ``hit`` only if
     it passes a fresh result's audit (exact, ``value == lower == upper ==
-    witness_length + 1``, a witness that checks for the key), else None with
-    ``off``, ``miss`` or ``rejected``."""
+    witness_length + 1``, a witness that checks for the key's growth, closed
+    when the search closes it, and a ``used_closure`` that says so), else
+    None with ``off``, ``miss`` or ``rejected``."""
     if cache is None:
         return None, "off"
     result = cache.get(key)
@@ -121,9 +122,10 @@ def _cached(cache, key: dict):
             sound = ap_partition_check(Coloring(key["r"], values), key["l"]) is None
         elif sound:
             f = parse_growth_spec(key["growth"])
-            growth = monotone_closure(f) if result["used_closure"] else f
+            growth = f.monotone
             doc = result["certificate"]
-            sound = (doc["length"] == n and doc["palette"] == key["r"]
+            sound = (result["used_closure"] is (growth is not f)
+                     and doc["length"] == n and doc["palette"] == key["r"]
                      and doc["growth"] == growth.spec_string()
                      and verify_certificate(WitnessCertificate.from_json(json.dumps(doc))))
     except (AttributeError, KeyError, TypeError, ValueError):
@@ -195,12 +197,8 @@ def _search_command(args) -> int:
 def _brown_bounds(f: GrowthFn, r: int) -> dict:
     """The closed-form bounds in decimal; None where one does not apply or
     overflows the magnitude cap."""
-    try:
-        recursion = constructions.decimal_str(constructions.upper_bound_seq(f, r))
-    except MagnitudeError:
-        recursion = None
-    m = constructions.linear_slope(f)
-    ardal = None if m is None else constructions.decimal_str(constructions.ardal_bound(m, r))
+    ardal, recursion = (None if b is None else constructions.decimal_str(b)
+                        for b in constructions.brown_bounds(f, r))
     return {"ardal": ardal, "recursion": recursion}
 
 
@@ -279,7 +277,7 @@ def _cmd_ladder(args) -> int:
         Path(args.out).write_text(encode_coloring(stage.coloring))
         payload["out"] = args.out
     if args.verify:
-        report = constructions.ladder_verify(args.s)
+        report = constructions.ladder_verify(stage)
         payload["verify"] = {
             "all_ok": report.all_ok,
             "failures": list(report.failures),
@@ -525,11 +523,3 @@ def run_cli(argv=None) -> int:
     except BrownlabError as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    return run_cli(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

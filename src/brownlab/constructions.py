@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checker import star_violation
-from .core import Coloring, GrowthFn, _runs, gap_size, max_run_size, monotone_closure
+from .core import Coloring, GrowthFn, _runs, gap_size, max_run_size
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
 LADDER_MATERIALIZE_CAP = 2   # stages beyond this are evaluator-only
@@ -34,26 +34,17 @@ LADDER_LENGTH_CAP = 3        # n_s is not representable past stage 3
 BIT_CAP = 1 << 25            # largest exponent evaluated as 2**n
 
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pure-Python fallback below
-    _mpz = None
-
-
 def decimal_str(n: int) -> str:
     """Exact decimal rendering of a natural, fast at millions of bits.
 
     The builtin conversion is quadratic and guarded by an interpreter digit
-    limit; gmpy2 handles the stage-3 ladder length (~2 million bits) in
-    milliseconds when available, and a power-of-ten splitting fallback
-    keeps it under a few seconds otherwise.
+    limit; splitting by powers of ten renders the stage-3 ladder length
+    (~2 million bits) in a few seconds.
     """
     if n < 0:
         raise InvalidArgumentError("decimal_str renders naturals only")
     if n.bit_length() <= 10_000:
         return str(n)
-    if _mpz is not None:
-        return _mpz(n).digits(10)
 
     powers: dict[int, int] = {}
 
@@ -215,14 +206,14 @@ class LadderVerifyReport:
         return not self.failures
 
 
-def ladder_verify(s: int) -> LadderVerifyReport:
+def ladder_verify(stage: LadderStage) -> LadderVerifyReport:
     """Check, for every color class of stage s:
 
     1. the class holds exactly ``n_s / 2**s`` positions;
     2. the class satisfies the star condition for base-2 exponential growth;
     3. the span identity ``n_s == max - min + n_0 + ... + n_{s-1} + 1``.
     """
-    stage = ladder(s)
+    s = stage.index
     if stage.coloring is None:
         raise MagnitudeError(f"stage {s} exceeds the materialization cap, cannot scan its classes",
                              depth=s)
@@ -271,8 +262,7 @@ def upper_bound_seq(f: GrowthFn, r: int) -> int:
     """
     if r < 1:
         raise InvalidArgumentError("r must be >= 1")
-    if not f.nondecreasing:
-        f = monotone_closure(f)
+    f = f.monotone
     n = f(1) + 2
     for k in range(2, r + 1):
         _guard(f, n)
@@ -280,16 +270,22 @@ def upper_bound_seq(f: GrowthFn, r: int) -> int:
     return n
 
 
-def linear_slope(f: GrowthFn) -> Optional[int]:
-    """The slope m for which :func:`ardal_bound` applies to f, else None."""
-    return {"id": 1, "linear": f.slope}.get(f.kind)
-
-
 def ardal_bound(m: int, r: int) -> int:
     """Closed-form bound for linear growth with slope m: ``r * (2**(m*r) - m*r) + 1``."""
     if m < 1 or r < 1:
         raise InvalidArgumentError("m and r must be >= 1")
     return r * ((1 << (m * r)) - m * r) + 1
+
+
+def brown_bounds(f: GrowthFn, r: int) -> tuple:
+    """``(ardal, recursion)``: :func:`ardal_bound` when f is id or linear and
+    :func:`upper_bound_seq`, each None where it does not apply or overflows."""
+    try:
+        recursion = upper_bound_seq(f, r)
+    except MagnitudeError:
+        recursion = None
+    m = {"id": 1, "linear": f.slope}.get(f.kind)
+    return (None if m is None else ardal_bound(m, r)), recursion
 
 
 def tower(k: int, n: int) -> int:

@@ -109,6 +109,13 @@ class GrowthFn:
             return all(a <= b for a, b in zip(self.table, self.table[1:]))
         return True
 
+    @property
+    def monotone(self) -> "GrowthFn":
+        """The growth function the star search and the recursion bound run on:
+        ``self`` when nondecreasing, else its monotone closure
+        ``g(n) = sum(f(i) for i <= n)``, which dominates it pointwise."""
+        return self if self.nondecreasing else GrowthFn.closure(self)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -231,15 +238,6 @@ def _parse_table(text: str, base: int) -> GrowthFn:
         return GrowthFn.from_table(values, tail=tail)
     except InvalidArgumentError as exc:
         raise GrowthSpecError(str(exc), base + body_off) from None
-
-
-def monotone_closure(f: GrowthFn) -> GrowthFn:
-    """The nondecreasing majorant ``g(n) = sum(f(i) for i <= n)``.
-
-    ``g`` dominates ``f`` pointwise and always carries the nondecreasing flag,
-    so it unlocks the fast checker paths for arbitrary growth functions.
-    """
-    return GrowthFn.closure(f)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from multiprocessing import Pool
 from typing import Optional
 
 from .checker import (WitnessCertificate, _nondecreasing, has_large_homogeneous_bruteforce,
                       is_witness)
-from .constructions import ardal_bound, linear_slope, upper_bound_seq
-from .core import Coloring, GrowthFn, monotone_closure
-from .errors import InvalidArgumentError, MagnitudeError
+from .constructions import brown_bounds
+from .core import Coloring, GrowthFn
+from .errors import InvalidArgumentError
 from .progressions import ap_partition_check
 
 
@@ -357,16 +358,9 @@ def _confirm(rule_desc, palette, n, budget) -> ConfirmOutcome:
 
 
 def formula_upper_bound(f: GrowthFn, r: int) -> Optional[int]:
-    """Best closed-form bound available for (f, r): the recursion value,
-    improved by the linear-growth bound when f is linear.  None when the
-    recursion overflows the magnitude cap (never for linear f)."""
-    m = linear_slope(f)
-    if m is not None:
-        return min(upper_bound_seq(f, r), ardal_bound(m, r))
-    try:
-        return upper_bound_seq(f, r)
-    except MagnitudeError:
-        return None
+    """Best closed-form bound available for (f, r): the least of
+    :func:`~brownlab.constructions.brown_bounds`, None when neither applies."""
+    return min((b for b in brown_bounds(f, r) if b is not None), default=None)
 
 
 def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
@@ -384,8 +378,7 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
     if r < 1:
         raise InvalidArgumentError("r must be >= 1")
     used_closure = not f.nondecreasing
-    if used_closure:
-        f = monotone_closure(f)
+    f = f.monotone
     formula = formula_upper_bound(f, r)
     cap = n_cap if n_cap is not None else formula
 
@@ -448,12 +441,8 @@ def _first_forced_length(r: int, n_limit: int, avoids) -> int:
     """Walk n upward over every r-coloring of n (the first color pinned to 0
     by palette symmetry) until none of them ``avoids`` the structure."""
     for n in range(1, n_limit + 1):
-        for code in range(r ** (n - 1)):
-            values, rest = [0], code
-            for _ in range(n - 1):
-                rest, c = divmod(rest, r)
-                values.append(c)
-            if avoids(Coloring(palette=r, values=tuple(values))):
+        for rest in product(range(r), repeat=n - 1):
+            if avoids(Coloring(palette=r, values=(0,) + rest)):
                 break
         else:
             return n

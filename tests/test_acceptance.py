@@ -53,7 +53,7 @@ def test_criterion_1_ladder_verification():
         assert ladder_lengths(2) == [2, 16, 2_097_152]
         for s in (0, 1, 2):
             stage = ladder(s)
-            report = ladder_verify(s)
+            report = ladder_verify(stage)
             assert report.all_ok, report.failures
             assert len(report.claims) == 2 ** s
             cert = is_witness(stage.coloring, EXP2)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -36,18 +37,37 @@ def _edit_cache_entry(cache_dir, edit):
     path.write_text(json.dumps(entry))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python_m(*argv):
+    """``python -m brownlab`` in a subprocess, importing this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "brownlab", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 # ---------------------------------------------------------------------------
 # brown / vdw
 # ---------------------------------------------------------------------------
 
 
 def test_python_dash_m_runs_the_cli(cache_env):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "brownlab", "vdw", "--r", "2", "--l", "3"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = _python_m("vdw", "--r", "2", "--l", "3")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["value"] == 9
+
+
+def test_entry_points_call_run_cli(cache_env):
+    done = _python_m("bounds", "--m", "1", "--r-max", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "bounds"
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["brownlab"]
+    module, _, name = target.partition(":")
+    assert getattr(import_module(module), name) is run_cli
 
 
 def test_brown_exact_json(cache_env, capsys):
@@ -105,6 +125,14 @@ def test_brown_corrupt_cache_entry_is_recomputed(cache_env, capsys):
     assert payload["value"] == 2
 
 
+def test_cache_entry_nested_past_the_recursion_limit_is_a_miss(cache_env, capsys):
+    _run(capsys, "brown", "--f", "linear:1", "--r", "2")
+    [path] = (cache_env / "cache").glob("*.json")
+    path.write_text("[" * 100_000)
+    code, payload, _ = _run(capsys, "brown", "--f", "linear:1", "--r", "2")
+    assert (code, payload["cache"], payload["value"]) == (0, "miss", 5)
+
+
 def test_cache_entry_of_another_version_is_a_miss(cache_env, capsys):
     _run(capsys, "brown", "--f", "linear:1", "--r", "1")
     _edit_cache_entry(cache_env / "cache", lambda e: e.update(version="brownlab-0.0.0"))
@@ -114,6 +142,7 @@ def test_cache_entry_of_another_version_is_a_miss(cache_env, capsys):
 
 BROWN_LIN1_R2 = ("brown", "--f", "linear:1", "--r", "2")   # value 5, witness length 4
 VDW_R2_L3 = ("vdw", "--r", "2", "--l", "3")                # value 9, witness length 8
+BROWN_TABLE_R2 = ("brown", "--f", "table:3,1,2", "--r", "2")  # value 25, on its closure
 
 
 def _certificate(palette, values, growth):
@@ -131,12 +160,18 @@ def _certificate(palette, values, growth):
         certificate=_certificate(3, (0, 1, 2, 0), "linear:1"))),
     (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
         certificate=_certificate(2, (0, 0, 1, 1), "linear:2"))),
+    # the exact result for closure:linear:1 (value 7), flagged as closed
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
+        value=7, lower=7, upper=7, witness_length=6, used_closure=True,
+        certificate=_certificate(2, (0, 1) * 3, "closure:linear:1"))),
+    (BROWN_TABLE_R2, 25, lambda e: e["result"].update(used_closure=False)),
     (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8)),
     (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8,
                                                  witness_length=7)),
     (VDW_R2_L3, 9, lambda e: e["result"].update(witness_rle="0x8")),
 ], ids=["brown-value", "brown-bracket-and-length", "brown-certificate-body",
         "brown-closure-flag", "brown-certificate-palette", "brown-certificate-growth",
+        "brown-forged-closure", "brown-closure-flag-dropped",
         "vdw-bracket", "vdw-bracket-and-length", "vdw-witness-body"])
 def test_cache_entry_failing_its_audit_is_rejected_and_overwritten(cache_env, capsys,
                                                                    argv, value, edit):
@@ -352,6 +387,15 @@ def test_ladder_stage_three_reports_length_only(capsys, monkeypatch):
     assert len(payload["length"]) > 600_000   # decimal digits of the exact length
     assert len(renders) == 1                  # the payload and the note share one render
     assert f"length {payload['length'][0]}.{payload['length'][1:5]}e+" in err
+
+
+def test_ladder_verify_builds_the_stage_once(capsys, monkeypatch):
+    builds = []
+    ladder = constructions.ladder
+    monkeypatch.setattr(constructions, "ladder", lambda s: builds.append(s) or ladder(s))
+    code, payload, _ = _run(capsys, "ladder", "--s", "2", "--verify")
+    assert (code, payload["verify"]["all_ok"]) == (0, True)
+    assert builds == [2]
 
 
 def test_ladder_too_large_exits_magnitude(capsys):

@@ -113,10 +113,10 @@ def test_ladder_past_stage_three_overflows():
 
 def test_ladder_verify_small_stages():
     for s in (0, 1):
-        report = ladder_verify(s)
+        report = ladder_verify(ladder(s))
         assert report.all_ok, report.failures
         assert len(report.claims) == 1 << s
-    r0 = ladder_verify(0)
+    r0 = ladder_verify(ladder(0))
     h = ladder(0).coloring.classes()[0]
     assert len(h) == 2 == r0.length // r0.palette
     assert r0.length == h[-1] - h[0] + 0 + 1
@@ -130,7 +130,7 @@ def test_ladder_stages_are_witnesses():
 
 def test_ladder_verify_rejects_unmaterialized():
     with pytest.raises(MagnitudeError):
-        ladder_verify(3)
+        ladder_verify(ladder(3))
 
 
 # ---------------------------------------------------------------------------

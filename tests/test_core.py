@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownlab.core import (Coloring, GrowthFn, gap_size, max_run_size,
-                           monotone_closure, parse_growth_spec)
+from brownlab.core import Coloring, GrowthFn, gap_size, max_run_size, parse_growth_spec
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
 
 
@@ -173,8 +172,8 @@ def test_growth_construction_errors():
 
 
 def test_monotone_closure_examples():
-    assert monotone_closure(GrowthFn.exp2())(2) == 7
-    assert monotone_closure(GrowthFn.linear(1))(3) == 6
+    assert GrowthFn.closure(GrowthFn.exp2())(2) == 7
+    assert GrowthFn.closure(GrowthFn.linear(1))(3) == 6
 
 
 @given(st.sampled_from([GrowthFn.exp2(), GrowthFn.linear(2),
@@ -183,8 +182,10 @@ def test_monotone_closure_examples():
                         GrowthFn.closure(GrowthFn.closure(GrowthFn.from_table((3, 1, 2))))]),
        st.integers(min_value=0, max_value=12))
 def test_monotone_closure_dominates_pointwise(f, n):
-    g = monotone_closure(f)
+    g = GrowthFn.closure(f)
     assert g.nondecreasing
+    assert f.monotone == (f if f.nondecreasing else g)
+    assert (f.monotone is f) == f.nondecreasing
     assert g(n) >= f(n)
     assert g(n) == sum(f(i) for i in range(n + 1))
 

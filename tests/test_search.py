@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from brownlab.checker import (WitnessCertificate, has_large_homogeneous_bruteforce,
                               star_violation, verify_certificate)
-from brownlab.core import Coloring, GrowthFn, monotone_closure, parse_growth_spec
+from brownlab.core import Coloring, GrowthFn, parse_growth_spec
 from brownlab.constructions import ardal_bound, upper_bound_seq
 from brownlab.errors import InvalidArgumentError, PreconditionError
 from brownlab.progressions import ap_partition_check
@@ -102,7 +102,7 @@ def test_non_monotone_growth_uses_closure():
     bumpy = GrowthFn.from_table((3, 1, 2))
     outcome = brown_number(bumpy, 1)
     assert outcome.used_closure
-    direct = brown_number(monotone_closure(bumpy), 1)
+    direct = brown_number(GrowthFn.closure(bumpy), 1)
     assert outcome.value == direct.value
     assert not direct.used_closure
 
