@@ -189,8 +189,11 @@ def _search_command(args) -> int:
     else:
         upper = result["upper"]
         upper_text = _sci(constructions.decimal_str(upper)) if upper is not None else "?"
+        # a search stops at the length cap as soon as a witness reaches it
+        at_cap = args.max_n is not None and result["witness_length"] >= args.max_n
+        reason = f"stopped at --max-n {args.max_n}" if at_cap else "budget exhausted"
         _note(f"{label} in [{result['lower']}, {upper_text}] "
-              f"(budget exhausted after {result['nodes']} nodes)")
+              f"({reason} after {result['nodes']} nodes)")
     return exit_code
 
 

@@ -39,7 +39,8 @@ class Coloring:
         if values:
             if self.palette < 1:
                 raise InvalidArgumentError("palette must be >= 1 for a nonempty coloring")
-            if min(values) < 0 or max(values) >= self.palette:
+            distinct = set(values)
+            if min(distinct) < 0 or max(distinct) >= self.palette:
                 raise InvalidArgumentError("coloring values must lie in 0..palette-1")
         elif self.palette < 0:
             raise InvalidArgumentError("palette must be a natural")

@@ -28,9 +28,18 @@ than it.  A rejected push changes nothing and a pop is two list pops.
 The first element of a class sits on a sentinel bottom level and passes
 when ``1 <= f(1)``.  Budgets are read from a per-rule limit table that
 holds f(d) for each gap d seen so far, so f is evaluated only at gaps
-that occur.  The progression rule compares, for each common difference
-q, the slice of the l - 1 earlier terms against a prebuilt list of l - 1
-copies of the color.
+that occur.
+
+The progression rule keeps, per color, an int whose bit p is set when
+that color at p would complete a monochromatic l-term progression, so a
+push is rejected by one bit test and a rejected push changes nothing.
+The work is done on accept: the differences q whose earlier terms all
+carry the pushed color are the AND of one shifted bitmask per stride
+1..min(l - 2, 4), and each such q forbids pos + q.  Past four strides
+the survivors are confirmed by a slice compare, so a color keeps at most
+ten masks whatever l is.  A push saves the bits it set, shifted down by
+its position, and its pop XORs them back, so memory grows linearly with
+the depth.
 
 The deepest coloring found so far (the record) is a list that shares its
 first ``agree`` positions with the live path.  A pop lowers ``agree`` to
@@ -157,29 +166,78 @@ class _StarRule:
         self.levels[color].pop()
 
 
-class _ApRule:
-    """Reject assignments that complete a monochromatic l-term progression."""
+# the most strides whose bitmasks the progression rule keeps per color
+_AP_STRIDES = 4
 
-    __slots__ = ("l", "values", "full")
+
+class _ApRule:
+    """Reject assignments that complete a monochromatic l-term progression.
+
+    ``forbidden[c]`` has bit p set when color c at p would complete one.
+    The stride-k masks of a color are kept per residue and reversed:
+    position p is bit ``tops[k] - p // k`` of mask ``p % k``, so one right
+    shift lines the terms pos - kq up as bit q.  ``pop`` is called once
+    the value has left ``values``, so ``len(values)`` is the position.
+    """
+
+    __slots__ = ("values", "span", "forbidden", "strides", "rest", "width", "tops", "saved")
 
     def __init__(self, l: int, values, palette: int):
-        self.l = l
         self.values = values
-        self.full = [[c] * (l - 1) for c in range(palette)]
+        self.span = l - 2
+        # l == 1: every position is forbidden from the start
+        self.forbidden = [-1 if l == 1 else 0] * palette
+        ks = range(1, min(l - 2, _AP_STRIDES) + 1)
+        self.strides = [[(k, [0] * k) for k in ks] for _ in range(palette)]
+        # the terms that the stride masks do not cover, as one slice
+        self.rest = [[c] * (l - 2 - _AP_STRIDES) for c in range(palette)]
+        self.width = 64
+        self.tops = [None] + [(self.width - 1) // k for k in ks]
+        self.saved: list[int] = []
 
     def try_push(self, pos: int, color: int) -> bool:
-        if self.l == 1:
+        forbidden = self.forbidden[color]
+        ahead = forbidden >> pos
+        if ahead & 1:
             return False
-        values = self.values
-        full = self.full[color]
-        span = self.l - 1
-        for q in range(1, pos // span + 1):
-            if values[pos - q] == color and values[pos - span * q:pos:q] == full:
-                return False
+        if pos >= self.width:
+            self._grow()
+        tops = self.tops
+        # bit q >= 1 of cand: the terms pos - kq of every masked stride k have
+        # this color; with no stride (l == 2) every later position qualifies
+        cand = -2
+        for k, row in self.strides[color]:
+            shift = tops[k] - pos // k
+            res = pos % k
+            mask = row[res] | 1 << shift
+            row[res] = mask
+            cand &= mask >> shift
+        if self.span > _AP_STRIDES and cand:
+            values, span, rest = self.values, self.span, self.rest[color]
+            # bits[q] is bit q, up to the last q whose first term is >= 0
+            bits = bin(cand & ~ahead)[:1:-1][:pos // span + 1]
+            cand = sum(1 << q for q in range(1, len(bits)) if bits[q] == "1"
+                       and values[pos - span * q:pos - _AP_STRIDES * q:q] == rest)
+        new = cand & ~ahead
+        self.forbidden[color] = forbidden ^ new << pos
+        self.saved.append(new)
         return True
 
     def pop(self, color: int) -> None:
-        pass
+        pos = len(self.values)
+        self.forbidden[color] ^= self.saved.pop() << pos
+        tops = self.tops
+        for k, row in self.strides[color]:
+            row[pos % k] ^= 1 << (tops[k] - pos // k)
+
+    def _grow(self) -> None:
+        """Double the width; every reversed mask moves up to its new top."""
+        self.width *= 2
+        tops = [None] + [(self.width - 1) // k for k in range(1, len(self.tops))]
+        for rows in self.strides:
+            for k, row in rows:
+                row[:] = [mask << (tops[k] - self.tops[k]) for mask in row]
+        self.tops = tops
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,23 @@ def test_brown_bracket_at_cap(cache_env, capsys):
     assert payload["certificate"]["length"] == 16
 
 
+@pytest.mark.parametrize("argv,lower,note", [
+    (("brown", "--f", "linear:2", "--r", "2", "--max-n", "5"), 6,
+     "brown(linear:2, r=2) in [6, 17] (stopped at --max-n 5 after 6 nodes)"),
+    (("brown", "--f", "linear:2", "--r", "2", "--max-n", "5", "--budget-nodes", "5"), 5,
+     "brown(linear:2, r=2) in [5, 17] (budget exhausted after 5 nodes)"),
+    (("vdw", "--r", "2", "--l", "3", "--max-n", "3", "--jobs", "2"), 4,
+     "vdw(r=2, l=3) in [4, ?] (stopped at --max-n 3 after 7 nodes)"),
+    (("vdw", "--r", "2", "--l", "3", "--budget-nodes", "4"), 4,
+     "vdw(r=2, l=3) in [4, ?] (budget exhausted after 4 nodes)"),
+])
+def test_bracket_note_names_why_the_search_stopped(cache_env, capsys, argv, lower, note):
+    code, payload, err = _run(capsys, *argv, "--no-cache")
+    assert code == 0
+    assert (payload["kind"], payload["lower"]) == ("bracketed", lower)
+    assert err.splitlines() == [note]
+
+
 def test_brown_require_exact_budget_exit(cache_env, capsys):
     code, payload, _ = _run(capsys, "brown", "--f", "linear:2", "--r", "2",
                             "--budget-nodes", "10", "--require-exact")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,22 @@ def test_coloring_invariants():
     with pytest.raises(InvalidArgumentError):
         Coloring(0, (0,))
     assert Coloring(0, ()).length == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 4), st.lists(st.integers(-3, 6), max_size=12))
+def test_coloring_accepts_exactly_the_values_in_its_palette(palette, values):
+    if palette < 0 and not values:
+        message = "palette must be a natural"
+    elif values and palette < 1:
+        message = "palette must be >= 1 for a nonempty coloring"
+    elif values and (min(values) < 0 or max(values) >= palette):
+        message = "coloring values must lie in 0..palette-1"
+    else:
+        assert Coloring(palette, values).values == tuple(values)
+        return
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        Coloring(palette, values)
 
 
 def test_classes_matches_color_class():

@@ -1,11 +1,13 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brownlab import search
 from brownlab.checker import (WitnessCertificate, has_large_homogeneous_bruteforce,
                               star_violation, verify_certificate)
 from brownlab.core import Coloring, GrowthFn, parse_growth_spec
@@ -342,7 +344,8 @@ def test_deepest_witness_is_lexicographically_least():
 
 STAR_SPECS = ("linear:1", "linear:2", "exp2", "table:1,1,2,2,3;tail=linear",
               "closure:table:3,1,2", "table:0,0,2;tail=linear")
-RULES = [("star", parse_growth_spec(spec)) for spec in STAR_SPECS] + [("ap", 3), ("ap", 4)]
+RULES = ([("star", parse_growth_spec(spec)) for spec in STAR_SPECS]
+         + [("ap", l) for l in (1, 2, 3, 4, 7)])
 
 
 def _new_rule(rule_desc, palette, values):
@@ -454,3 +457,72 @@ def test_star_rule_accepts_exactly_the_star_classes(spec, palette, steps):
         assert accepted == (star_violation(grown, f) is None)
         if accepted:
             values.append(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.lists(st.integers(-1, 2), max_size=240))
+# l == 1: every push is rejected
+@example(1, 2, [0, 1, -1, 0])
+# l == 2: a color is taken once, and free again after its pop
+@example(2, 3, [0, 1, 0, 2, 1, -1, 2, -1, 1, 0])
+# 0, 0 forbids 0 at position 2; the pop of position 1 clears that bit again
+@example(3, 2, [0, 0, 0, -1, 1, 0, 0])
+# the masks double their width at the push of position 64; pops take the
+# path back below 64 and pushes bring it up again on the wider masks
+@example(7, 2, [0, 1] * 50 + [-1] * 40 + [1, 0] * 20)
+def test_ap_rule_accepts_exactly_the_progression_free_colorings(l, palette, steps):
+    # -1 pops the last position; a color pushes it at the next position
+    values = []
+    rule = _ApRule(l, values, palette)
+    for step in steps:
+        if step < 0:
+            if values:
+                rule.pop(values.pop())
+            continue
+        c = step % palette
+        accepted = rule.try_push(len(values), c)
+        assert accepted == (ap_partition_check(Coloring(palette, values + [c]), l) is None)
+        if accepted:
+            values.append(c)
+
+
+class _SliceApRule:
+    """The plain progression rule: for each common difference q, compare the
+    slice of the l - 1 earlier terms with l - 1 copies of the color."""
+
+    def __init__(self, l, values, palette):
+        self.l, self.values = l, values
+        self.full = [[c] * (l - 1) for c in range(palette)]
+
+    def try_push(self, pos, color):
+        values, full, span = self.values, self.full[color], self.l - 1
+        return self.l > 1 and not any(values[pos - span * q:pos:q] == full
+                                      for q in range(1, pos // span + 1))
+
+    def pop(self, color):
+        pass
+
+
+@pytest.mark.parametrize("l,r,max_nodes", [(3, 3, None), (7, 2, 20_000), (100, 2, 3_000)])
+def test_ap_rule_walks_the_same_tree_as_the_slice_rule(monkeypatch, l, r, max_nodes):
+    got = _run_tree(("ap", l), r, None, max_nodes, None)
+    monkeypatch.setattr(search, "_ApRule", _SliceApRule)
+    want = _run_tree(("ap", l), r, None, max_nodes, None)
+    assert (got.best, got.nodes, got.exhausted) == (want.best, want.nodes, want.exhausted)
+
+
+def test_ap_rule_memory_grows_linearly_with_depth():
+    # a 2-coloring avoiding 1000-term progressions runs almost one level per
+    # node; saving a whole forbidden int per level would grow quadratically,
+    # a table of l - 2 entries per position by about 8 KB a level
+    peaks = []
+    for max_nodes in (5_000, 10_000):
+        tracemalloc.start()
+        try:
+            stats = _run_tree(("ap", 1000), 2, None, max_nodes, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(stats.best) >= max_nodes - 50
+    assert peaks[1] <= 2.5 * peaks[0]
+    assert peaks[1] <= 10_000 * 200
