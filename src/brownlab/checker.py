@@ -9,14 +9,14 @@ homogeneous sets, i.e. that the corresponding Brown number exceeds its
 length.
 
 Two deciders are provided.  The fast path is one scan of a coloring: a
-left-to-right pass over each class checks every maximal run against f of
-its own gap size, the largest difference inside it; for nondecreasing f
-this is equivalent to checking every window.  The scan stops at the first
-class that breaks the star condition with its least such window, a
-:class:`WindowViolation`, or else yields the :class:`WitnessCertificate`;
-a certificate verifies only when the scan reproduces it exactly.  The
-brute-force oracle enumerates every subset of every class and is the
-semantics of record, usable with arbitrary growth functions.
+left-to-right pass over each class checks its record runs (see ``_runs``)
+against f of their gap size; for nondecreasing f this is equivalent to
+checking every window.  The scan stops at the first class that breaks the
+star condition with its least such window, a :class:`WindowViolation`, or
+else yields the :class:`WitnessCertificate`; a certificate verifies only
+when the scan reproduces it exactly.  The brute-force oracle enumerates
+every subset of every class and is the semantics of record, usable with
+arbitrary growth functions.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ def _check_class(h: Sequence[int], f: GrowthFn, color: Optional[int] = None):
     h (plus d = 1); the violation is the least ``(start, end)`` maximal run
     longer than f of its own gap size, reported for ``color``.
     Sound and complete for nondecreasing f: a window with gap size d sits
-    inside the maximal d-bounded run around it, whose gap size is d.
+    inside the maximal d-bounded run around it, whose gap size is d.  Record
+    runs suffice: the longest and the first violating run of each d are records.
     """
     sizes: dict[int, int] = {}
     limits = {1: f(1)} if h else {}
     least = None
     for g, lo, hi in _runs(h):
         size = hi - lo + 1
-        if size > sizes.get(g, 0):
-            sizes[g] = size
+        sizes[g] = size
         if g not in limits:
             limits[g] = f(g)
         if size > limits[g] and (least is None or (h[lo], h[hi]) < least[:2]):
@@ -165,7 +165,7 @@ class WitnessCertificate:
             "palette": self.coloring.palette,
             "length": self.coloring.length,
             "growth": self.growth_spec,
-            "coloring_rle": rle_string(self.coloring.values),
+            "coloring_rle": self.coloring._rle_body or rle_string(self.coloring.values),
             "classes": [[list(t) for t in cls] for cls in self.per_class],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))

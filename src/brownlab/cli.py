@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import constructions
 from .cache import ResultCache, resolve_cache_dir
-from .checker import (WitnessCertificate, has_large_homogeneous, is_witness,
-                      verify_certificate)
+from .checker import WitnessCertificate, _scan, verify_certificate
+from .checker import is_witness  # noqa: F401 -- bench/test_bench.py traces this binding
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
 from .core import Coloring, GrowthFn, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
@@ -136,7 +136,8 @@ def _cached(cache, key: dict):
 def _search_command(args) -> int:
     op = args.command
     cache = None
-    if not args.no_cache:
+    # a --max-n result is not the cached question's answer: neither read nor stored
+    if not args.no_cache and args.max_n is None:
         cache = ResultCache(resolve_cache_dir(args.cache_dir))
     if op == "brown":
         f = _parse_growth(args.f)
@@ -158,7 +159,7 @@ def _search_command(args) -> int:
             result = _outcome_payload(outcome)
             result["r"] = args.r
             result["l"] = args.l
-        if cache is not None and result["kind"] == "exact" and args.max_n is None:
+        if cache is not None and result["kind"] == "exact":
             cache.put(key, result)
 
     payload = dict(result)
@@ -248,7 +249,7 @@ def _cmd_confirm(args) -> int:
 def _cmd_check(args) -> int:
     coloring = _read_coloring(args.input)
     f = _parse_growth(args.f)
-    cert = is_witness(coloring, f)
+    v, cert = _scan(coloring, f)
     if cert is not None:
         payload = {"command": "check", "witness": True,
                    "certificate": json.loads(cert.to_json())}
@@ -256,7 +257,6 @@ def _cmd_check(args) -> int:
         _note(f"witness: every class fits {f.spec_string()}; "
               f"proves the threshold exceeds {coloring.length}")
         return EXIT_OK
-    v = has_large_homogeneous(coloring, f)
     _emit({"command": "check", "witness": False, "violation": asdict(v)})
     _note(f"not a witness: class {v.color} window {v.start}..{v.end} has {v.length} elements")
     return EXIT_NEGATIVE

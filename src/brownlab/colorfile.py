@@ -7,7 +7,9 @@ byte for byte on canonical files, and loop over runs and tokens in C.
 Decoding parses each *distinct* token once, through a token table, and
 checks the summed counts against the declared length before it builds
 anything; a number with more digits than Python converts is rejected at
-its line and column.  Files this program writes have at most
+its line and column.  A canonical rle body, the one :func:`rle_string`
+spells, is kept on the decoded coloring for its certificate to reuse.
+Files this program writes have at most
 ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
 distinct rle ones (the distinct counts of one value sum to at most
 ``length``).
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress, islice, repeat
-from operator import add, mul, ne, sub
+from operator import add, eq, mul, ne, sub
 
 from .core import Coloring
 from .errors import ColoringFileError, InvalidArgumentError
@@ -74,8 +76,8 @@ def _parse_token(token: str, rle: bool, palette=None):
 
 
 def _decode_tokens(tokens: list, rle: bool, length: int, palette=None):
-    """An iterator over the values the tokens spell; None when a distinct token is
-    rejected or the counts, summed before anything is built, miss ``length``."""
+    """``(values iterator, {token: (value, count)})``, or None when a distinct token
+    is rejected or the counts, summed before anything is built, miss ``length``."""
     runs = {token: _parse_token(token, rle, palette) for token in set(tokens)}
     if any(isinstance(run, str) for run in runs.values()):
         return None
@@ -83,17 +85,26 @@ def _decode_tokens(tokens: list, rle: bool, length: int, palette=None):
     if sum(map(counts.__getitem__, tokens)) != length:
         return None
     expansion = {token: (value,) * count for token, (value, count) in runs.items()}
-    return chain.from_iterable(map(expansion.__getitem__, tokens))
+    return chain.from_iterable(map(expansion.__getitem__, tokens)), runs
+
+
+def _canonical(tokens: list, runs: dict) -> bool:
+    """True when rle tokens spell their values as :func:`rle_string` does: each
+    token reads ``f"{value}x{count}"`` and no two adjacent ones share a value."""
+    if any(token != f"{value}x{count}" for token, (value, count) in runs.items()):
+        return False
+    heads = list(map({token: v for token, (v, _) in runs.items()}.__getitem__, tokens))
+    return not any(map(eq, islice(heads, 1, None), heads))
 
 
 def parse_rle_string(text: str, length: int) -> list:
     """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``."""
     tokens = text.split()
-    values = _decode_tokens(tokens, True, length)
-    if values is None:
+    decoded = _decode_tokens(tokens, True, length)
+    if decoded is None:
         bad = (run for run in map(_parse_token, tokens, repeat(True)) if isinstance(run, str))
         raise InvalidArgumentError(next(bad, f"run-length body does not hold {length} positions"))
-    return list(values)
+    return list(decoded[0])
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
@@ -144,7 +155,12 @@ def decode_coloring(text: str) -> Coloring:
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
     # line breaks are whitespace, so the header is the first six tokens
-    values = _decode_tokens(text.split()[6:], encoding == "rle", length, palette)
-    if values is None:
+    tokens = text.split()
+    del tokens[:6]                  # in place, so the token list is not copied
+    decoded = _decode_tokens(tokens, encoding == "rle", length, palette)
+    if decoded is None:
         raise _body_error(lines, encoding == "rle", palette, length, header.index(fields[3]) + 1)
-    return Coloring(palette=palette, values=tuple(values))
+    coloring = Coloring(palette=palette, values=tuple(decoded[0]))
+    if encoding == "rle" and _canonical(tokens, decoded[1]):
+        object.__setattr__(coloring, "_rle_body", " ".join(tokens))
+    return coloring

@@ -15,8 +15,9 @@ sorted enumeration; windows are the sets the growth-bound checks in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GrowthSpecError, InvalidArgumentError
@@ -30,6 +31,8 @@ class Coloring:
 
     palette: int
     values: tuple
+    # the canonical run-length body the values were decoded from; set by decode_coloring only
+    _rle_body: Optional[str] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         values = self.values
@@ -51,10 +54,12 @@ class Coloring:
 
     def classes(self) -> list:
         """All color classes at once, in one pass over the values."""
-        out: list[list[int]] = [[] for _ in range(self.palette)]
+        out: list = [[] for _ in range(self.palette)]
         for x, v in enumerate(self.values):
             out[v].append(x)
-        return [tuple(c) for c in out]
+        for v, c in enumerate(out):
+            out[v] = tuple(c)       # each list is freed as its tuple is made
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,33 +259,37 @@ def gap_size(h: Sequence[int]) -> int:
 
 
 def _runs(h: Sequence[int]) -> Iterator[tuple]:
-    """Yield ``(g, lo, hi)`` once for each maximal run ``h[lo..hi]`` whose
-    gaps are all <= g and include one equal to g.
+    """Yield ``(g, lo, hi)`` for each *record* g-run: a maximal run ``h[lo..hi]``
+    whose gaps are all <= g and include one equal to g, longer than every
+    earlier g-run.
 
-    Every window with gap size g >= 2 lies inside exactly one such g-run;
-    singletons are never yielded.  One left-to-right pass keeps a stack of
-    the open runs, with strictly decreasing gap sizes: a larger gap closes
-    every open run below it.
+    Every window with gap size g >= 2 lies inside exactly one g-run.  The
+    g-runs are disjoint and close in position order, so the longest one and
+    the first one longer than any bound are records, yielded in position
+    order; singletons never are.  One left-to-right pass keeps a stack of the
+    open runs, strictly decreasing in gap size: a larger gap closes each below it.
     """
     if len(h) < 2:
         return
-    gs, los = [h[-1] - h[0] + 1], [0]   # sentinel: larger than every gap
-    it = iter(h)
-    prev = next(it)
-    for hi, x in enumerate(it, 1):
-        g = x - prev
-        prev = x
-        if g == gs[-1]:
+    top = h[-1] - h[0] + 1              # larger than every gap; closes every run
+    gs, los = [top], [0]
+    last = top                          # gs[-1]
+    best: dict = {}                     # g -> hi - lo of its longest run so far
+    for hi, g in enumerate(chain(map(sub, islice(h, 1, None), h), (top,)), 1):
+        if g == last:
             continue
         lo = hi - 1
-        while gs[-1] < g:
+        while last < g:
             lo = los.pop()
-            yield gs.pop(), lo, hi - 1
-        if g != gs[-1]:
+            if hi - lo > best.get(last, 0):
+                best[last] = hi - lo
+                yield last, lo, hi - 1
+            gs.pop()
+            last = gs[-1]
+        if g != last:
             gs.append(g)
             los.append(lo)
-    while len(gs) > 1:
-        yield gs.pop(), los.pop(), len(h) - 1
+            last = g
 
 
 def max_run_size(h: Sequence[int], d: int) -> int:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from brownlab import constructions
+from brownlab import checker, constructions
 from brownlab.cache import ResultCache
-from brownlab.checker import is_witness
+from brownlab.checker import WitnessCertificate, is_witness, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
 from brownlab.colorfile import encode_coloring
 from brownlab.core import Coloring, parse_growth_spec
@@ -110,6 +110,15 @@ def test_bracket_note_names_why_the_search_stopped(cache_env, capsys, argv, lowe
     assert code == 0
     assert (payload["kind"], payload["lower"]) == ("bracketed", lower)
     assert err.splitlines() == [note]
+
+
+def test_max_n_bypasses_a_warm_cache(cache_env, capsys):
+    assert _run(capsys, "vdw", "--r", "2", "--l", "3")[1]["value"] == 9
+    code, payload, err = _run(capsys, "vdw", "--r", "2", "--l", "3", "--max-n", "3")
+    assert code == 0
+    assert (payload["kind"], payload["lower"], payload["cache"]) == ("bracketed", 4, "off")
+    assert "stopped at --max-n 3" in err
+    assert _run(capsys, "vdw", "--r", "2", "--l", "3")[1]["cache"] == "hit"
 
 
 def test_brown_require_exact_budget_exit(cache_env, capsys):
@@ -340,6 +349,36 @@ def test_check_witness_and_violation(tmp_path, capsys):
     assert code == 1
     assert payload["violation"] == {"color": 0, "start": 0, "end": 2,
                                     "gap_size": 1, "length": 3}
+
+
+def test_check_scans_a_non_witness_once(tmp_path, capsys, monkeypatch):
+    # class 0 fits linear:1, class 1 does not: the violation is past the first class
+    coloring = Coloring(2, (0, 1, 1, 0, 1))
+    path = tmp_path / "bad.col"
+    path.write_text(encode_coloring(coloring))
+    scans = []
+    classes = Coloring.classes
+    monkeypatch.setattr(Coloring, "classes", lambda c: scans.append(c) or classes(c))
+    code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "linear:1")
+    assert (code, len(scans)) == (1, 1)
+    assert payload["violation"] == {"color": 1, "start": 1, "end": 2,
+                                    "gap_size": 1, "length": 2}
+
+
+def test_check_of_the_stage_two_ladder_reuses_the_file_body(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s2.col"
+    assert _run(capsys, "ladder", "--s", "2", "--out", str(path))[0] == 0
+
+    def reencode(values):
+        raise AssertionError("the certificate re-encoded a canonical body")
+
+    monkeypatch.setattr(checker, "rle_string", reencode)
+    code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "exp2")
+    monkeypatch.undo()
+    assert code == 0
+    doc = payload["certificate"]
+    assert doc["coloring_rle"] == " ".join(path.read_text().split()[6:])
+    assert verify_certificate(WitnessCertificate.from_json(json.dumps(doc)))
 
 
 def test_check_malformed_file_exits_two(tmp_path, capsys):

@@ -283,6 +283,53 @@ def test_decoder_matches_the_reference(text):
     assert _outcome(decode_coloring, text) == _outcome(_ref_decode, text)
 
 
+_SPELLINGS = ("canonical", "split", "zero value", "zero count")
+
+
+@st.composite
+def _rle_spellings(draw):
+    """``(coloring, rle file, canonical)``: a file spelling the coloring's runs
+    canonically, or with some runs split in two or spelled with leading zeros."""
+    coloring = draw(_colorings(max_palette=12, max_count=6))
+    plain = draw(st.booleans())
+    tokens, canonical = [], True
+    for v, c in _ref_rle_encode(coloring.values):
+        spelling = "canonical" if plain else draw(st.sampled_from(_SPELLINGS))
+        if spelling == "split" and c > 1:
+            a = draw(st.integers(1, c - 1))
+            tokens += [f"{v}x{a}", f"{v}x{c - a}"]
+        elif spelling == "zero value":
+            tokens.append(f"0{v}x{c}")
+        elif spelling == "zero count":
+            tokens.append(f"{v}x0{c}")
+        else:
+            tokens.append(f"{v}x{c}")
+            continue
+        canonical = False
+    separators = draw(st.lists(st.sampled_from([" ", "\n", "  "]),
+                               min_size=len(tokens), max_size=len(tokens)))
+    body = "".join(chain.from_iterable(zip(tokens, separators)))
+    header = f"palette {coloring.palette} length {coloring.length} encoding rle"
+    return coloring, header + "\n" + body, canonical
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rle_spellings())
+@example((Coloring(3, (1, 1, 2)), "palette 3 length 3 encoding rle\n1x2 2x1", True))
+@example((Coloring(3, (1, 1, 2)), "palette 3 length 3 encoding rle\n1x1 1x1 2x1", False))
+@example((Coloring(3, (1, 1, 2)), "palette 3 length 3 encoding rle\n01x2 2x1", False))
+@example((Coloring(3, (1, 1, 2)), "palette 3 length 3 encoding rle\n1x2 2x01", False))
+@example((Coloring(3, (0, 0)), "palette 3 length 2 encoding rle\n0x02", False))
+@example((Coloring(3, ()), "palette 3 length 0 encoding rle\n", True))
+def test_certificate_reuses_only_a_canonical_body(case):
+    coloring, text, canonical = case
+    decoded = decode_coloring(text)
+    assert decoded == coloring
+    assert decoded._rle_body == (rle_string(coloring.values) if canonical else None)
+    cert = WitnessCertificate(coloring=decoded, growth_spec="linear:1", per_class=())
+    assert json.loads(cert.to_json())["coloring_rle"] == rle_string(coloring.values)
+
+
 # ---------------------------------------------------------------------------
 # run counts are bounded before anything is allocated
 # ---------------------------------------------------------------------------
