@@ -41,6 +41,16 @@ ten masks whatever l is.  A push saves the bits it set, shifted down by
 its position, and its pop XORs them back, so memory grows linearly with
 the depth.
 
+The star search counts a repeated subtree instead of walking it again.  A
+node's future depends only on the highest color its children may try and,
+per class, its age and the live levels of its gap stack read relative to
+its last index (the class sizes fix the depth), so colorings that differ
+by a color permutation or in dead levels share one exact key.  A table maps a walked
+subtree's key to its push attempts, which a push onto that key adds to
+``nodes`` before it backtracks.  Nothing in a repeat is deeper than the
+record, so the value, the witness and ``nodes`` (the push attempts of the
+canonical tree, which ``max_nodes`` caps) are those of the plain walk.
+
 The deepest coloring found so far (the record) is a list that shares its
 first ``agree`` positions with the live path.  A pop lowers ``agree`` to
 the path length, and a new record copies only the positions past
@@ -54,7 +64,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from multiprocessing import Pool
 from typing import Optional
 
@@ -93,7 +103,8 @@ class SearchOutcome:
     ``bracketed`` outcomes guarantee ``lower <= true value`` and, when an
     upper bound is known, ``true value <= upper``.  The longest witness
     found always ships with the outcome; for growth-threshold searches it
-    is additionally certified.
+    is additionally certified.  ``nodes_explored`` counts the push attempts
+    of the canonical tree, those of a repeated star subtree included.
     """
 
     kind: str                                  # "exact" | "bracketed"
@@ -245,6 +256,40 @@ class _ApRule:
 # ---------------------------------------------------------------------------
 
 
+# The table is used only at nodes _TABLE_GAP or more levels above the record,
+# while key builds cost at most one _TABLE_SHARE-th of the walked attempts
+# plus the attempts that hits saved (a key element counts as _KEY_COST
+# attempts); it stores subtrees of _TABLE_MIN attempts or more, and is
+# emptied when it holds _TABLE_SIZE entries.
+_TABLE_GAP = 8
+_TABLE_SHARE = 128
+_KEY_COST = 1 / 4
+_TABLE_MIN = 128
+_TABLE_SIZE = 1 << 15
+
+
+def _star_key(rule, depth, limit):
+    """A star node's exact state up to a color permutation: the highest
+    color its children may try, then per used class its age and (gap,
+    base - index) for each level of its live gap stack, ``base`` being the
+    top level's index.  A class ends at its bottom level, the one gap that
+    is infinite, so the flat tuple is exact.  The depth, the sum of the
+    class sizes, and each bound, ``min(f(G) + B, bound)`` of the level
+    below, follow from the rest."""
+    entries = []
+    for elems, levels in zip(rule.elems, rule.levels):
+        if elems:
+            level = levels[-1]
+            base = level[1]
+            entry = [depth - elems[-1]]
+            while level is not None:
+                entry += level[0], base - level[1]
+                level = level[3]
+            entries.append(entry)
+    entries.sort()
+    return tuple(chain((limit,), *entries))
+
+
 @dataclass
 class _DfsStats:
     best: tuple
@@ -291,6 +336,14 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     push_value, pop_value = values.append, values.pop
     # the node cap and the clock are both looked at when nodes reaches check_at
     check_at = 0
+    # key -> push attempts of a walked subtree; a key built at depth <= table_depth
+    # waits in ``open_keys`` as (depth, key, nodes at the push) until it is walked
+    table = {} if rule_desc[0] == "star" and collect is None else None
+    gap = _TABLE_GAP if table is not None else 1 << 62   # else no depth is <= table_depth
+    table_depth = best_len - gap
+    open_keys: list[tuple] = []
+    open_depth = -1
+    saved = spent = build_at = 0
     while frames:
         if nodes >= check_at:
             if (max_nodes is not None and nodes >= max_nodes
@@ -305,8 +358,16 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
             if frames:
                 rule_pop(pop_value())
                 color_limits.pop()
-                if agree > len(values):
-                    agree = len(values)
+                depth = len(values)
+                if agree > depth:
+                    agree = depth
+                if depth < open_depth:
+                    _, key, start = open_keys.pop()
+                    open_depth = open_keys[-1][0] if open_keys else -1
+                    if nodes - start >= _TABLE_MIN:
+                        if len(table) >= _TABLE_SIZE:
+                            table.clear()
+                        table[key] = nodes - start
             continue
         frames[-1] = c + 1
         nodes += 1
@@ -316,6 +377,25 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
             if depth > best_len:
                 best[agree:] = values[agree:]
                 best_len = agree = depth
+                table_depth = depth - gap
+            elif depth <= table_depth and nodes >= build_at:
+                key = _star_key(rule, depth,
+                                c + 1 if c == limit_c and c < last_color else limit_c)
+                spent += len(key) * _KEY_COST
+                count = table.get(key)
+                if count is not None:
+                    # a repeat of a walked subtree: count its attempts, then backtrack
+                    if max_nodes is not None and nodes + count > max_nodes:
+                        count = max_nodes - nodes
+                    nodes += count
+                    saved += count
+                build_at = saved + (spent - saved) * _TABLE_SHARE
+                if count is not None:
+                    color_limits.append(last_color)
+                    frames.append(palette)
+                    continue
+                open_keys.append((depth, key, nodes))
+                open_depth = depth
             if cap is not None and depth >= cap:
                 reached_cap = True
                 if collect is None:

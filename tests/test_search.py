@@ -526,3 +526,211 @@ def test_ap_rule_memory_grows_linearly_with_depth():
         assert len(stats.best) >= max_nodes - 50
     assert peaks[1] <= 2.5 * peaks[0]
     assert peaks[1] <= 10_000 * 200
+
+
+# ---------------------------------------------------------------------------
+# the star search's table of walked subtrees
+# ---------------------------------------------------------------------------
+
+
+def _force_table(mp, size=1 << 20):
+    """Build, look up and store a key at every node the table may use."""
+    mp.setattr(search, "_TABLE_GAP", 0)
+    mp.setattr(search, "_TABLE_MIN", 0)
+    mp.setattr(search, "_KEY_COST", 0)
+    mp.setattr(search, "_TABLE_SIZE", size)
+
+
+def _counting_pushes(mp):
+    calls = [0]
+    push = _StarRule.try_push
+
+    def counted(self, pos, color):
+        calls[0] += 1
+        return push(self, pos, color)
+
+    mp.setattr(_StarRule, "try_push", counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STAR_SPECS), st.integers(1, 4), st.lists(st.integers(0, 3), max_size=5),
+       st.integers(1, 20), st.booleans(), st.floats(0, 1))
+def test_table_walks_the_same_tree_as_the_snapshots(spec, palette, colors, cap, canonical, share):
+    rule_desc = ("star", parse_growth_spec(spec), palette)
+    # the longest valid prefix of a random color sequence, canonical or not
+    prefix = []
+    rule = _StarRule(rule_desc[1], palette)
+    for c in colors:
+        if c >= palette or not rule.try_push(len(prefix), c):
+            break
+        prefix.append(c)
+    prefix = tuple(prefix)
+    size = _snapshot_tree(rule_desc, palette, cap, 3000, prefix, canonical, None)[1]
+    # node caps anywhere in the tree (past its end when it is small), so some
+    # land inside a counted subtree
+    max_nodes = round(share * (size + 1))
+    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, None)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_table(mp)
+        got = _run_tree(rule_desc, palette, cap, max_nodes, None, prefix, canonical)
+    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+
+
+@pytest.mark.parametrize("spec", STAR_SPECS)
+def test_table_counts_every_spec_exactly(monkeypatch, spec):
+    f = parse_growth_spec(spec)
+    for palette in (1, 2, 3):
+        for canonical in (True, False):
+            want = _snapshot_tree(("star", f, palette), palette, 20, None, (), canonical, None)
+            with pytest.MonkeyPatch.context() as mp:
+                _force_table(mp)
+                got = _run_tree(("star", f, palette), palette, 20, None, None, (), canonical)
+            assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+
+
+def test_node_caps_inside_counted_subtrees_stop_where_the_walk_stops(monkeypatch):
+    # every node cap of a tree whose table saves a third of its attempts
+    rule_desc = ("star", LIN2, 2)
+    _force_table(monkeypatch)
+    calls = _counting_pushes(monkeypatch)
+    full = _run_tree(rule_desc, 2, 14, None, None)
+    assert (full.nodes, calls[0]) == (487, 319)
+    for max_nodes in range(full.nodes + 2):
+        got = _run_tree(rule_desc, 2, 14, max_nodes, None)
+        want = _snapshot_tree(rule_desc, 2, 14, max_nodes, (), True, None)
+        assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+
+
+def test_table_fires_on_the_exact_star_workload(monkeypatch):
+    f = parse_growth_spec("linear:3")
+    calls = _counting_pushes(monkeypatch)
+    runs = []
+    # the table as the module sets it, then never used
+    for gap in (search._TABLE_GAP, 10 ** 9):
+        monkeypatch.setattr(search, "_TABLE_GAP", gap)
+        calls[0] = 0
+        outcome = brown_number(f, 2)
+        searched, calls[0] = calls[0], 0
+        confirmation = confirm_no_witness(25, f, 2)
+        runs.append(((outcome.value, outcome.witness, outcome.nodes_explored, confirmation),
+                     (searched, calls[0])))
+    (table, table_pushes), (plain, plain_pushes) = runs
+    assert table == plain == (25, table[1], 606_441, search.ConfirmOutcome(True, 606_441))
+    assert plain_pushes == (606_441, 606_441)
+    assert max(table_pushes) < 606_441 // 2
+
+
+def _state(spec, palette, values):
+    rule = _StarRule(parse_growth_spec(spec), palette)
+    for pos, c in enumerate(values):
+        assert rule.try_push(pos, c)
+    return rule
+
+
+def _chains(rule):
+    """Each class's live gap stack as (gap, base - index) pairs, sorted."""
+    chains = []
+    for levels in rule.levels:
+        if levels:
+            level, chain = levels[-1], []
+            while level is not None:
+                chain.append((level[0], levels[-1][1] - level[1]))
+                level = level[3]
+            chains.append(tuple(chain))
+    return sorted(chains)
+
+
+def _subtree(spec, palette, values, cap=16):
+    rule_desc = ("star", parse_growth_spec(spec), palette)
+    return _snapshot_tree(rule_desc, palette, cap, None, values, True, None)[:2]
+
+
+def test_state_key_merges_color_permutations_and_dead_levels():
+    a = (0, 0, 1, 1, 0, 1, 1, 0)
+    swapped = tuple(1 - c for c in a)
+    key = search._star_key(_state("linear:2", 2, a), 8, 1)
+    assert search._star_key(_state("linear:2", 2, swapped), 8, 1) == key
+    # class 0 sits at 0, 1, 4, 7 in ``a`` and at 0, 2, 4, 7 in ``dead``; its
+    # top gap-3 level reaches down to the bottom, so its first gap (1 or 2)
+    # lies off the chain, and class 1 differs the same way
+    dead = (0, 1, 0, 1, 0, 1, 1, 0)
+    rule_a, rule_dead = _state("linear:2", 2, a), _state("linear:2", 2, dead)
+    assert search._star_key(rule_dead, 8, 1) == key
+    assert (rule_a.levels[0][1][0], rule_dead.levels[0][1][0]) == (1, 2)
+    assert _subtree("linear:2", 2, a)[1] == _subtree("linear:2", 2, dead)[1]
+
+
+@pytest.mark.parametrize("spec,palette,a,b,limits,cap", [
+    # the same live gap stacks, but the classes last grew at other positions
+    ("linear:2", 2, (0, 1, 0, 1, 1, 0, 1, 0), (0, 0, 1, 1, 0, 1, 0, 1), (1, 1), 16),
+    # after the non-canonical prefix (1,), color 0 keeps the highest color its
+    # children may try at 2 and color 2 raises it to 3
+    ("linear:1", 4, (1, 0), (1, 2), (2, 3), 12),
+])
+def test_state_key_splits_states_that_differ_only_in_an_age_or_a_limit(spec, palette, a, b,
+                                                                        limits, cap):
+    rule_a, rule_b = _state(spec, palette, a), _state(spec, palette, b)
+    assert _chains(rule_a) == _chains(rule_b)
+    key_a = search._star_key(rule_a, len(a), limits[0])
+    assert key_a != search._star_key(rule_b, len(b), limits[1])
+    # and the subtrees below them differ
+    assert _subtree(spec, palette, a, cap)[1] != _subtree(spec, palette, b, cap)[1]
+
+
+@pytest.mark.parametrize("spec,palette,n", [("linear:2", 2, 10), ("linear:3", 2, 11),
+                                            ("exp2", 2, 10), ("linear:1", 3, 7)])
+def test_state_key_determines_every_live_bound(spec, palette, n):
+    # a level's bound is min(f(G) + B, bound) of the level below, so the key
+    # leaves it out: no two valid colorings with one key differ in a live bound
+    f = parse_growth_spec(spec)
+    bounds = {}
+    for values in itertools.product(range(palette), repeat=n):
+        rule = _StarRule(f, palette)
+        if not all(rule.try_push(pos, c) for pos, c in enumerate(values)):
+            continue
+        live = []
+        for levels in rule.levels:
+            if levels:
+                level, base, chain = levels[-1], levels[-1][1], []
+                while level is not None:
+                    chain.append((level[0], base - level[1], level[2] - base))
+                    level = level[3]
+                live.append(tuple(chain))
+        key = search._star_key(rule, n, palette - 1)
+        assert bounds.setdefault(key, sorted(live)) == sorted(live)
+    assert len(bounds) > 1
+
+
+def test_table_stays_within_its_entry_bound(monkeypatch):
+    f = parse_growth_spec("linear:3")
+    want = _run_tree(("star", f, 2), 2, 31, None, None)
+
+    class Bound(int):
+        """The entry bound, noting every table length it is compared with."""
+        seen: list = []
+
+        def __le__(self, length):
+            Bound.seen.append(length)
+            return int(self) <= length
+
+        def __gt__(self, length):
+            Bound.seen.append(length)
+            return int(self) > length
+
+    monkeypatch.setattr(search, "_TABLE_SIZE", Bound(16))
+    got = _run_tree(("star", f, 2), 2, 31, None, None)
+    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == (
+        want.best, want.nodes, want.exhausted, want.reached_cap)
+    assert Bound.seen and max(Bound.seen) <= 16
+
+
+def test_table_memory_stays_small():
+    tracemalloc.start()
+    try:
+        outcome = brown_number(parse_growth_spec("linear:3"), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.value == 25
+    assert peak < 2_000_000
