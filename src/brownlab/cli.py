@@ -190,9 +190,9 @@ def _search_command(args) -> int:
     else:
         upper = result["upper"]
         upper_text = _sci(constructions.decimal_str(upper)) if upper is not None else "?"
-        # a search stops at the length cap as soon as a witness reaches it
-        at_cap = args.max_n is not None and result["witness_length"] >= args.max_n
-        reason = f"stopped at --max-n {args.max_n}" if at_cap else "budget exhausted"
+        # a bracket is never a cache hit, so the search's outcome says why it stopped
+        reason = {"cap": f"stopped at --max-n {args.max_n}",
+                  "deadline": "deadline passed"}.get(outcome.stop, "budget exhausted")
         _note(f"{label} in [{result['lower']}, {upper_text}] "
               f"({reason} after {result['nodes']} nodes)")
     return exit_code
@@ -214,16 +214,17 @@ def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
     if value > ORACLE_VALUE_CAP or args.r > 3:
         raise InvalidArgumentError(f"--oracle is for small instances only "
                                    f"(value <= {ORACLE_VALUE_CAP}, r <= 3)")
-    if op == "brown":
-        oracle_value = brown_number_bruteforce(_parse_growth(args.f), args.r,
-                                               n_limit=value + 1)
-    else:
-        oracle_value = vdw_number_bruteforce(args.r, args.l, n_limit=value + 1)
+    try:
+        oracle_value = (brown_number_bruteforce(_parse_growth(args.f), args.r, value + 1)
+                        if op == "brown" else vdw_number_bruteforce(args.r, args.l, value + 1))
+    except InvalidArgumentError:
+        # every length up to value + 1 has a valid coloring: the search reported too little
+        oracle_value = None
     payload["oracle_value"] = oracle_value
     payload["oracle_agreed"] = oracle_value == value
     if oracle_value != value:
-        _note(f"ORACLE DISAGREEMENT: search says {value}, "
-              f"full enumeration says {oracle_value}")
+        _note(f"ORACLE DISAGREEMENT: search says {value}, full enumeration says "
+              f"{oracle_value or f'more than {value + 1}'}")
         return False
     return True
 

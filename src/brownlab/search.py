@@ -7,6 +7,10 @@ grow under extension), so every node of the pruned tree is itself a valid
 coloring of its depth, valid colorings are closed under truncation, and
 the threshold equals the maximum tree depth plus one.
 
+A walk reports why it stopped, and every reader takes that from it: None
+when the capped tree was walked to its end, ``"cap"`` when a coloring
+reached the length cap, ``"nodes"`` or ``"deadline"`` when a budget ran out.
+
 Symmetry is broken by first-use color canonicalization: a branch may
 introduce color c only when colors ``0..c-1`` are already in use.  Every
 coloring is a palette permutation of a canonical one and validity is
@@ -105,6 +109,8 @@ class SearchOutcome:
     found always ships with the outcome; for growth-threshold searches it
     is additionally certified.  ``nodes_explored`` counts the push attempts
     of the canonical tree, those of a repeated star subtree included.
+    ``stop`` is why the search stopped (None for ``exact``, else ``"cap"``,
+    ``"nodes"`` or ``"deadline"``); the CLI's bracket note names it.
     """
 
     kind: str                                  # "exact" | "bracketed"
@@ -116,6 +122,7 @@ class SearchOutcome:
     nodes_explored: int
     wall_time: float
     used_closure: bool = False
+    stop: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -290,12 +297,11 @@ def _star_key(rule, depth, limit):
     return tuple(chain((limit,), *entries))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _DfsStats:
     best: tuple
     nodes: int
-    exhausted: bool
-    reached_cap: bool
+    stop: Optional[str]      # None (walked to the end) | "cap" | "nodes" | "deadline"
 
 
 def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical=True,
@@ -305,7 +311,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     ``rule_desc`` is ``("star", f, r)`` or ``("ap", l)``.  ``best`` tracks
     the first (hence lexicographically least) deepest valid coloring.  With
     ``collect`` set, depth-``cap`` nodes are gathered as subtree roots
-    instead of stopping the search.
+    instead of stopping the search (so its stop is never ``"cap"``).
     """
     values: list[int] = []
     if rule_desc[0] == "star":
@@ -317,15 +323,14 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
             raise InvalidArgumentError("search prefix is not a valid coloring")
         values.append(c)
     nodes = 0
-    exhausted = False
-    reached_cap = False
+    stop = None
     # the record shares its first ``agree`` positions with the live path
     best = list(values)
     best_len = agree = len(values)
     if cap is not None and best_len >= cap:
         if collect is not None:
             collect.append(tuple(best))
-        return _DfsStats(tuple(best), nodes, False, True)
+        return _DfsStats(tuple(best), nodes, None if collect is not None else "cap")
 
     frames = [0]
     last_color = palette - 1
@@ -346,9 +351,9 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
     saved = spent = build_at = 0
     while frames:
         if nodes >= check_at:
-            if (max_nodes is not None and nodes >= max_nodes
-                    or deadline is not None and time.monotonic() > deadline):
-                exhausted = True
+            stop = ("nodes" if max_nodes is not None and nodes >= max_nodes else
+                    "deadline" if deadline is not None and time.monotonic() > deadline else None)
+            if stop is not None:
                 break
             check_at = nodes + 2048 if max_nodes is None else min(nodes + 2048, max_nodes)
         c = frames[-1]
@@ -397,8 +402,8 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                 open_keys.append((depth, key, nodes))
                 open_depth = depth
             if cap is not None and depth >= cap:
-                reached_cap = True
                 if collect is None:
+                    stop = "cap"
                     break
                 collect.append(tuple(values))
                 # a leaf: its spent frame makes the next step backtrack
@@ -407,51 +412,46 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                 continue
             color_limits.append(c + 1 if c == limit_c and c < last_color else limit_c)
             frames.append(0)
-    return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
+    return _DfsStats(tuple(best), nodes, stop)
+
+
+def _fold(runs) -> _DfsStats:
+    """Merge walks listed in DFS order: their nodes summed, the first longest
+    record, and the first stop of the cap, the deadline and the node budget."""
+    stops = {run.stop for run in runs}
+    return _DfsStats(max(runs, key=lambda run: len(run.best)).best,
+                     sum(run.nodes for run in runs),
+                     next((stop for stop in ("cap", "deadline", "nodes") if stop in stops), None))
 
 
 def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
-    """Static frontier split: enumerate the valid prefixes at a shallow
-    depth, then explore each subtree in a worker.  The probe and every
-    worker share the one absolute deadline and the one node budget: the
-    probe spends from it, and the workers split what is left.  Merging is
-    deterministic: prefixes are generated in DFS (lex) order, so the first
-    task attaining the maximum depth holds the lexicographically least
-    deepest coloring."""
-    prefixes: list[tuple] = []
-    probe_nodes = 0
-    max_depth = cap if cap is not None else 12
-    for k in range(1, min(max_depth, 12) + 1):
-        collected: list[tuple] = []
-        stats = _run_tree(rule_desc, palette, k, budget.max_nodes, deadline, collect=collected)
-        probe_nodes = stats.nodes
-        if not collected or stats.exhausted:
-            # the whole tree is shallower than k, or the budget is spent; the
-            # probe's depth k is the search's own cap only when k == cap
-            stats.reached_cap = stats.reached_cap and k == cap
-            return stats
-        prefixes = collected
-        if len(collected) >= 4 * budget.jobs or len(collected) > 5000:
+    """Static frontier split: a probe extends each prefix of a level by one
+    position until a level reaches the cap (the search's answer), depth 12
+    or enough prefixes, then a worker explores the subtree of each.  The
+    probe and the workers share the one deadline and the one node budget,
+    the workers splitting what the probe left.  Prefixes come in DFS (lex)
+    order, so the first longest record is the lexicographically least."""
+    runs, level, nodes = [], [()], 0
+    while cap is None or len(level[0]) < cap:
+        if len(level[0]) == 12 or len(level) >= 4 * budget.jobs or len(level) > 5000:
             break
-    if not prefixes:
-        return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline)
-    node_share = None
-    if budget.max_nodes is not None:
-        node_share = (budget.max_nodes - probe_nodes) // len(prefixes)
-    tasks = [(rule_desc, palette, cap, node_share, deadline, p) for p in prefixes]
+        frontier: list[tuple] = []
+        for prefix in level:
+            left = None if budget.max_nodes is None else budget.max_nodes - nodes
+            runs.append(_run_tree(rule_desc, palette, len(prefix) + 1, left, deadline,
+                                  prefix, collect=frontier))
+            nodes += runs[-1].nodes
+            if runs[-1].stop is not None:
+                return _fold(runs)
+        if not frontier:  # the whole tree is shallower than this level
+            return _fold(runs)
+        level = frontier
+    else:
+        return _DfsStats(level[0], nodes, "cap")
+    share = None if budget.max_nodes is None else (budget.max_nodes - nodes) // len(level)
+    tasks = [(rule_desc, palette, cap, share, deadline, prefix) for prefix in level]
     with Pool(processes=budget.jobs) as pool:
-        results = pool.starmap(_run_tree, tasks)
-    best = prefixes[0]
-    exhausted = False
-    reached_cap = False
-    nodes = probe_nodes
-    for task in results:
-        nodes += task.nodes
-        exhausted = exhausted or task.exhausted
-        reached_cap = reached_cap or task.reached_cap
-        if len(task.best) > len(best):
-            best = task.best
-    return _DfsStats(tuple(best), nodes, exhausted, reached_cap)
+        return _fold(runs + pool.starmap(_run_tree, tasks))
 
 
 def _dispatch(rule_desc, palette, cap, budget) -> _DfsStats:
@@ -474,20 +474,19 @@ def _threshold(rule_desc, palette, cap, upper, budget, audit,
     witness = Coloring(palette=palette, values=stats.best)
     certificate = audit(witness)
     lower = len(stats.best) + 1
-    exact = not (stats.exhausted or stats.reached_cap)
+    exact = stats.stop is None
     return SearchOutcome(kind="exact" if exact else "bracketed",
                          value=lower if exact else None, lower=lower,
                          upper=lower if exact else upper, witness=witness,
                          certificate=certificate, nodes_explored=stats.nodes,
-                         wall_time=wall, used_closure=used_closure)
+                         wall_time=wall, used_closure=used_closure, stop=stats.stop)
 
 
 def _confirm(rule_desc, palette, n, budget) -> ConfirmOutcome:
     """Complete canonicalized DFS capped at depth n: True when no valid
     coloring of length n exists, None when the budget ran out first."""
     stats = _dispatch(rule_desc, palette, n, budget)
-    result = False if stats.reached_cap else None if stats.exhausted else True
-    return ConfirmOutcome(result=result, nodes=stats.nodes)
+    return ConfirmOutcome(result={None: True, "cap": False}.get(stats.stop), nodes=stats.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +512,8 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
     nondecreasing flag are replaced by their monotone closure, which bounds
     the original quantity from above; the outcome is flagged ``used_closure``.
     """
-    if r < 1:
-        raise InvalidArgumentError("r must be >= 1")
+    if r < 1 or n_cap is not None and n_cap < 0:
+        raise InvalidArgumentError("r must be >= 1 and the length cap a natural")
     used_closure = not f.nondecreasing
     f = f.monotone
     formula = formula_upper_bound(f, r)
@@ -538,8 +537,8 @@ def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
     Same engine and outcome semantics as :func:`brown_number`; no
     closed-form upper bound is evaluated, so brackets carry ``upper=None``.
     """
-    if r < 1 or l < 1:
-        raise InvalidArgumentError("r and l must be >= 1")
+    if r < 1 or l < 1 or n_cap is not None and n_cap < 0:
+        raise InvalidArgumentError("r and l must be >= 1 and the length cap a natural")
 
     def audit(witness):
         if ap_partition_check(witness, l) is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from brownlab import checker, constructions
+from brownlab import checker, cli, constructions
 from brownlab.cache import ResultCache
 from brownlab.checker import WitnessCertificate, is_witness, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
@@ -86,6 +87,22 @@ def test_brown_oracle_agreement(cache_env, capsys):
     assert payload["value"] == payload["oracle_value"] <= 5
 
 
+@pytest.mark.parametrize("value,oracle_value", [(4, 5), (3, None)])
+def test_oracle_reports_a_search_that_says_too_little(cache_env, capsys, monkeypatch, value,
+                                                      oracle_value):
+    # B(linear:1, 2) = 5; the enumeration runs up to value + 1, so a search two
+    # short leaves it without a value, which is still a disagreement
+    search = cli.brown_number
+    monkeypatch.setattr(cli, "brown_number", lambda *args, **kwargs: dataclasses.replace(
+        search(*args, **kwargs), value=value, lower=value, upper=value))
+    code, payload, err = _run(capsys, "brown", "--f", "linear:1", "--r", "2", "--oracle",
+                              "--no-cache")
+    assert code == 1
+    assert (payload["value"], payload["oracle_value"], payload["oracle_agreed"]) == (
+        value, oracle_value, False)
+    assert f"ORACLE DISAGREEMENT: search says {value}" in err
+
+
 def test_brown_bracket_at_cap(cache_env, capsys):
     code, payload, _ = _run(capsys, "brown", "--f", "exp2", "--r", "2", "--max-n", "16")
     assert code == 0
@@ -104,6 +121,10 @@ def test_brown_bracket_at_cap(cache_env, capsys):
      "vdw(r=2, l=3) in [4, ?] (stopped at --max-n 3 after 7 nodes)"),
     (("vdw", "--r", "2", "--l", "3", "--budget-nodes", "4"), 4,
      "vdw(r=2, l=3) in [4, ?] (budget exhausted after 4 nodes)"),
+    (("brown", "--f", "linear:2", "--r", "2", "--max-n", "0"), 1,
+     "brown(linear:2, r=2) in [1, 17] (stopped at --max-n 0 after 0 nodes)"),
+    (("brown", "--f", "linear:2", "--r", "2", "--budget-seconds", "0"), 1,
+     "brown(linear:2, r=2) in [1, 17] (deadline passed after 0 nodes)"),
 ])
 def test_bracket_note_names_why_the_search_stopped(cache_env, capsys, argv, lower, note):
     code, payload, err = _run(capsys, *argv, "--no-cache")
@@ -265,7 +286,7 @@ def test_brown_usage_errors(cache_env, capsys):
     bad_flags = (("--jobs", "0"), ("--jobs", "-3"), ("--budget-nodes", "-5"),
                  ("--budget-seconds", "-1"))
     for command in commands:
-        for flags in bad_flags:
+        for flags in bad_flags + ((("--max-n", "-1"),) if command[0] != "confirm" else ()):
             code, payload, err = _run(capsys, *command, *flags)
             assert (code, payload) == (2, None), (command, flags)
             assert "error" in err

@@ -169,7 +169,7 @@ def test_bad_budgets_and_jobs_are_rejected():
 
 def test_deadline_passing_in_the_parallel_probe_brackets():
     outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0, jobs=2))
-    assert outcome.kind == "bracketed"
+    assert (outcome.kind, outcome.stop) == ("bracketed", "deadline")
     assert outcome.lower <= 13 <= outcome.upper
     assert confirm_no_witness(13, LIN2, 2,
                               budget=SearchBudget(max_seconds=0.0, jobs=2)).result is None
@@ -178,7 +178,7 @@ def test_deadline_passing_in_the_parallel_probe_brackets():
 def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
     f = parse_growth_spec("linear:3")
     stats = _run_tree(("star", f, 2), 2, None, None, time.monotonic() - 1.0)
-    assert (stats.nodes, stats.exhausted) == (0, True)
+    assert (stats.nodes, stats.stop) == (0, "deadline")
     reads = 0
     clock = time.monotonic
 
@@ -192,8 +192,8 @@ def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
         reads = 0
         timed = _run_tree(("star", f, 2), 2, None, max_nodes, clock() + 3600.0)
         untimed = _run_tree(("star", f, 2), 2, None, max_nodes, None)
-        assert (timed.best, timed.nodes, timed.exhausted) == (untimed.best, untimed.nodes,
-                                                              untimed.exhausted)
+        assert (timed.best, timed.nodes, timed.stop) == (untimed.best, untimed.nodes,
+                                                         untimed.stop)
         assert 1 <= reads <= timed.nodes // 2048 + 2
 
 
@@ -296,12 +296,33 @@ def test_canonicalization_preserves_outcomes():
 
 
 def test_parallel_split_matches_sequential():
-    seq = brown_number(LIN2, 2)
-    par = brown_number(LIN2, 2, budget=SearchBudget(jobs=2))
-    assert (seq.value, seq.witness.values) == (par.value, par.witness.values)
-    seq = vdw_number(2, 3)
-    par = vdw_number(2, 3, budget=SearchBudget(jobs=2))
-    assert (seq.value, seq.witness.values) == (par.value, par.witness.values)
+    # the probe and the workers walk the canonical tree once between them, so
+    # an exhaustive search counts the same nodes
+    lin3 = GrowthFn.linear(3)
+    for search_with in (lambda budget: brown_number(LIN2, 2, budget=budget),
+                        lambda budget: brown_number(lin3, 2, budget=budget),
+                        lambda budget: vdw_number(2, 3, budget=budget),
+                        lambda budget: vdw_number(3, 3, budget=budget)):
+        seq, par = search_with(SearchBudget()), search_with(SearchBudget(jobs=2))
+        assert (seq.value, seq.witness.values, seq.nodes_explored) == (
+            par.value, par.witness.values, par.nodes_explored)
+    # a witness of length 24 exists: the sequential walk stops at the first one,
+    # the split only after its probe has walked the whole depth-12 frontier
+    for n, result, par_nodes in ((24, False, 541), (25, True, 606_441)):
+        seq = confirm_no_witness(n, lin3, 2)
+        par = confirm_no_witness(n, lin3, 2, budget=SearchBudget(jobs=2))
+        assert (seq.result, par.result, par.nodes) == (result, result, par_nodes)
+        assert result is False or seq.nodes == par.nodes
+
+
+def test_probe_answers_a_cap_its_frontier_reaches(monkeypatch):
+    # a frontier level at the length cap is the search's answer: no pool starts
+    monkeypatch.setattr(search, "Pool", None)
+    assert confirm_no_witness(3, LIN1, 2, budget=SearchBudget(jobs=2)) == search.ConfirmOutcome(
+        False, 5)
+    outcome = vdw_number(2, 3, n_cap=3, budget=SearchBudget(jobs=2))
+    assert (outcome.kind, outcome.lower, outcome.stop, outcome.nodes_explored) == (
+        "bracketed", 4, "cap", 7)
 
 
 TREE_CASES = (
@@ -366,12 +387,12 @@ def _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, collec
     if cap is not None and len(best) >= cap:
         if collect is not None:
             collect.append(best)
-        return best, 0, False, True
-    nodes, exhausted, reached_cap = 0, False, False
+        return best, 0, None if collect is not None else "cap"
+    nodes, stop = 0, None
     frames, used = [0], [max(prefix) + 1 if prefix else 0]
     while frames:
         if max_nodes is not None and nodes >= max_nodes:
-            exhausted = True
+            stop = "nodes"
             break
         c = frames[-1]
         if c > min(used[-1] if canonical else palette - 1, palette - 1):
@@ -387,15 +408,15 @@ def _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, collec
             if len(values) > len(best):
                 best = tuple(values)
             if cap is not None and len(values) >= cap:
-                reached_cap = True
                 if collect is None:
+                    stop = "cap"
                     break
                 collect.append(tuple(values))
                 rule.pop(values.pop())
                 continue
             used.append(max(used[-1], c + 1))
             frames.append(0)
-    return best, nodes, exhausted, reached_cap
+    return best, nodes, stop
 
 
 @st.composite
@@ -425,7 +446,7 @@ def test_shared_prefix_record_matches_snapshots(case):
                     got_collected)
     want = _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical,
                           want_collected)
-    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+    assert (got.best, got.nodes, got.stop) == want
     assert got_collected == want_collected
 
 
@@ -508,7 +529,7 @@ def test_ap_rule_walks_the_same_tree_as_the_slice_rule(monkeypatch, l, r, max_no
     got = _run_tree(("ap", l), r, None, max_nodes, None)
     monkeypatch.setattr(search, "_ApRule", _SliceApRule)
     want = _run_tree(("ap", l), r, None, max_nodes, None)
-    assert (got.best, got.nodes, got.exhausted) == (want.best, want.nodes, want.exhausted)
+    assert (got.best, got.nodes, got.stop) == (want.best, want.nodes, want.stop)
 
 
 def test_ap_rule_memory_grows_linearly_with_depth():
@@ -574,7 +595,7 @@ def test_table_walks_the_same_tree_as_the_snapshots(spec, palette, colors, cap, 
     with pytest.MonkeyPatch.context() as mp:
         _force_table(mp)
         got = _run_tree(rule_desc, palette, cap, max_nodes, None, prefix, canonical)
-    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+    assert (got.best, got.nodes, got.stop) == want
 
 
 @pytest.mark.parametrize("spec", STAR_SPECS)
@@ -586,7 +607,7 @@ def test_table_counts_every_spec_exactly(monkeypatch, spec):
             with pytest.MonkeyPatch.context() as mp:
                 _force_table(mp)
                 got = _run_tree(("star", f, palette), palette, 20, None, None, (), canonical)
-            assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+            assert (got.best, got.nodes, got.stop) == want
 
 
 def test_node_caps_inside_counted_subtrees_stop_where_the_walk_stops(monkeypatch):
@@ -599,7 +620,7 @@ def test_node_caps_inside_counted_subtrees_stop_where_the_walk_stops(monkeypatch
     for max_nodes in range(full.nodes + 2):
         got = _run_tree(rule_desc, 2, 14, max_nodes, None)
         want = _snapshot_tree(rule_desc, 2, 14, max_nodes, (), True, None)
-        assert (got.best, got.nodes, got.exhausted, got.reached_cap) == want
+        assert (got.best, got.nodes, got.stop) == want
 
 
 def test_table_fires_on_the_exact_star_workload(monkeypatch):
@@ -720,8 +741,7 @@ def test_table_stays_within_its_entry_bound(monkeypatch):
 
     monkeypatch.setattr(search, "_TABLE_SIZE", Bound(16))
     got = _run_tree(("star", f, 2), 2, 31, None, None)
-    assert (got.best, got.nodes, got.exhausted, got.reached_cap) == (
-        want.best, want.nodes, want.exhausted, want.reached_cap)
+    assert (got.best, got.nodes, got.stop) == (want.best, want.nodes, want.stop)
     assert Bound.seen and max(Bound.seen) <= 16
 
 
