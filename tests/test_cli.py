@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -461,7 +462,13 @@ def test_ladder_stage_three_reports_length_only(capsys, monkeypatch):
     code, payload, err = _run(capsys, "ladder", "--s", "3")
     assert code == 0
     assert payload["materialized"] is False
-    assert len(payload["length"]) > 600_000   # decimal digits of the exact length
+    n = constructions.ladder(3).length
+    # the exact digits, checked without a quadratic conversion: the digit count
+    # is one of two values fixed by the bit length, and the tail is n mod 10**40
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+    digits += n >= 10 ** digits
+    assert len(payload["length"]) == digits > 600_000
+    assert payload["length"][-40:] == f"{n % 10 ** 40:040d}"
     assert len(renders) == 1                  # the payload and the note share one render
     assert f"length {payload['length'][0]}.{payload['length'][1:5]}e+" in err
 
@@ -536,6 +543,20 @@ def test_closure_bound_overflow_stops_at_once(cache_env, capsys):
     assert payload["kind"] == "bracketed"
     assert payload["upper"] is None
     assert payload["bounds"] == {"ardal": None, "recursion": None}
+
+
+def test_linear_bound_past_the_bit_cap_is_null(cache_env, capsys):
+    # 2**60000000 is past the cap: neither command builds or renders it
+    started = time.monotonic()
+    code, payload, _ = _run(capsys, "bounds", "--m", "60000000", "--r-max", "1")
+    assert code == 0
+    assert payload["rows"][0]["ardal"] is None
+    assert payload["rows"][0]["recursion"] == "60000002"
+    code, payload, _ = _run(capsys, "brown", "--f", "linear:60000000", "--r", "1",
+                            "--budget-nodes", "1000", "--no-cache")
+    assert code == 0
+    assert payload["bounds"] == {"ardal": None, "recursion": "60000002"}
+    assert time.monotonic() - started < 5
 
 
 def test_bounds_argument_errors(cache_env, capsys):

@@ -1,10 +1,15 @@
+import decimal
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brownlab.checker import is_witness
 from brownlab.core import Coloring, GrowthFn, gap_size, max_run_size
-from brownlab.constructions import (ardal_bound, decompose_ps, diag,
+from brownlab.constructions import (_LEAF_BITS, BIT_CAP, ardal_bound,
+                                    brown_bounds, decimal_str, decompose_ps, diag,
                                     diag_bound_check, diag_prefix,
                                     extract_homogeneous_ps, ladder,
                                     ladder_lengths, ladder_lower_bound_check,
@@ -184,6 +189,50 @@ def test_linear_growth_bound_values():
     assert ardal_bound(2, 2) == 25
     with pytest.raises(InvalidArgumentError):
         ardal_bound(0, 1)
+
+
+def test_linear_growth_bound_stops_at_the_bit_cap():
+    assert ardal_bound(BIT_CAP, 1).bit_length() == BIT_CAP
+    for m, r in ((BIT_CAP + 1, 1), (BIT_CAP // 2 + 1, 2)):
+        with pytest.raises(MagnitudeError) as err:
+            ardal_bound(m, r)
+        assert (err.value.depth, err.value.base) == (1, m * r)
+    assert brown_bounds(GrowthFn.linear(BIT_CAP + 1), 1) == (None, BIT_CAP + 3)
+
+
+# bit lengths at the edges of the leaf and of the first splits, and beyond
+_BITS = st.one_of(st.integers(0, 70),
+                  *(st.integers(k * _LEAF_BITS - 4, k * _LEAF_BITS + 4) for k in (1, 2, 3, 4)),
+                  st.integers(0, 40_000))
+
+
+@st.composite
+def _naturals(draw):
+    bits = draw(_BITS)
+    k = bits * 3 // 10          # 10**k has about as many bits as 2**bits
+    return draw(st.sampled_from((
+        random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(bits),
+        1 << bits, (1 << bits) - 1, 10 ** k, 10 ** k - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_naturals())
+@example(0)
+def test_decimal_str_matches_str(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with decimal.localcontext() as ctx:
+            ctx.clear_flags()
+            assert decimal_str(n) == str(n)
+            assert not any(ctx.flags.values())   # the ambient context is never used
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_str_rejects_negatives():
+    with pytest.raises(InvalidArgumentError):
+        decimal_str(-1)
 
 
 def test_tower_values():
