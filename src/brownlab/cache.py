@@ -1,7 +1,9 @@
 """Content-addressed cache for exact search results.
 
 Entries are JSON files named by the SHA-256 of their canonical key, each
-recording the key, the result payload, and the producing version.  Writes
+recording the key, the producing version and only what the search found:
+its witness (run-length body and length), node count and wall time; the
+CLI re-checks the witness and rebuilds the printed result from it.  Writes
 go through a temp file and an atomic rename; unreadable entries, and those
 of another key or version, are ignored and recomputed, never trusted.
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 CACHE_ENV_VAR = "BROWNLAB_CACHE"
-CACHE_VERSION = "brownlab-0.1.0"
+CACHE_VERSION = "brownlab-0.2.0"
 
 
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:

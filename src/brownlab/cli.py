@@ -9,15 +9,18 @@ summaries go to stderr so pipelines stay composable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
 from . import constructions
 from .cache import ResultCache, resolve_cache_dir
-from .checker import WitnessCertificate, _scan, verify_certificate
-from .checker import is_witness  # noqa: F401 -- bench/test_bench.py traces this binding
+from .checker import _scan, is_witness
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
 from .core import Coloring, GrowthFn, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
@@ -78,6 +81,15 @@ def _read_coloring(path: str) -> Coloring:
         raise InvalidArgumentError(f"malformed coloring file {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn a failed write to ``path`` into exit 2, as a failed read is."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _outcome_payload(outcome: SearchOutcome) -> dict:
     payload = {
         "kind": outcome.kind,
@@ -101,100 +113,84 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cached(cache, key: dict):
-    """``(result, state)`` for a search result in the cache: a ``hit`` only if
-    it passes a fresh result's audit (exact, ``value == lower == upper ==
-    witness_length + 1``, a witness that checks for the key's growth, closed
-    when the search closes it, and a ``used_closure`` that says so), else
-    None with ``off``, ``miss`` or ``rejected``."""
+def _cached(cache, key: dict, f: Optional[GrowthFn]):
+    """``(outcome, state)``: a ``hit`` is the exact outcome rebuilt from an
+    entry's witness (decoded within its ``witness_length``), ``nodes`` and
+    ``wall_time`` once the witness passes the search's own audit (the star
+    check on ``f`` as the search closes it; for vdw, ``f`` None, no
+    ``l``-term progression); else None with ``off``, ``miss`` or ``rejected``."""
     if cache is None:
         return None, "off"
-    result = cache.get(key)
-    if result is None:
+    entry = cache.get(key)
+    if entry is None:
         return None, "miss"
     try:
-        n = result["witness_length"]
-        sound = (result["kind"] == "exact"
-                 and result["value"] == result["lower"] == result["upper"] == n + 1)
-        # n bounds the witness body before it is decoded
-        if sound and key["op"] == "vdw":
-            values = parse_rle_string(result["witness_rle"], n)
-            sound = ap_partition_check(Coloring(key["r"], values), key["l"]) is None
-        elif sound:
-            f = parse_growth_spec(key["growth"])
-            growth = f.monotone
-            doc = result["certificate"]
-            sound = (result["used_closure"] is (growth is not f)
-                     and doc["length"] == n and doc["palette"] == key["r"]
-                     and doc["growth"] == growth.spec_string()
-                     and verify_certificate(WitnessCertificate.from_json(json.dumps(doc))))
+        nodes, wall = entry["nodes"], entry["wall_time"]
+        if type(nodes) is not int or nodes < 0 or type(wall) not in (int, float) \
+                or not 0 <= wall < math.inf:
+            return None, "rejected"
+        witness = Coloring(key["r"], parse_rle_string(entry["witness_rle"],
+                                                      entry["witness_length"]))
+        certificate = None if f is None else is_witness(witness, f.monotone)
+        if certificate is None and (f is not None or ap_partition_check(witness, key["l"])):
+            return None, "rejected"
     except (AttributeError, KeyError, TypeError, ValueError):
-        sound = False
-    return (result, "hit") if sound else (None, "rejected")
+        return None, "rejected"
+    value = witness.length + 1
+    return SearchOutcome("exact", value, value, value, witness, certificate, nodes, wall,
+                         used_closure=f is not None and not f.nondecreasing), "hit"
 
 
 def _search_command(args) -> int:
-    op = args.command
     cache = None
     # a --max-n result is not the cached question's answer: neither read nor stored
     if not args.no_cache and args.max_n is None:
         cache = ResultCache(resolve_cache_dir(args.cache_dir))
-    if op == "brown":
-        f = _parse_growth(args.f)
-        key = {"op": "brown", "growth": f.spec_string(), "r": args.r}
+    f = _parse_growth(args.f) if args.command == "brown" else None
+    if f is not None:
+        key = {"command": "brown", "growth": f.spec_string(), "r": args.r}
+        label = f"brown({key['growth']}, r={args.r})"
     else:
-        key = {"op": "vdw", "r": args.r, "l": args.l}
+        key = {"command": "vdw", "r": args.r, "l": args.l}
+        label = f"vdw(r={args.r}, l={args.l})"
 
     budget = _budget(args)
-    result, cache_state = _cached(cache, key)
-    if result is None:
-        if op == "brown":
-            outcome = brown_number(f, args.r, n_cap=args.max_n, budget=budget)
-            result = _outcome_payload(outcome)
-            result["growth"] = f.spec_string()
-            result["r"] = args.r
-            result["bounds"] = _brown_bounds(f, args.r)
-        else:
-            outcome = vdw_number(args.r, args.l, n_cap=args.max_n, budget=budget)
-            result = _outcome_payload(outcome)
-            result["r"] = args.r
-            result["l"] = args.l
-        if cache is not None and result["kind"] == "exact":
-            cache.put(key, result)
+    outcome, cache_state = _cached(cache, key, f)
+    if outcome is None:
+        outcome = (brown_number(f, args.r, n_cap=args.max_n, budget=budget) if f is not None
+                   else vdw_number(args.r, args.l, n_cap=args.max_n, budget=budget))
+        if cache is not None and outcome.kind == "exact":
+            with _writing(cache.directory):
+                cache.put(key, {"witness_rle": rle_string(outcome.witness.values),
+                                "witness_length": outcome.witness.length,
+                                "nodes": outcome.nodes_explored,
+                                "wall_time": round(outcome.wall_time, 6)})
 
-    payload = dict(result)
-    payload["command"] = op
-    payload["cache"] = cache_state
+    payload = {**_outcome_payload(outcome), **key, "cache": cache_state}
+    if f is not None:
+        payload["bounds"] = _brown_bounds(f, args.r)
 
     exit_code = EXIT_OK
-    if args.oracle:
-        agreed = _run_oracle(op, args, result, payload)
-        if not agreed:
-            exit_code = EXIT_NEGATIVE
-    if args.certificate and "certificate" in payload:
-        cert_text = json.dumps(payload["certificate"], sort_keys=True,
-                               separators=(",", ":"))
-        Path(args.certificate).write_text(cert_text + "\n")
+    if args.oracle and not _run_oracle(args, f, outcome, payload):
+        exit_code = EXIT_NEGATIVE
+    if args.certificate and outcome.certificate is not None:
+        with _writing(args.certificate):
+            Path(args.certificate).write_text(outcome.certificate.to_json() + "\n")
         payload["certificate_path"] = args.certificate
-    if result["kind"] == "bracketed" and args.require_exact:
+    if outcome.kind == "bracketed" and args.require_exact:
         exit_code = EXIT_BUDGET
 
     _emit(payload)
-    if op == "brown":
-        label = f"brown({key['growth']}, r={args.r})"
+    if outcome.kind == "exact":
+        _note(f"{label} = {outcome.value} exact "
+              f"(nodes={payload['nodes']}, {payload['wall_time']}s, cache {cache_state})")
     else:
-        label = f"vdw(r={args.r}, l={args.l})"
-    if result["kind"] == "exact":
-        _note(f"{label} = {result['value']} exact "
-              f"(nodes={result['nodes']}, {result['wall_time']}s, cache {cache_state})")
-    else:
-        upper = result["upper"]
-        upper_text = _sci(constructions.decimal_str(upper)) if upper is not None else "?"
-        # a bracket is never a cache hit, so the search's outcome says why it stopped
+        upper = outcome.upper
+        upper_text = "?" if upper is None else _sci(constructions.decimal_str(upper))
         reason = {"cap": f"stopped at --max-n {args.max_n}",
                   "deadline": "deadline passed"}.get(outcome.stop, "budget exhausted")
-        _note(f"{label} in [{result['lower']}, {upper_text}] "
-              f"({reason} after {result['nodes']} nodes)")
+        _note(f"{label} in [{outcome.lower}, {upper_text}] "
+              f"({reason} after {payload['nodes']} nodes)")
     return exit_code
 
 
@@ -206,17 +202,17 @@ def _brown_bounds(f: GrowthFn, r: int) -> dict:
     return {"ardal": ardal, "recursion": recursion}
 
 
-def _run_oracle(op: str, args, result: dict, payload: dict) -> bool:
-    if result["kind"] != "exact":
+def _run_oracle(args, f: Optional[GrowthFn], outcome: SearchOutcome, payload: dict) -> bool:
+    if outcome.kind != "exact":
         raise InvalidArgumentError("--oracle needs an exact outcome; "
                                    "raise the budget or drop --max-n")
-    value = result["value"]
+    value = outcome.value
     if value > ORACLE_VALUE_CAP or args.r > 3:
         raise InvalidArgumentError(f"--oracle is for small instances only "
                                    f"(value <= {ORACLE_VALUE_CAP}, r <= 3)")
     try:
-        oracle_value = (brown_number_bruteforce(_parse_growth(args.f), args.r, value + 1)
-                        if op == "brown" else vdw_number_bruteforce(args.r, args.l, value + 1))
+        oracle_value = (brown_number_bruteforce(f, args.r, value + 1) if f is not None
+                        else vdw_number_bruteforce(args.r, args.l, value + 1))
     except InvalidArgumentError:
         # every length up to value + 1 has a valid coloring: the search reported too little
         oracle_value = None
@@ -278,7 +274,8 @@ def _cmd_ladder(args) -> int:
     payload = {"command": "ladder", "s": args.s, "length": length,
                "palette": stage.palette, "materialized": stage.materialized}
     if args.out:
-        Path(args.out).write_text(encode_coloring(stage.coloring))
+        with _writing(args.out):
+            Path(args.out).write_text(encode_coloring(stage.coloring))
         payload["out"] = args.out
     if args.verify:
         report = constructions.ladder_verify(stage)
@@ -320,21 +317,16 @@ def _cmd_bounds(args) -> int:
         if bounds["recursion"] is None:
             raise MagnitudeError(f"recursion bound for r={r} overflows the "
                                  f"{constructions.BIT_CAP}-bit cap")
-        cached, _ = _cached(cache, {"op": "brown", "growth": f.spec_string(), "r": r})
+        cached, _ = _cached(cache, {"command": "brown", "growth": f.spec_string(), "r": r}, f)
         rows.append({"r": r, **bounds,
                      "cached": None if cached is None else
-                     {"kind": cached.get("kind"), "value": cached.get("value")}})
+                     {"kind": cached.kind, "value": cached.value}})
     if args.format == "csv":
         lines = [_BOUNDS_CSV_HEADER]
         for row in rows:
             cached = row["cached"] or {}
-            lines.append(",".join([
-                str(row["r"]),
-                row["ardal"] or "",
-                row["recursion"],
-                str(cached.get("kind") or ""),
-                str(cached.get("value") if cached.get("value") is not None else ""),
-            ]))
+            lines.append(",".join([str(row["r"]), row["ardal"] or "", row["recursion"],
+                                   cached.get("kind", ""), str(cached.get("value", ""))]))
         print("\n".join(lines))
     else:
         _emit({"command": "bounds", "growth": f.spec_string(),
@@ -355,7 +347,8 @@ def _cmd_diag(args) -> int:
     payload = {"command": "diag", "d": args.d, "n": args.n,
                "coloring_rle": rle_string(coloring.values)}
     if args.out:
-        Path(args.out).write_text(encode_coloring(coloring))
+        with _writing(args.out):
+            Path(args.out).write_text(encode_coloring(coloring))
         payload["out"] = args.out
     _emit(payload)
     return EXIT_OK
@@ -446,6 +439,7 @@ def _add_budget_flags(parser) -> None:
                         help="wall-clock budget in seconds")
 
 
+@functools.cache  # built once: run_cli parses every call with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brownlab",

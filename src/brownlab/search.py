@@ -66,6 +66,7 @@ depth.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import chain, product
@@ -430,7 +431,9 @@ def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
     or enough prefixes, then a worker explores the subtree of each.  The
     probe and the workers share the one deadline and the one node budget,
     the workers splitting what the probe left.  Prefixes come in DFS (lex)
-    order, so the first longest record is the lexicographically least."""
+    order, so the first longest record is the lexicographically least.  The
+    split depends on ``jobs`` alone; the pool starts no more processes than
+    there are prefixes or CPUs."""
     runs, level, nodes = [], [()], 0
     while cap is None or len(level[0]) < cap:
         if len(level[0]) == 12 or len(level) >= 4 * budget.jobs or len(level) > 5000:
@@ -450,7 +453,7 @@ def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
         return _DfsStats(level[0], nodes, "cap")
     share = None if budget.max_nodes is None else (budget.max_nodes - nodes) // len(level)
     tasks = [(rule_desc, palette, cap, share, deadline, prefix) for prefix in level]
-    with Pool(processes=budget.jobs) as pool:
+    with Pool(processes=min(budget.jobs, len(level), os.cpu_count() or 1)) as pool:
         return _fold(runs + pool.starmap(_run_tree, tasks))
 
 

@@ -13,10 +13,10 @@ import pytest
 
 from brownlab import checker, cli, constructions
 from brownlab.cache import ResultCache
-from brownlab.checker import WitnessCertificate, is_witness, verify_certificate
+from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
-from brownlab.colorfile import encode_coloring
-from brownlab.core import Coloring, parse_growth_spec
+from brownlab.colorfile import encode_coloring, rle_string
+from brownlab.core import Coloring
 
 
 @pytest.fixture()
@@ -193,34 +193,28 @@ VDW_R2_L3 = ("vdw", "--r", "2", "--l", "3")                # value 9, witness le
 BROWN_TABLE_R2 = ("brown", "--f", "table:3,1,2", "--r", "2")  # value 25, on its closure
 
 
-def _certificate(palette, values, growth):
-    """A valid certificate, but for another palette or growth than the entry's."""
-    return json.loads(is_witness(Coloring(palette, values), parse_growth_spec(growth)).to_json())
-
-
+# value, lower and upper are witness_length + 1 and used_closure is the key's,
+# so an entry can forge only its witness, its length, nodes and wall_time
 @pytest.mark.parametrize("argv,value,edit", [
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(value=4)),
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(value=4, lower=4, upper=4,
-                                                     witness_length=3)),
-    (BROWN_LIN1_R2, 5, lambda e: e["result"]["certificate"].update(coloring_rle="0x4")),
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(used_closure=True)),
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
-        certificate=_certificate(3, (0, 1, 2, 0), "linear:1"))),
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
-        certificate=_certificate(2, (0, 0, 1, 1), "linear:2"))),
-    # the exact result for closure:linear:1 (value 7), flagged as closed
-    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(
-        value=7, lower=7, upper=7, witness_length=6, used_closure=True,
-        certificate=_certificate(2, (0, 1) * 3, "closure:linear:1"))),
-    (BROWN_TABLE_R2, 25, lambda e: e["result"].update(used_closure=False)),
-    (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8)),
-    (VDW_R2_L3, 9, lambda e: e["result"].update(value=8, lower=8, upper=8,
-                                                 witness_length=7)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(witness_length=3)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(witness_rle="0x4")),
+    # a third color under palette 2
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(witness_rle="0x1 1x1 2x1 0x1")),
+    # a witness for linear:2
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(witness_rle="0x2 1x2")),
+    # the witness of closure:linear:1 (value 7)
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(witness_rle=rle_string((0, 1) * 3),
+                                                     witness_length=6)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(nodes="x")),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(nodes=-1)),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(wall_time="x")),
+    (BROWN_LIN1_R2, 5, lambda e: e["result"].update(wall_time=-1)),
+    (VDW_R2_L3, 9, lambda e: e["result"].update(witness_length=7)),
     (VDW_R2_L3, 9, lambda e: e["result"].update(witness_rle="0x8")),
-], ids=["brown-value", "brown-bracket-and-length", "brown-certificate-body",
-        "brown-closure-flag", "brown-certificate-palette", "brown-certificate-growth",
-        "brown-forged-closure", "brown-closure-flag-dropped",
-        "vdw-bracket", "vdw-bracket-and-length", "vdw-witness-body"])
+], ids=["brown-bracket-and-length", "brown-certificate-body", "brown-certificate-palette",
+        "brown-certificate-growth", "brown-forged-closure", "brown-nodes-not-int",
+        "brown-nodes-negative", "brown-wall-time-not-number", "brown-wall-time-negative",
+        "vdw-bracket-and-length", "vdw-witness-body"])
 def test_cache_entry_failing_its_audit_is_rejected_and_overwritten(cache_env, capsys,
                                                                    argv, value, edit):
     _run(capsys, *argv)
@@ -231,12 +225,42 @@ def test_cache_entry_failing_its_audit_is_rejected_and_overwritten(cache_env, ca
     assert (code, payload["cache"], payload["value"]) == (0, "hit", value)
 
 
+def test_cache_entry_holds_only_what_the_search_found(cache_env, capsys):
+    _run(capsys, "brown", "--f", "linear:2", "--r", "2")
+    [path] = (cache_env / "cache").glob("*.json")
+    entry = json.loads(path.read_text())
+    assert entry["key"] == {"command": "brown", "growth": "linear:2", "r": 2}
+    assert sorted(entry["result"]) == ["nodes", "wall_time", "witness_length", "witness_rle"]
+
+
+@pytest.mark.parametrize("argv", [("brown", "--f", "linear:2", "--r", "2"), BROWN_TABLE_R2,
+                                  VDW_R2_L3], ids=["brown", "brown-closure", "vdw"])
+def test_cache_hit_prints_the_miss_stdout(cache_env, capsys, argv):
+    run_cli(list(argv))
+    miss = capsys.readouterr()
+    run_cli(list(argv))
+    hit = capsys.readouterr()
+    assert '"cache":"miss"' in miss.out
+    assert hit.out == miss.out.replace('"cache":"miss"', '"cache":"hit"')
+    assert hit.err == miss.err.replace("cache miss", "cache hit")
+
+
+def test_forged_printed_fields_in_a_cache_entry_never_reach_stdout(cache_env, capsys):
+    code, miss, _ = _run(capsys, *BROWN_LIN1_R2)
+    _edit_cache_entry(cache_env / "cache", lambda e: e["result"].update(
+        bounds={"ardal": "1", "recursion": "1"}, growth="exp2", forged=True))
+    code, hit, _ = _run(capsys, *BROWN_LIN1_R2)
+    assert (code, hit.pop("cache"), miss.pop("cache")) == (0, "hit", "miss")
+    assert hit == miss and hit["bounds"]["ardal"] == "5"
+
+
 def test_bounds_lists_only_audited_cache_entries(cache_env, capsys):
     _run(capsys, *BROWN_LIN1_R2)
-    _edit_cache_entry(cache_env / "cache", lambda e: e["result"].update(value=4))
+    _edit_cache_entry(cache_env / "cache", lambda e: e["result"].update(witness_rle="0x4"))
+    _run(capsys, "brown", "--f", "linear:1", "--r", "1")
     code, payload, _ = _run(capsys, "bounds", "--m", "1", "--r-max", "2")
     assert code == 0
-    assert payload["rows"][1]["cached"] is None
+    assert [row["cached"] for row in payload["rows"]] == [{"kind": "exact", "value": 2}, None]
 
 
 def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, capsys):
@@ -246,13 +270,28 @@ def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, 
     cache = ResultCache(cache_env / "cache")
     tracemalloc.start()
     try:
-        state = _cached(cache, {"op": "vdw", "r": 2, "l": 3})[1]
+        state = _cached(cache, {"command": "vdw", "r": 2, "l": 3}, None)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (state, peak < 1_000_000) == ("rejected", True)
     code, payload, _ = _run(capsys, *VDW_R2_L3)
     assert (code, payload["cache"], payload["value"]) == (0, "rejected", 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("brown", "--f", "linear:1", "--r", "1", "--no-cache", "--certificate", "{dir}"),
+    ("brown", "--f", "linear:1", "--r", "1", "--cache-dir", "{file}"),
+    ("ladder", "--s", "1", "--out", "{dir}"),
+    ("diag", "--d", "2", "--n", "8", "--out", "{dir}"),
+], ids=["certificate", "cache-dir", "ladder", "diag"])
+def test_a_failed_write_exits_two_naming_the_path(tmp_path, capsys, argv):
+    target = tmp_path / "file"
+    target.write_text("")
+    argv = [a.format(dir=tmp_path, file=target) for a in argv]
+    code, payload, err = _run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
 @pytest.mark.parametrize("flags,nodes,seconds", [

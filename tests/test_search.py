@@ -325,6 +325,37 @@ def test_probe_answers_a_cap_its_frontier_reaches(monkeypatch):
         "bracketed", 4, "cap", 7)
 
 
+def test_pool_starts_no_more_processes_than_prefixes_or_cpus(monkeypatch):
+    # the fake pool runs its tasks in this process, so a large jobs forks nothing
+    started, splits = [], []
+
+    class InlinePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            splits.append([task[-1] for task in tasks])
+            return list(itertools.starmap(fn, tasks))
+
+    monkeypatch.setattr(search, "Pool", InlinePool)
+    seq = brown_number(LIN2, 2)
+    # at jobs=64 the probe stops at depth 12 with 47 prefixes
+    for jobs, cpus, processes in ((3, 1000, 3), (64, 1000, 47), (64, 4, 4), (64, None, 1)):
+        monkeypatch.setattr(search.os, "cpu_count", lambda cpus=cpus: cpus)
+        outcome = brown_number(LIN2, 2, budget=SearchBudget(jobs=jobs))
+        assert started.pop() == processes
+        assert (outcome.witness.values, outcome.nodes_explored) == (
+            seq.witness.values, seq.nodes_explored)
+    # the split depends on jobs alone, not on the processes started
+    assert len(splits[1]) == 47 and splits[1] == splits[2] == splits[3]
+
+
 TREE_CASES = (
     [pytest.param(("star", f, r), r, id=f"f{i}-{r}")
      for i, (f, r) in enumerate([(LIN1, 2), (LIN2, 2), (EXP2, 2), (LIN1, 3)])]
