@@ -429,7 +429,7 @@ def _add_search_flags(parser) -> None:
 
 def _add_budget_flags(parser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the subtree split (default 1)")
+                        help="split the search into this many parts, one process each (default 1)")
     parser.add_argument("--require-exact", action="store_true",
                         help="exit 3 instead of reporting a bracket")
     parser.add_argument("--budget-nodes", type=int, default=None,

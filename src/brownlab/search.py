@@ -62,6 +62,14 @@ the path length, and a new record copies only the positions past
 copied at most once, so keeping the record costs O(nodes) and a deep,
 narrow search runs in time linear in its nodes, not quadratic in its
 depth.
+
+``jobs > 1`` splits the walk into that many parts, each a pool task that
+walks the tree from the root: the k-th node (from 0, in DFS order) at
+depth ``_SPLIT_DEPTH`` roots a subtree of part ``k mod jobs``, a leaf to
+the others.  Only part 0 counts the push attempts above that depth, but
+each part spends them from its budget share.  A part builds star keys
+only in its own subtrees, whose counts are exact, and keeps one table for
+all of them.  The least of the parts' longest records is one walk's.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ from .progressions import ap_partition_check
 @dataclass(frozen=True)
 class SearchBudget:
     """Resources for a search: node and time caps (None means unlimited)
-    and the worker processes of the subtree split."""
+    and the parts of the split, one pool task each."""
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -274,6 +282,8 @@ _TABLE_SHARE = 128
 _KEY_COST = 1 / 4
 _TABLE_MIN = 128
 _TABLE_SIZE = 1 << 15
+# the depth of the subtree roots that a split deals out to its parts
+_SPLIT_DEPTH = 10
 
 
 def _star_key(rule, depth, limit):
@@ -305,50 +315,40 @@ class _DfsStats:
     stop: Optional[str]      # None (walked to the end) | "cap" | "nodes" | "deadline"
 
 
-def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical=True,
-              collect=None) -> _DfsStats:
-    """Iterative DFS over valid extensions of ``prefix``; lowest color first.
-
-    ``rule_desc`` is ``("star", f, r)`` or ``("ap", l)``.  ``best`` tracks
-    the first (hence lexicographically least) deepest valid coloring.  With
-    ``collect`` set, depth-``cap`` nodes are gathered as subtree roots
-    instead of stopping the search (so its stop is never ``"cap"``).
-    """
+def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
+              part=(0, 1)) -> _DfsStats:
+    """Iterative DFS of part ``part=(i, n)`` of the split, lowest color first,
+    by ``("star", f)`` or ``("ap", l)``.  ``best`` tracks the first (hence
+    lexicographically least) deepest valid coloring."""
+    index, parts = part
+    never = 1 << 62
+    last = cap if cap is not None else never
     values: list[int] = []
-    if rule_desc[0] == "star":
-        rule = _StarRule(rule_desc[1], rule_desc[2])
-    else:
-        rule = _ApRule(rule_desc[1], values, palette)
-    for pos, c in enumerate(prefix):
-        if not rule.try_push(pos, c):
-            raise InvalidArgumentError("search prefix is not a valid coloring")
-        values.append(c)
-    nodes = 0
-    stop = None
+    rule = (_StarRule(rule_desc[1], palette) if rule_desc[0] == "star"
+            else _ApRule(rule_desc[1], values, palette))
+    nodes, stop = 0, None if last > 0 else "cap"
     # the record shares its first ``agree`` positions with the live path
-    best = list(values)
-    best_len = agree = len(values)
-    if cap is not None and best_len >= cap:
-        if collect is not None:
-            collect.append(tuple(best))
-        return _DfsStats(tuple(best), nodes, None if collect is not None else "cap")
-
-    frames = [0]
+    best: list[int] = []
+    best_len = agree = 0
+    frames = [0] if stop is None else []
     last_color = palette - 1
     # the highest color each depth may try, already clamped to the palette
-    used = max(prefix) + 1 if prefix else 0
-    color_limits = [min(used, last_color) if canonical else last_color]
+    color_limits = [0 if canonical else last_color]
     try_push, rule_pop = rule.try_push, rule.pop
     push_value, pop_value = values.append, values.pop
     # the node cap and the clock are both looked at when nodes reaches check_at
     check_at = 0
+    # a push to leaf_depth reaches the cap or, above the split, a root; ``turn``
+    # roots come before this part's next, and ``own`` counts its subtrees' attempts
+    top_leaf = leaf_depth = min(last, _SPLIT_DEPTH) if parts > 1 else last
+    turn, own = index, 0
     # key -> push attempts of a walked subtree; a key built at depth <= table_depth
-    # waits in ``open_keys`` as (depth, key, nodes at the push) until it is walked
-    table = {} if rule_desc[0] == "star" and collect is None else None
-    gap = _TABLE_GAP if table is not None else 1 << 62   # else no depth is <= table_depth
-    table_depth = best_len - gap
-    open_keys: list[tuple] = []
-    open_depth = -1
+    # waits in ``open_keys`` as (depth, key, nodes at the push) until it is walked,
+    # as a walked root does with the key None.  No key is built above the split
+    table, table_gap = ({}, _TABLE_GAP) if rule_desc[0] == "star" else (None, never)
+    gap = table_gap if parts == 1 else never
+    table_depth = -gap
+    open_keys, open_depth = [], -1
     saved = spent = build_at = 0
     while frames:
         if nodes >= check_at:
@@ -370,7 +370,10 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                 if depth < open_depth:
                     _, key, start = open_keys.pop()
                     open_depth = open_keys[-1][0] if open_keys else -1
-                    if nodes - start >= _TABLE_MIN:
+                    if key is None:   # back above the split
+                        own += nodes - start
+                        leaf_depth, gap, table_depth = top_leaf, never, -never
+                    elif nodes - start >= _TABLE_MIN:
                         if len(table) >= _TABLE_SIZE:
                             table.clear()
                         table[key] = nodes - start
@@ -402,69 +405,47 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, prefix=(), canonical
                     continue
                 open_keys.append((depth, key, nodes))
                 open_depth = depth
-            if cap is not None and depth >= cap:
-                if collect is None:
+            if depth >= leaf_depth:
+                if depth >= last:
                     stop = "cap"
                     break
-                collect.append(tuple(values))
-                # a leaf: its spent frame makes the next step backtrack
-                color_limits.append(last_color)
-                frames.append(palette)
-                continue
+                if turn:   # another part's root: a leaf, whose spent frame backtracks
+                    turn -= 1
+                    color_limits.append(last_color)
+                    frames.append(palette)
+                    continue
+                turn = parts - 1
+                open_keys.append((depth, None, nodes))
+                open_depth = depth
+                leaf_depth, gap, table_depth = last, table_gap, best_len - table_gap
             color_limits.append(c + 1 if c == limit_c and c < last_color else limit_c)
             frames.append(0)
+    if index:   # part 0 alone counts the attempts above the split
+        nodes = own + (nodes - open_keys[0][2] if open_keys else 0)
     return _DfsStats(tuple(best), nodes, stop)
 
 
 def _fold(runs) -> _DfsStats:
-    """Merge walks listed in DFS order: their nodes summed, the first longest
-    record, and the first stop of the cap, the deadline and the node budget."""
-    stops = {run.stop for run in runs}
-    return _DfsStats(max(runs, key=lambda run: len(run.best)).best,
+    """Merge a split's parts: nodes summed, the longest record (the least of
+    equal ones) and the first stop of the cap, the deadline and the budget."""
+    return _DfsStats(min((run.best for run in runs), key=lambda best: (-len(best), best)),
                      sum(run.nodes for run in runs),
-                     next((stop for stop in ("cap", "deadline", "nodes") if stop in stops), None))
-
-
-def _run_parallel(rule_desc, palette, cap, budget, deadline) -> _DfsStats:
-    """Static frontier split: a probe extends each prefix of a level by one
-    position until a level reaches the cap (the search's answer), depth 12
-    or enough prefixes, then a worker explores the subtree of each.  The
-    probe and the workers share the one deadline and the one node budget,
-    the workers splitting what the probe left.  Prefixes come in DFS (lex)
-    order, so the first longest record is the lexicographically least.  The
-    split depends on ``jobs`` alone; the pool starts no more processes than
-    there are prefixes or CPUs."""
-    runs, level, nodes = [], [()], 0
-    while cap is None or len(level[0]) < cap:
-        if len(level[0]) == 12 or len(level) >= 4 * budget.jobs or len(level) > 5000:
-            break
-        frontier: list[tuple] = []
-        for prefix in level:
-            left = None if budget.max_nodes is None else budget.max_nodes - nodes
-            runs.append(_run_tree(rule_desc, palette, len(prefix) + 1, left, deadline,
-                                  prefix, collect=frontier))
-            nodes += runs[-1].nodes
-            if runs[-1].stop is not None:
-                return _fold(runs)
-        if not frontier:  # the whole tree is shallower than this level
-            return _fold(runs)
-        level = frontier
-    else:
-        return _DfsStats(level[0], nodes, "cap")
-    share = None if budget.max_nodes is None else (budget.max_nodes - nodes) // len(level)
-    tasks = [(rule_desc, palette, cap, share, deadline, prefix) for prefix in level]
-    with Pool(processes=min(budget.jobs, len(level), os.cpu_count() or 1)) as pool:
-        return _fold(runs + pool.starmap(_run_tree, tasks))
+                     min((run.stop for run in runs if run.stop), default=None,
+                         key=("cap", "deadline", "nodes").index))
 
 
 def _dispatch(rule_desc, palette, cap, budget) -> _DfsStats:
+    """One walk, or a pool task per part of the split with an equal share of
+    the node budget each; the pool starts no more processes than parts or CPUs."""
     budget = budget or SearchBudget()
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    if budget.jobs > 1:
-        return _run_parallel(rule_desc, palette, cap, budget, deadline)
-    return _run_tree(rule_desc, palette, cap, budget.max_nodes, deadline)
+    jobs = budget.jobs
+    share = None if budget.max_nodes is None else budget.max_nodes // jobs
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    if jobs == 1:
+        return _run_tree(rule_desc, palette, cap, share, deadline)
+    tasks = [(rule_desc, palette, cap, share, deadline, True, (i, jobs)) for i in range(jobs)]
+    with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
+        return _fold(pool.starmap(_run_tree, tasks))
 
 
 def _threshold(rule_desc, palette, cap, upper, budget, audit,
@@ -529,7 +510,7 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
                                "this is a bug in the incremental checker")
         return certificate
 
-    return _threshold(("star", f, r), r, cap, formula, budget, audit, used_closure)
+    return _threshold(("star", f), r, cap, formula, budget, audit, used_closure)
 
 
 def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
@@ -559,7 +540,7 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     an indeterminate (None) result flags budget exhaustion."""
     if n < 0 or r < 1:
         raise InvalidArgumentError("n must be a natural and r >= 1")
-    return _confirm(("star", _nondecreasing(f), r), r, n, budget)
+    return _confirm(("star", _nondecreasing(f)), r, n, budget)
 
 
 def confirm_no_ap_witness(n: int, r: int, l: int,

@@ -119,7 +119,7 @@ def test_brown_bracket_at_cap(cache_env, capsys):
     (("brown", "--f", "linear:2", "--r", "2", "--max-n", "5", "--budget-nodes", "5"), 5,
      "brown(linear:2, r=2) in [5, 17] (budget exhausted after 5 nodes)"),
     (("vdw", "--r", "2", "--l", "3", "--max-n", "3", "--jobs", "2"), 4,
-     "vdw(r=2, l=3) in [4, ?] (stopped at --max-n 3 after 7 nodes)"),
+     "vdw(r=2, l=3) in [4, ?] (stopped at --max-n 3 after 4 nodes)"),
     (("vdw", "--r", "2", "--l", "3", "--budget-nodes", "4"), 4,
      "vdw(r=2, l=3) in [4, ?] (budget exhausted after 4 nodes)"),
     (("brown", "--f", "linear:2", "--r", "2", "--max-n", "0"), 1,

@@ -167,7 +167,7 @@ def test_bad_budgets_and_jobs_are_rejected():
             confirm_no_ap_witness(9, 2, 3, budget=SearchBudget(jobs=jobs))
 
 
-def test_deadline_passing_in_the_parallel_probe_brackets():
+def test_deadline_passing_in_the_parallel_split_brackets():
     outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0, jobs=2))
     assert (outcome.kind, outcome.stop) == ("bracketed", "deadline")
     assert outcome.lower <= 13 <= outcome.upper
@@ -177,7 +177,7 @@ def test_deadline_passing_in_the_parallel_probe_brackets():
 
 def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
     f = parse_growth_spec("linear:3")
-    stats = _run_tree(("star", f, 2), 2, None, None, time.monotonic() - 1.0)
+    stats = _run_tree(("star", f), 2, None, None, time.monotonic() - 1.0)
     assert (stats.nodes, stats.stop) == (0, "deadline")
     reads = 0
     clock = time.monotonic
@@ -190,8 +190,8 @@ def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
     monkeypatch.setattr(time, "monotonic", counting_clock)
     for max_nodes in (10_000, None):
         reads = 0
-        timed = _run_tree(("star", f, 2), 2, None, max_nodes, clock() + 3600.0)
-        untimed = _run_tree(("star", f, 2), 2, None, max_nodes, None)
+        timed = _run_tree(("star", f), 2, None, max_nodes, clock() + 3600.0)
+        untimed = _run_tree(("star", f), 2, None, max_nodes, None)
         assert (timed.best, timed.nodes, timed.stop) == (untimed.best, untimed.nodes,
                                                          untimed.stop)
         assert 1 <= reads <= timed.nodes // 2048 + 2
@@ -285,7 +285,7 @@ def test_canonicalization_preserves_outcomes():
     # the searches break color symmetry; the reference tree walks every coloring
     for f, r in [(LIN1, 2), (LIN2, 2)]:
         on = brown_number(f, r)
-        off = _run_tree(("star", f, r), r, None, None, None, canonical=False)
+        off = _run_tree(("star", f), r, None, None, None, canonical=False)
         assert on.value == len(off.best) + 1
         assert on.witness.values == off.best
         assert on.nodes_explored != off.nodes
@@ -296,8 +296,8 @@ def test_canonicalization_preserves_outcomes():
 
 
 def test_parallel_split_matches_sequential():
-    # the probe and the workers walk the canonical tree once between them, so
-    # an exhaustive search counts the same nodes
+    # the parts walk the canonical tree once between them, so an exhaustive
+    # search counts the same nodes
     lin3 = GrowthFn.linear(3)
     for search_with in (lambda budget: brown_number(LIN2, 2, budget=budget),
                         lambda budget: brown_number(lin3, 2, budget=budget),
@@ -307,57 +307,26 @@ def test_parallel_split_matches_sequential():
         assert (seq.value, seq.witness.values, seq.nodes_explored) == (
             par.value, par.witness.values, par.nodes_explored)
     # a witness of length 24 exists: the sequential walk stops at the first one,
-    # the split only after its probe has walked the whole depth-12 frontier
-    for n, result, par_nodes in ((24, False, 541), (25, True, 606_441)):
+    # each part at the first one in its own subtrees
+    for n, result, par_nodes in ((24, False, 236), (25, True, 606_441)):
         seq = confirm_no_witness(n, lin3, 2)
         par = confirm_no_witness(n, lin3, 2, budget=SearchBudget(jobs=2))
         assert (seq.result, par.result, par.nodes) == (result, result, par_nodes)
         assert result is False or seq.nodes == par.nodes
 
 
-def test_probe_answers_a_cap_its_frontier_reaches(monkeypatch):
-    # a frontier level at the length cap is the search's answer: no pool starts
-    monkeypatch.setattr(search, "Pool", None)
-    assert confirm_no_witness(3, LIN1, 2, budget=SearchBudget(jobs=2)) == search.ConfirmOutcome(
-        False, 5)
-    outcome = vdw_number(2, 3, n_cap=3, budget=SearchBudget(jobs=2))
-    assert (outcome.kind, outcome.lower, outcome.stop, outcome.nodes_explored) == (
-        "bracketed", 4, "cap", 7)
-
-
-def test_pool_starts_no_more_processes_than_prefixes_or_cpus(monkeypatch):
-    # the fake pool runs its tasks in this process, so a large jobs forks nothing
-    started, splits = [], []
-
-    class InlinePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks):
-            splits.append([task[-1] for task in tasks])
-            return list(itertools.starmap(fn, tasks))
-
-    monkeypatch.setattr(search, "Pool", InlinePool)
+def test_pool_starts_no_more_processes_than_jobs_or_cpus(monkeypatch, inline_pool):
     seq = brown_number(LIN2, 2)
-    # at jobs=64 the probe stops at depth 12 with 47 prefixes
-    for jobs, cpus, processes in ((3, 1000, 3), (64, 1000, 47), (64, 4, 4), (64, None, 1)):
+    for jobs, cpus, processes in ((3, 1000, 3), (64, 1000, 64), (64, 4, 4), (64, None, 1)):
         monkeypatch.setattr(search.os, "cpu_count", lambda cpus=cpus: cpus)
         outcome = brown_number(LIN2, 2, budget=SearchBudget(jobs=jobs))
-        assert started.pop() == processes
+        assert inline_pool.pop() == processes
         assert (outcome.witness.values, outcome.nodes_explored) == (
             seq.witness.values, seq.nodes_explored)
-    # the split depends on jobs alone, not on the processes started
-    assert len(splits[1]) == 47 and splits[1] == splits[2] == splits[3]
 
 
 TREE_CASES = (
-    [pytest.param(("star", f, r), r, id=f"f{i}-{r}")
+    [pytest.param(("star", f), r, id=f"f{i}-{r}")
      for i, (f, r) in enumerate([(LIN1, 2), (LIN2, 2), (EXP2, 2), (LIN1, 3)])]
     + [pytest.param(("ap", l), r, id=f"ap{l}-{r}") for r in (2, 3) for l in (3, 4)])
 
@@ -375,7 +344,7 @@ def test_tree_nodes_are_exactly_the_valid_colorings(rule_desc, r):
             return ap_partition_check(coloring, rule_desc[1]) is None
     for k in (1, 2, 3, 5):
         collected = []
-        _run_tree(rule_desc, r, k, None, None, canonical=False, collect=collected)
+        _snapshot_tree(rule_desc, r, k, None, (), False, collected)
         expected = {values for values in itertools.product(range(r), repeat=k)
                     if valid(Coloring(r, values))}
         assert set(collected) == expected
@@ -384,8 +353,7 @@ def test_tree_nodes_are_exactly_the_valid_colorings(rule_desc, r):
 def test_deepest_witness_is_lexicographically_least():
     outcome = brown_number(LIN1, 2)
     collected = []
-    _run_tree(("star", LIN1, 2), 2, outcome.value - 1, None, None,
-              canonical=False, collect=collected)
+    _snapshot_tree(("star", LIN1), 2, outcome.value - 1, None, (), False, collected)
     assert outcome.witness.values == min(collected)
 
 
@@ -454,31 +422,17 @@ def _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, collec
 def _tree_cases(draw):
     kind, param = draw(st.sampled_from(RULES))
     palette = draw(st.integers(1, 3))
-    rule_desc = (kind, param, palette) if kind == "star" else (kind, param)
-    # the longest valid prefix of a random color sequence
-    prefix = []
-    rule = _new_rule(rule_desc, palette, prefix)
-    for c in draw(st.lists(st.integers(0, palette - 1), max_size=6)):
-        if not rule.try_push(len(prefix), c):
-            break
-        prefix.append(c)
     cap = draw(st.none() | st.integers(1, 8))
-    return (rule_desc, palette, cap, draw(st.integers(0, 400)), tuple(prefix),
-            draw(st.booleans()), draw(st.booleans()))
+    return (kind, param), palette, cap, draw(st.integers(0, 400)), draw(st.booleans())
 
 
 @settings(max_examples=400, deadline=None)
 @given(_tree_cases())
 def test_shared_prefix_record_matches_snapshots(case):
-    rule_desc, palette, cap, max_nodes, prefix, canonical, collect = case
-    got_collected = [] if collect else None
-    want_collected = [] if collect else None
-    got = _run_tree(rule_desc, palette, cap, max_nodes, None, prefix, canonical,
-                    got_collected)
-    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical,
-                          want_collected)
+    rule_desc, palette, cap, max_nodes, canonical = case
+    got = _run_tree(rule_desc, palette, cap, max_nodes, None, canonical)
+    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, (), canonical, None)
     assert (got.best, got.nodes, got.stop) == want
-    assert got_collected == want_collected
 
 
 @settings(max_examples=300, deadline=None)
@@ -593,39 +547,31 @@ def _force_table(mp, size=1 << 20):
     mp.setattr(search, "_TABLE_SIZE", size)
 
 
-def _counting_pushes(mp):
+def _counting_pushes(mp, rule=_StarRule):
     calls = [0]
-    push = _StarRule.try_push
+    push = rule.try_push
 
     def counted(self, pos, color):
         calls[0] += 1
         return push(self, pos, color)
 
-    mp.setattr(_StarRule, "try_push", counted)
+    mp.setattr(rule, "try_push", counted)
     return calls
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(STAR_SPECS), st.integers(1, 4), st.lists(st.integers(0, 3), max_size=5),
-       st.integers(1, 20), st.booleans(), st.floats(0, 1))
-def test_table_walks_the_same_tree_as_the_snapshots(spec, palette, colors, cap, canonical, share):
-    rule_desc = ("star", parse_growth_spec(spec), palette)
-    # the longest valid prefix of a random color sequence, canonical or not
-    prefix = []
-    rule = _StarRule(rule_desc[1], palette)
-    for c in colors:
-        if c >= palette or not rule.try_push(len(prefix), c):
-            break
-        prefix.append(c)
-    prefix = tuple(prefix)
-    size = _snapshot_tree(rule_desc, palette, cap, 3000, prefix, canonical, None)[1]
+@given(st.sampled_from(STAR_SPECS), st.integers(1, 4), st.integers(1, 20), st.booleans(),
+       st.floats(0, 1))
+def test_table_walks_the_same_tree_as_the_snapshots(spec, palette, cap, canonical, share):
+    rule_desc = ("star", parse_growth_spec(spec))
+    size = _snapshot_tree(rule_desc, palette, cap, 3000, (), canonical, None)[1]
     # node caps anywhere in the tree (past its end when it is small), so some
     # land inside a counted subtree
     max_nodes = round(share * (size + 1))
-    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, prefix, canonical, None)
+    want = _snapshot_tree(rule_desc, palette, cap, max_nodes, (), canonical, None)
     with pytest.MonkeyPatch.context() as mp:
         _force_table(mp)
-        got = _run_tree(rule_desc, palette, cap, max_nodes, None, prefix, canonical)
+        got = _run_tree(rule_desc, palette, cap, max_nodes, None, canonical)
     assert (got.best, got.nodes, got.stop) == want
 
 
@@ -634,16 +580,16 @@ def test_table_counts_every_spec_exactly(monkeypatch, spec):
     f = parse_growth_spec(spec)
     for palette in (1, 2, 3):
         for canonical in (True, False):
-            want = _snapshot_tree(("star", f, palette), palette, 20, None, (), canonical, None)
+            want = _snapshot_tree(("star", f), palette, 20, None, (), canonical, None)
             with pytest.MonkeyPatch.context() as mp:
                 _force_table(mp)
-                got = _run_tree(("star", f, palette), palette, 20, None, None, (), canonical)
+                got = _run_tree(("star", f), palette, 20, None, None, canonical)
             assert (got.best, got.nodes, got.stop) == want
 
 
 def test_node_caps_inside_counted_subtrees_stop_where_the_walk_stops(monkeypatch):
     # every node cap of a tree whose table saves a third of its attempts
-    rule_desc = ("star", LIN2, 2)
+    rule_desc = ("star", LIN2)
     _force_table(monkeypatch)
     calls = _counting_pushes(monkeypatch)
     full = _run_tree(rule_desc, 2, 14, None, None)
@@ -694,7 +640,7 @@ def _chains(rule):
 
 
 def _subtree(spec, palette, values, cap=16):
-    rule_desc = ("star", parse_growth_spec(spec), palette)
+    rule_desc = ("star", parse_growth_spec(spec))
     return _snapshot_tree(rule_desc, palette, cap, None, values, True, None)[:2]
 
 
@@ -756,7 +702,7 @@ def test_state_key_determines_every_live_bound(spec, palette, n):
 
 def test_table_stays_within_its_entry_bound(monkeypatch):
     f = parse_growth_spec("linear:3")
-    want = _run_tree(("star", f, 2), 2, 31, None, None)
+    want = _run_tree(("star", f), 2, 31, None, None)
 
     class Bound(int):
         """The entry bound, noting every table length it is compared with."""
@@ -771,7 +717,7 @@ def test_table_stays_within_its_entry_bound(monkeypatch):
             return int(self) > length
 
     monkeypatch.setattr(search, "_TABLE_SIZE", Bound(16))
-    got = _run_tree(("star", f, 2), 2, 31, None, None)
+    got = _run_tree(("star", f), 2, 31, None, None)
     assert (got.best, got.nodes, got.stop) == (want.best, want.nodes, want.stop)
     assert Bound.seen and max(Bound.seen) <= 16
 
@@ -785,3 +731,69 @@ def test_table_memory_stays_small():
         tracemalloc.stop()
     assert outcome.value == 25
     assert peak < 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# the --jobs split
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule_desc,r,cap", [
+    (("star", LIN1), 3, None), (("star", LIN2), 2, None), (("star", EXP2), 2, None),
+    (("star", GrowthFn.linear(3)), 2, 24), (("ap", 3), 2, None), (("ap", 4), 2, None),
+    (("ap", 4), 2, 20)])
+def test_split_parts_fold_to_one_walk(rule_desc, r, cap):
+    # the trees run past the split depth; a cap stops each part at its own first
+    # coloring of that length, so only then do the counts differ
+    one = _run_tree(rule_desc, r, cap, None, None)
+    for jobs in (2, 3, 5, 8):
+        folded = search._fold([_run_tree(rule_desc, r, cap, None, None, True, (i, jobs))
+                               for i in range(jobs)])
+        assert (folded.best, folded.stop) == (one.best, one.stop)
+        assert folded.stop == "cap" or folded.nodes == one.nodes
+
+
+@st.composite
+def _split_cases(draw):
+    kind, param = draw(st.sampled_from(RULES))
+    return ((kind, param), draw(st.integers(1, 3)), draw(st.integers(1, 9)),
+            draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases(), st.integers(0, 400))
+def test_split_parts_fold_to_one_walk_at_any_split_depth(case, max_nodes):
+    rule_desc, palette, cap, jobs, split_depth, force_table = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_SPLIT_DEPTH", split_depth)
+        if force_table:
+            _force_table(mp)
+        one = _run_tree(rule_desc, palette, cap, None, None)
+        parts = [_run_tree(rule_desc, palette, cap, None, None, True, (i, jobs))
+                 for i in range(jobs)]
+        folded = search._fold(parts)
+        assert (folded.best, folded.stop) == (one.best, one.stop)
+        assert folded.stop == "cap" or folded.nodes == one.nodes
+        # a part spends its share on every push it makes, those it does not count too
+        calls = _counting_pushes(mp, _StarRule if rule_desc[0] == "star" else _ApRule)
+        for i in range(jobs):
+            calls[0] = 0
+            part = _run_tree(rule_desc, palette, cap, max_nodes // jobs, None, True, (i, jobs))
+            assert part.nodes <= max_nodes // jobs and calls[0] <= max_nodes // jobs
+
+
+def test_each_part_keeps_one_table_for_all_its_subtrees(monkeypatch, inline_pool):
+    # one walk makes 182,371 pushes; with one table for all of its subtrees,
+    # each part repeats few of them
+    calls = _counting_pushes(monkeypatch)
+    outcome = confirm_no_witness(25, GrowthFn.linear(3), 2, budget=SearchBudget(jobs=2))
+    assert (outcome, inline_pool) == (search.ConfirmOutcome(True, 606_441), [2])
+    assert calls[0] < 606_441 // 2
+
+
+def test_each_part_spends_its_share_as_deep_as_one_walk(inline_pool):
+    # exp2 r=3 runs about one level per node, so a part spends its whole share
+    # on its first subtree: one walk of 50,000 nodes reaches 25,870
+    outcome = brown_number(EXP2, 3, budget=SearchBudget(max_nodes=50_000, jobs=2))
+    assert (outcome.kind, outcome.stop) == ("bracketed", "nodes")
+    assert outcome.lower >= 10_000 and outcome.nodes_explored <= 50_000
