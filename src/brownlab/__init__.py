@@ -19,9 +19,8 @@ from .search import (ConfirmOutcome, SearchBudget, SearchOutcome, brown_number,
                      vdw_number_bruteforce)
 from .constructions import (BlockPrefix, ExtractReport, LadderStage,
                             LadderVerifyReport, ardal_bound, decompose_ps,
-                            diag, diag_bound_check, diag_prefix,
-                            extract_homogeneous_ps, ladder,
-                            ladder_lower_bound_check, ladder_verify,
+                            diag_bound_check, diag_prefix, extract_homogeneous_ps,
+                            ladder, ladder_lower_bound_check, ladder_verify,
                             ps_generate, ps_problems, tower, upper_bound_seq)
 from .progressions import ApWitness, ap_partition_check
 from .colorfile import decode_coloring, encode_coloring
@@ -39,7 +38,7 @@ __all__ = [
     "brown_number_bruteforce", "confirm_no_ap_witness", "confirm_no_witness",
     "formula_upper_bound", "vdw_number", "vdw_number_bruteforce",
     "BlockPrefix", "ExtractReport", "LadderStage", "LadderVerifyReport",
-    "ardal_bound", "decompose_ps", "diag", "diag_bound_check", "diag_prefix",
+    "ardal_bound", "decompose_ps", "diag_bound_check", "diag_prefix",
     "extract_homogeneous_ps", "ladder", "ladder_lower_bound_check",
     "ladder_verify", "ps_generate", "ps_problems", "tower", "upper_bound_seq",
     "ApWitness", "ap_partition_check",

@@ -142,6 +142,8 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
 
 
 def _search_command(args) -> int:
+    if args.oracle and args.r > 3:
+        raise InvalidArgumentError("--oracle is for small instances only (r <= 3)")
     cache = None
     # a --max-n result is not the cached question's answer: neither read nor stored
     if not args.no_cache and args.max_n is None:
@@ -207,9 +209,9 @@ def _run_oracle(args, f: Optional[GrowthFn], outcome: SearchOutcome, payload: di
         raise InvalidArgumentError("--oracle needs an exact outcome; "
                                    "raise the budget or drop --max-n")
     value = outcome.value
-    if value > ORACLE_VALUE_CAP or args.r > 3:
+    if value > ORACLE_VALUE_CAP:
         raise InvalidArgumentError(f"--oracle is for small instances only "
-                                   f"(value <= {ORACLE_VALUE_CAP}, r <= 3)")
+                                   f"(value <= {ORACLE_VALUE_CAP})")
     try:
         oracle_value = (brown_number_bruteforce(f, args.r, value + 1) if f is not None
                         else vdw_number_bruteforce(args.r, args.l, value + 1))

@@ -2,7 +2,7 @@
 
 This module materializes and verifies the library's reference objects:
 
-* the alternating-block coloring ``diag(d, .)`` whose color classes admit
+* the alternating-block coloring ``diag_prefix(d, n)`` whose color classes admit
   no gap-d-bounded homogeneous set larger than d;
 * the recursive witness ladder: stage s is a coloring on ``n_s`` positions
   with ``2**s`` colors, every class of which satisfies the star condition
@@ -31,7 +31,7 @@ from .checker import star_violation
 from .core import Coloring, GrowthFn, _runs, gap_size, max_run_size
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
-LADDER_MATERIALIZE_CAP = 2   # stages beyond this are evaluator-only
+LADDER_MATERIALIZE_CAP = 2   # stages beyond this carry their length only
 LADDER_LENGTH_CAP = 3        # n_s is not representable past stage 3
 BIT_CAP = 1 << 25            # largest exponent evaluated as 2**n
 _LEAF_BITS = 4_000           # str(int) and Decimal(int) are quadratic, cheap below this
@@ -74,19 +74,9 @@ def decimal_str(n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def diag(d: int, x: int) -> int:
-    """Color of position x in the width-d alternating-block 2-coloring.
-
-    Positions fall in blocks of d consecutive naturals; blocks alternate
-    between colors 0 and 1, so the color is ``(x // d) % 2``.
-    """
-    if d < 1:
-        raise InvalidArgumentError("block width must be >= 1")
-    return (x // d) & 1
-
-
 def diag_prefix(d: int, n: int) -> Coloring:
-    """The length-n prefix of the width-d alternating-block coloring."""
+    """The length-n prefix of the width-d alternating-block 2-coloring: blocks
+    of d consecutive positions alternate between colors 0 and 1."""
     if d < 1:
         raise InvalidArgumentError("block width must be >= 1")
     return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)))
@@ -117,8 +107,7 @@ def ladder_lengths(up_to: int) -> list:
     if up_to > LADDER_LENGTH_CAP:
         raise MagnitudeError(
             f"stage {up_to} length is not representable "
-            f"(stage {LADDER_LENGTH_CAP} already has ~2 million bits)",
-            depth=up_to)
+            f"(stage {LADDER_LENGTH_CAP} already has ~2 million bits)")
     lengths = [2]
     for _ in range(up_to):
         n = lengths[-1]
@@ -131,32 +120,17 @@ class LadderStage:
     """Stage s of the witness ladder: palette ``2**s``, length ``n_s``.
 
     ``coloring`` is materialized only when the stage fits the cap; larger
-    stages still expose the exact length and a positional evaluator.
+    stages carry their exact length only.
     """
 
     index: int
     length: int
     palette: int
     coloring: Optional[Coloring]
-    lengths: tuple
 
     @property
     def materialized(self) -> bool:
         return self.coloring is not None
-
-    def color_at(self, x: int) -> int:
-        """Color of position x, by unwinding the recursive block structure."""
-        if not 0 <= x < self.length:
-            raise InvalidArgumentError(f"position {x} outside 0..{self.length - 1}")
-        color = 0
-        for s in range(self.index, 0, -1):
-            half = self.lengths[s - 1]
-            pos = x % (2 * half)
-            if pos >= half:
-                color += 1 << (s - 1)
-                pos -= half
-            x = pos
-        return color
 
 
 def _ladder_values(s: int, lengths: Sequence[int]) -> list:
@@ -168,17 +142,16 @@ def _ladder_values(s: int, lengths: Sequence[int]) -> list:
 
 
 def ladder(s: int) -> LadderStage:
-    """Build stage s.  Stages past the materialization cap come back
-    evaluator-only (flagged via ``materialized``); stages whose length is not
-    even representable raise :class:`MagnitudeError`."""
+    """Build stage s.  Stages past the materialization cap come back with
+    their length only (flagged via ``materialized``); stages whose length is
+    not even representable raise :class:`MagnitudeError`."""
     if s < 0:
         raise InvalidArgumentError("stage index must be a natural")
     lengths = ladder_lengths(s)
     coloring = None
     if s <= LADDER_MATERIALIZE_CAP:
         coloring = Coloring(palette=1 << s, values=tuple(_ladder_values(s, lengths)))
-    return LadderStage(index=s, length=lengths[s], palette=1 << s,
-                       coloring=coloring, lengths=tuple(lengths))
+    return LadderStage(index=s, length=lengths[s], palette=1 << s, coloring=coloring)
 
 
 @dataclass(frozen=True)
@@ -188,16 +161,9 @@ class LadderClaim:
     star_ok: bool
     span_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.size_ok and self.star_ok and self.span_ok
-
 
 @dataclass(frozen=True)
 class LadderVerifyReport:
-    stage: int
-    length: int
-    palette: int
     claims: tuple
     failures: tuple
 
@@ -215,10 +181,9 @@ def ladder_verify(stage: LadderStage) -> LadderVerifyReport:
     """
     s = stage.index
     if stage.coloring is None:
-        raise MagnitudeError(f"stage {s} exceeds the materialization cap, cannot scan its classes",
-                             depth=s)
+        raise MagnitudeError(f"stage {s} exceeds the materialization cap, cannot scan its classes")
     exp2 = GrowthFn.exp2()
-    pad = sum(stage.lengths[:s]) + 1
+    pad = sum(ladder_lengths(s)[:s]) + 1
     claims = []
     failures = []
     for color, h in enumerate(stage.coloring.classes()):
@@ -230,8 +195,7 @@ def ladder_verify(stage: LadderStage) -> LadderVerifyReport:
                          ("span identity", span_ok)):
             if not ok:
                 failures.append(f"color {color}: {name} fails")
-    return LadderVerifyReport(stage=s, length=stage.length, palette=stage.palette,
-                              claims=tuple(claims), failures=tuple(failures))
+    return LadderVerifyReport(claims=tuple(claims), failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +208,11 @@ def _guard(f: GrowthFn, n: int) -> None:
     terms = n + 1
     while f.kind == "closure":
         if terms > BIT_CAP:
-            raise MagnitudeError(f"closure at {n} sums more than {BIT_CAP} terms", base=n)
+            raise MagnitudeError(f"closure at {n} sums more than {BIT_CAP} terms")
         f, terms = f.inner, terms * (n + 1)
     if f.kind == "exp2" and n > BIT_CAP:
         raise MagnitudeError(f"2**n with n of {n.bit_length()} bits exceeds "
-                             f"the {BIT_CAP}-bit cap", depth=1, base=n)
+                             f"the {BIT_CAP}-bit cap")
 
 
 def upper_bound_seq(f: GrowthFn, r: int) -> int:
@@ -277,7 +241,7 @@ def ardal_bound(m: int, r: int) -> int:
     if m < 1 or r < 1:
         raise InvalidArgumentError("m and r must be >= 1")
     if m * r > BIT_CAP:
-        raise MagnitudeError(f"2**{m * r} exceeds the {BIT_CAP}-bit cap", depth=1, base=m * r)
+        raise MagnitudeError(f"2**{m * r} exceeds the {BIT_CAP}-bit cap")
     return r * ((1 << (m * r)) - m * r) + 1
 
 
@@ -298,16 +262,14 @@ def tower(k: int, n: int) -> int:
     """Iterated exponential: height 0 is n, each level is 2 to the previous.
 
     Results whose bit count would exceed ``BIT_CAP`` raise
-    :class:`MagnitudeError` carrying the offending (k, n).
+    :class:`MagnitudeError` whose message names the offending (k, n).
     """
     if k < 0 or n < 0:
         raise InvalidArgumentError("tower arguments must be naturals")
     v = n
     for _ in range(k):
         if v >= BIT_CAP:
-            raise MagnitudeError(
-                f"tower of height {k} over {n} exceeds the {BIT_CAP}-bit cap",
-                depth=k, base=n)
+            raise MagnitudeError(f"tower of height {k} over {n} exceeds the {BIT_CAP}-bit cap")
         v = 1 << v
     return v
 
@@ -367,10 +329,6 @@ class BlockPrefix:
 
     elements: tuple
     bounds: tuple
-
-    @property
-    def block_count(self) -> int:
-        return len(self.bounds)
 
     def block_of_index(self, k: int) -> int:
         """1-based block number containing element index k."""
@@ -459,8 +417,6 @@ class ExtractReport:
 
     image: tuple           # the x-values indexed by the whole index set
     subset: tuple          # n elements of the image with gaps <= e*d
-    source_block: int      # 1-based block that supplied the subset
-    used_first_half: bool  # True when the first n elements stayed in the earlier block
     gap_bound: int         # e*d
 
     @property
@@ -500,12 +456,11 @@ def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
     tail = window[k:]
     image = tuple(prefix.elements[j] for j in y)
     block_first = prefix.block_of_index(tail[0])
-    first_start, first_end = prefix.bounds[block_first - 1]
+    first_end = prefix.bounds[block_first - 1][1]
     if all(j < first_end for j in tail[:n]):
         subset = tuple(prefix.elements[j] for j in tail[:n])
-        chosen, used_first = block_first, True
     else:
-        if block_first >= prefix.block_count:
+        if block_first >= len(prefix.bounds):
             raise InsufficientPrefixError("window tail spills past the last generated block")
         next_start, next_end = prefix.bounds[block_first]
         if not all(next_start <= j < next_end for j in tail[n:]):
@@ -513,7 +468,5 @@ def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
                 "window tail does not fit two consecutive blocks; "
                 "the prefix gaps likely exceed the declared bound")
         subset = tuple(prefix.elements[j] for j in tail[n:])
-        chosen, used_first = block_first + 1, False
-    return ExtractReport(image=image, subset=subset, source_block=chosen,
-                         used_first_half=used_first, gap_bound=e * d)
+    return ExtractReport(image=image, subset=subset, gap_bound=e * d)
 

@@ -162,8 +162,7 @@ class GrowthFn:
                 return table[n]
             if self.tail == "const":
                 return table[-1]
-            step = table[-1] - table[-2] if len(table) >= 2 else 0
-            return table[-1] + (n - (len(table) - 1)) * step
+            return table[-1] + (n - (len(table) - 1)) * (table[-1] - table[-2])
         # closure: pointwise partial sums of the inner function
         return sum(self.inner._values(n))
 
@@ -207,10 +206,10 @@ def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
         pos = _base + len("linear:")
         if not body.isdigit():
             raise GrowthSpecError(f"expected a slope integer, got {body!r}", pos)
-        slope = int(body)
-        if slope < 1:
-            raise GrowthSpecError("linear slope must be >= 1", pos)
-        return GrowthFn.linear(slope)
+        try:
+            return GrowthFn.linear(int(body))
+        except InvalidArgumentError as exc:
+            raise GrowthSpecError(str(exc), pos) from None
     if text.startswith("table:"):
         return _parse_table(text, _base)
     if text.startswith("closure:"):

@@ -21,16 +21,8 @@ class ResourceLimitError(BrownlabError, RuntimeError):
 
 
 class MagnitudeError(BrownlabError, OverflowError):
-    """A requested value does not fit the configured magnitude caps.
-
-    ``depth`` and ``base`` record the iterated-exponential arguments that
-    triggered the overflow, when applicable.
-    """
-
-    def __init__(self, message: str, *, depth: int | None = None, base: int | None = None):
-        super().__init__(message)
-        self.depth = depth
-        self.base = base
+    """A requested value does not fit the configured magnitude caps; the
+    message names the arguments that overflowed."""
 
 
 class InsufficientPrefixError(BrownlabError, ValueError):

@@ -18,9 +18,10 @@ permutation invariant, so outcomes are unchanged (only node counts drop).
 Every search is canonical; only the private ``_run_tree`` can walk the
 full tree, as the tests' reference.
 
-For the Brown-number search each color class keeps the suffix maxima of
-its gap sequence as a persistent linked stack: each level is a gap G, the
-index of G's latest occurrence, a bound and the level below, with gaps
+For the Brown-number search each color class keeps one persistent linked
+stack with a level per element: the gap G that ends at the element, its
+index, a bound, the level below and its position.  Followed down from the
+top, the links pass only the suffix maxima of the gap sequence, with gaps
 strictly decreasing from the bottom up.  The windows that end at a new
 element take, as their gap size, the suffix maximum over their start, and
 since f is nondecreasing only the longest window at each level can fail:
@@ -28,11 +29,11 @@ since f is nondecreasing only the longest window at each level can fail:
 level's bound is the minimum of ``f(G) + B`` over it and every level
 beneath it, so a push with gap g walks past the levels whose gap is at
 most g, computes one bound and accepts exactly when the class is shorter
-than it.  A rejected push changes nothing and a pop is two list pops.
-The first element of a class sits on a sentinel bottom level and passes
-when ``1 <= f(1)``.  Budgets are read from a per-rule limit table that
-holds f(d) for each gap d seen so far, so f is evaluated only at gaps
-that occur.
+than it.  A rejected push changes nothing and a pop is one list pop.
+The first element of a class sits on a bottom level, whose gap and bound
+are infinite, and passes when ``1 <= f(1)``.  Budgets are read from a
+per-rule limit table that holds f(d) for each gap d seen so far, so f is
+evaluated only at gaps that occur.
 
 The progression rule keeps, per color, an int whose bit p is set when
 that color at p would complete a monochromatic l-term progression, so a
@@ -47,7 +48,7 @@ the depth.
 
 The star search counts a repeated subtree instead of walking it again.  A
 node's future depends only on the highest color its children may try and,
-per class, its age and the live levels of its gap stack read relative to
+per class, its age and the live levels of its stack read relative to
 its last index (the class sizes fix the depth), so colorings that differ
 by a color permutation or in dead levels share one exact key.  A table maps a walked
 subtree's key to its push attempts, which a push onto that key adds to
@@ -78,6 +79,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import chain, product
+from math import inf
 from multiprocessing import Pool
 from typing import Optional
 
@@ -148,27 +150,24 @@ class ConfirmOutcome:
 # ---------------------------------------------------------------------------
 
 
-# the bottom level of every class's gap stack: (gap, index, bound, below)
-_BOTTOM = (float("inf"), 0, float("inf"), None)
-
-
 class _StarRule:
-    """Incremental per-class star checking for a nondecreasing growth fn."""
+    """Incremental per-class star checking for a nondecreasing growth fn.
 
-    __slots__ = ("_f", "_limits", "elems", "levels")
+    ``levels[c]`` has a level per element of class c, the latest last:
+    ``(gap, index, bound, below, position)``."""
+
+    __slots__ = ("_f", "_limits", "levels")
 
     def __init__(self, f: GrowthFn, palette: int):
         self._f = f
         self._limits: dict[int, int] = {1: f(1)}
-        self.elems = [[] for _ in range(palette)]
         self.levels = [[] for _ in range(palette)]
 
     def try_push(self, pos: int, color: int) -> bool:
-        elems = self.elems[color]
-        if elems:
-            g = pos - elems[-1]
-            levels = self.levels[color]
+        levels = self.levels[color]
+        if levels:
             below = levels[-1]
+            g = pos - below[4]
             while below[0] <= g:
                 below = below[3]
             limit = self._limits.get(g)
@@ -177,19 +176,17 @@ class _StarRule:
             bound = limit + below[1]
             if bound > below[2]:
                 bound = below[2]
-            n = len(elems)
+            n = len(levels)
             if n >= bound:
                 return False
-            levels.append((g, n, bound, below))
+            levels.append((g, n, bound, below, pos))
+        elif 1 > self._limits[1]:
+            return False
         else:
-            if 1 > self._limits[1]:
-                return False
-            self.levels[color].append(_BOTTOM)
-        elems.append(pos)
+            levels.append((inf, 0, inf, None, pos))
         return True
 
     def pop(self, color: int) -> None:
-        self.elems[color].pop()
         self.levels[color].pop()
 
 
@@ -288,18 +285,18 @@ _SPLIT_DEPTH = 10
 
 def _star_key(rule, depth, limit):
     """A star node's exact state up to a color permutation: the highest
-    color its children may try, then per used class its age and (gap,
-    base - index) for each level of its live gap stack, ``base`` being the
-    top level's index.  A class ends at its bottom level, the one gap that
-    is infinite, so the flat tuple is exact.  The depth, the sum of the
-    class sizes, and each bound, ``min(f(G) + B, bound)`` of the level
-    below, follow from the rest."""
+    color its children may try, then per used class its age, read from the
+    top level's position, and (gap, base - index) for each live level,
+    ``base`` being the top level's index.  A class ends at its bottom level,
+    the one gap that is infinite, so the flat tuple is exact.  The depth,
+    the sum of the class sizes, and each bound, ``min(f(G) + B, bound)`` of
+    the level below, follow from the rest."""
     entries = []
-    for elems, levels in zip(rule.elems, rule.levels):
-        if elems:
+    for levels in rule.levels:
+        if levels:
             level = levels[-1]
             base = level[1]
-            entry = [depth - elems[-1]]
+            entry = [depth - level[4]]
             while level is not None:
                 entry += level[0], base - level[1]
                 level = level[3]

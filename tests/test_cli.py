@@ -104,6 +104,20 @@ def test_oracle_reports_a_search_that_says_too_little(cache_env, capsys, monkeyp
     assert f"ORACLE DISAGREEMENT: search says {value}" in err
 
 
+def test_oracle_refuses_more_than_three_colors_before_searching(cache_env, capsys,
+                                                                 monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "brown_number", never)
+    monkeypatch.setattr(cli, "vdw_number", never)
+    for argv in (("brown", "--f", "linear:1", "--r", "4", "--budget-nodes", "0"),
+                 ("vdw", "--r", "4", "--l", "3")):
+        code, payload, err = _run(capsys, *argv, "--oracle")
+        assert (code, payload) == (2, None), argv
+        assert err.startswith("error: --oracle is for small instances only")
+
+
 def test_brown_bracket_at_cap(cache_env, capsys):
     code, payload, _ = _run(capsys, "brown", "--f", "exp2", "--r", "2", "--max-n", "16")
     assert code == 0
@@ -529,6 +543,20 @@ def test_ladder_too_large_exits_magnitude(capsys):
     assert code == 4
 
 
+def test_ladder_verify_reports_a_failing_claim(capsys, monkeypatch):
+    # stage 1 with position 0 moved to color 1: class 0 loses an element
+    stage = constructions.ladder(1)
+    values = (1,) + stage.coloring.values[1:]
+    monkeypatch.setattr(constructions, "ladder", lambda s: dataclasses.replace(
+        stage, coloring=Coloring(stage.palette, values)))
+    code, payload, err = _run(capsys, "ladder", "--s", "1", "--verify")
+    assert code == 1
+    assert payload["verify"]["all_ok"] is False
+    assert "color 0: class size fails" in payload["verify"]["failures"]
+    assert payload["verify"]["claims"][0]["size_ok"] is False
+    assert "all claims hold" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -618,6 +646,13 @@ def test_diag_command(capsys):
     assert code == 2
 
 
+def test_diag_writes_its_coloring(tmp_path, capsys):
+    out = tmp_path / "diag.col"
+    code, payload, _ = _run(capsys, "diag", "--d", "2", "--n", "6", "--out", str(out))
+    assert (code, payload["out"]) == (0, str(out))
+    assert out.read_text() == encode_coloring(Coloring(2, (0, 0, 1, 1, 0, 0)))
+
+
 def test_psgen_command(capsys):
     code, payload, _ = _run(capsys, "psgen", "--gaps", "2,1")
     assert code == 0
@@ -625,6 +660,30 @@ def test_psgen_command(capsys):
     assert payload["problems"] == []
     code, _, _ = _run(capsys, "psgen", "--gaps", "2,0")
     assert code == 2
+
+
+def test_psgen_reads_its_gaps_from_a_file(tmp_path, capsys):
+    path = tmp_path / "gaps.col"
+    path.write_text(encode_coloring(Coloring(3, (1, 1, 2, 1))))
+    code, payload, _ = _run(capsys, "psgen", "--input", str(path))
+    assert (code, payload["blocks"]) == (0, 3)
+    assert payload["elements"] == [0, 1, 3, 5, 6, 7]
+    assert payload["problems"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--m", "1", "--r-max", "0"),
+    ("diag", "--d", "2", "--n", "-1"),
+    ("psgen", "--gaps", "2,1", "--input", "gaps.col"),
+    ("psgen",),
+    ("psgen", "--gaps", "1,x"),
+    ("decompose", "--x", "1,x", "--d", "1", "--horizon", "10"),
+], ids=["bounds-r-max", "diag-n", "psgen-both", "psgen-neither", "psgen-gaps",
+        "decompose-x"])
+def test_construction_usage_errors_exit_two(cache_env, capsys, argv):
+    code, payload, err = _run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_decompose_command(capsys):
