@@ -22,7 +22,7 @@ from . import constructions
 from .cache import ResultCache, resolve_cache_dir
 from .checker import _scan, is_witness
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
-from .core import Coloring, GrowthFn, parse_growth_spec
+from .core import Coloring, GrowthFn, _natural, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
 from .progressions import ap_partition_check
@@ -281,13 +281,7 @@ def _cmd_ladder(args) -> int:
         payload["out"] = args.out
     if args.verify:
         report = constructions.ladder_verify(stage)
-        payload["verify"] = {
-            "all_ok": report.all_ok,
-            "failures": list(report.failures),
-            "claims": [{"color": c.color, "size_ok": c.size_ok,
-                        "star_ok": c.star_ok, "span_ok": c.span_ok}
-                       for c in report.claims],
-        }
+        payload["verify"] = {**asdict(report), "all_ok": report.all_ok}
         if not report.all_ok:
             exit_code = EXIT_NEGATIVE
     _emit(payload)
@@ -316,9 +310,11 @@ def _cmd_bounds(args) -> int:
     rows = []
     for r in range(1, args.r_max + 1):
         bounds = _brown_bounds(f, r)
-        if bounds["recursion"] is None:
-            raise MagnitudeError(f"recursion bound for r={r} overflows the "
-                                 f"{constructions.BIT_CAP}-bit cap")
+        if bounds["recursion"] is None:   # brown_bounds maps its overflow to None
+            try:
+                constructions.upper_bound_seq(f, r)
+            except MagnitudeError as exc:
+                raise MagnitudeError(f"recursion bound for r={r}: {exc}") from None
         cached, _ = _cached(cache, {"command": "brown", "growth": f.spec_string(), "r": r}, f)
         rows.append({"r": r, **bounds,
                      "cached": None if cached is None else
@@ -356,6 +352,16 @@ def _cmd_diag(args) -> int:
     return EXIT_OK
 
 
+def _naturals(text: str, flag: str) -> list:
+    """The comma list of naturals given to ``flag``, in decimal digits only."""
+    tokens = text.split(",")
+    values = list(map(_natural, tokens))
+    if None in values:
+        raise InvalidArgumentError(f"bad {flag} list: expected a natural, "
+                                   f"got {tokens[values.index(None)]!r}")
+    return values
+
+
 def _cmd_psgen(args) -> int:
     if (args.gaps is None) == (args.input is None):
         raise InvalidArgumentError("give exactly one of --gaps or --input")
@@ -363,10 +369,7 @@ def _cmd_psgen(args) -> int:
         gaps = _read_coloring(args.input)
         blocks = args.blocks if args.blocks is not None else gaps.length - 1
     else:
-        try:
-            values = [int(tok) for tok in args.gaps.split(",")]
-        except ValueError as exc:
-            raise InvalidArgumentError(f"bad --gaps list: {exc}") from exc
+        values = _naturals(args.gaps, "--gaps")
         # inline values feed blocks 2, 3, ...; positions 0 and 1 are unused
         palette = max(values + [1]) + 1
         gaps = Coloring(palette=palette, values=tuple([1, 1] + values))
@@ -384,10 +387,7 @@ def _cmd_psgen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        xs = [int(tok) for tok in args.x.split(",")] if args.x else []
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad --x list: {exc}") from exc
+    xs = _naturals(args.x, "--x") if args.x else []
     y, z = constructions.decompose_ps(tuple(sorted(set(xs))), args.d, args.horizon)
     cut = args.horizon - args.d
     xset = {v for v in xs if v < cut}
@@ -406,9 +406,7 @@ def _cmd_ap(args) -> int:
         _note(f"no monochromatic {args.l}-term progression in {coloring.length} positions")
         return EXIT_NEGATIVE
     color, witness = hit
-    _emit({"command": "ap", "l": args.l, "found": True, "color": color,
-           "start": witness.start, "difference": witness.difference,
-           "length": witness.length})
+    _emit({"command": "ap", "l": args.l, "found": True, "color": color, **asdict(witness)})
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import re
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, mul, ne, sub
 
-from .core import Coloring
+from .core import Coloring, _natural
 from .errors import ColoringFileError, InvalidArgumentError
 
 _TOKENS_PER_LINE = 64
@@ -48,14 +48,6 @@ def _rle_tokens(values) -> list:
 def rle_string(values) -> str:
     """Space-separated ``<value>x<count>`` tokens of naturals (canonical certificate form)."""
     return " ".join(_rle_tokens(values))
-
-
-def _natural(digits: str):
-    """``int(digits)``, or None past Python's limit on the digits it converts."""
-    try:
-        return int(digits)
-    except ValueError:
-        return None
 
 
 def _parse_token(token: str, rle: bool, palette=None):
@@ -147,11 +139,11 @@ def decode_coloring(text: str) -> Coloring:
     if len(fields) != 6 or fields[0] != "palette" or fields[2] != "length" or fields[4] != "encoding":
         raise ColoringFileError("header must read 'palette <r> length <n> encoding <plain|rle>'",
                                 1, 1)
-    for name, field in (("palette", fields[1]), ("length", fields[3])):
-        if not field.isdecimal() or _natural(field) is None:
+    palette, length, encoding = _natural(fields[1]), _natural(fields[3]), fields[5]
+    for name, field, value in (("palette", fields[1], palette), ("length", fields[3], length)):
+        if value is None:
             problem = "has too many digits" if field.isdecimal() else "must be a natural"
             raise ColoringFileError(f"{name} {problem}", 1, header.index(field) + 1)
-    palette, length, encoding = int(fields[1]), int(fields[3]), fields[5]
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
     # line breaks are whitespace, so the header is the first six tokens

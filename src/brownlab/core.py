@@ -190,6 +190,15 @@ class GrowthFn:
         return f"closure:{self.inner.spec_string()}"
 
 
+def _natural(digits: str) -> Optional[int]:
+    """The natural that ``digits`` spells in decimal digits, or None when it is
+    empty, holds any other character or has more digits than Python converts."""
+    try:
+        return int(digits) if digits.isdecimal() else None
+    except ValueError:
+        return None
+
+
 def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
     """Parse a growth spec string.
 
@@ -204,10 +213,11 @@ def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
     if text.startswith("linear:"):
         body = text[len("linear:"):]
         pos = _base + len("linear:")
-        if not body.isdigit():
+        slope = _natural(body)
+        if slope is None:
             raise GrowthSpecError(f"expected a slope integer, got {body!r}", pos)
         try:
-            return GrowthFn.linear(int(body))
+            return GrowthFn.linear(slope)
         except InvalidArgumentError as exc:
             raise GrowthSpecError(str(exc), pos) from None
     if text.startswith("table:"):
@@ -227,9 +237,10 @@ def _parse_table(text: str, base: int) -> GrowthFn:
     if not head:
         raise GrowthSpecError("table needs at least one value", offset)
     for token in head.split(","):
-        if not token.isdigit():
+        value = _natural(token)
+        if value is None:
             raise GrowthSpecError(f"expected a table value, got {token!r}", offset)
-        values.append(int(token))
+        values.append(value)
         offset += len(token) + 1
     tail = "const"
     if sep:

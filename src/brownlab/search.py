@@ -10,6 +10,9 @@ the threshold equals the maximum tree depth plus one.
 A walk reports why it stopped, and every reader takes that from it: None
 when the capped tree was walked to its end, ``"cap"`` when a coloring
 reached the length cap, ``"nodes"`` or ``"deadline"`` when a budget ran out.
+One driver runs every search, each confirmation included (a search capped
+at n): it walks the tree, audits the deepest coloring by the rule that
+grew it and reports the outcome.
 
 Symmetry is broken by first-use color canonicalization: a branch may
 introduce color c only when colors ``0..c-1`` are already in use.  Every
@@ -431,29 +434,28 @@ def _fold(runs) -> _DfsStats:
                          key=("cap", "deadline", "nodes").index))
 
 
-def _dispatch(rule_desc, palette, cap, budget) -> _DfsStats:
-    """One walk, or a pool task per part of the split with an equal share of
-    the node budget each; the pool starts no more processes than parts or CPUs."""
+def _threshold(rule_desc, palette, cap, upper, budget, used_closure=False) -> SearchOutcome:
+    """Walk the tree, or a pool task per part of the split with an equal share
+    of the node budget each (the pool starts no more processes than parts or
+    CPUs), audit the deepest coloring by its rule and report the threshold."""
+    started = time.monotonic()
     budget = budget or SearchBudget()
     jobs = budget.jobs
     share = None if budget.max_nodes is None else budget.max_nodes // jobs
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    deadline = None if budget.max_seconds is None else started + budget.max_seconds
     if jobs == 1:
-        return _run_tree(rule_desc, palette, cap, share, deadline)
-    tasks = [(rule_desc, palette, cap, share, deadline, True, (i, jobs)) for i in range(jobs)]
-    with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
-        return _fold(pool.starmap(_run_tree, tasks))
-
-
-def _threshold(rule_desc, palette, cap, upper, budget, audit,
-               used_closure=False) -> SearchOutcome:
-    """Search, audit the deepest coloring and report the threshold; ``audit``
-    returns the witness's certificate (or None) and raises on a bad witness."""
-    started = time.monotonic()
-    stats = _dispatch(rule_desc, palette, cap, budget)
+        stats = _run_tree(rule_desc, palette, cap, share, deadline)
+    else:
+        tasks = [(rule_desc, palette, cap, share, deadline, True, (i, jobs)) for i in range(jobs)]
+        with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
+            stats = _fold(pool.starmap(_run_tree, tasks))
     wall = time.monotonic() - started
     witness = Coloring(palette=palette, values=stats.best)
-    certificate = audit(witness)
+    kind, param = rule_desc
+    certificate = is_witness(witness, param) if kind == "star" else None
+    if (certificate is None) if kind == "star" else ap_partition_check(witness, param):
+        raise RuntimeError(f"search returned a coloring that breaks its {kind} rule; "
+                           "this is a bug in the incremental checks")
     lower = len(stats.best) + 1
     exact = stats.stop is None
     return SearchOutcome(kind="exact" if exact else "bracketed",
@@ -463,11 +465,11 @@ def _threshold(rule_desc, palette, cap, upper, budget, audit,
                          wall_time=wall, used_closure=used_closure, stop=stats.stop)
 
 
-def _confirm(rule_desc, palette, n, budget) -> ConfirmOutcome:
-    """Complete canonicalized DFS capped at depth n: True when no valid
-    coloring of length n exists, None when the budget ran out first."""
-    stats = _dispatch(rule_desc, palette, n, budget)
-    return ConfirmOutcome(result={None: True, "cap": False}.get(stats.stop), nodes=stats.nodes)
+def _confirmed(outcome: SearchOutcome) -> ConfirmOutcome:
+    """A search capped at n as a confirmation: True when it walked to its end,
+    False when a coloring reached n, None when the budget ran out first."""
+    return ConfirmOutcome(result={None: True, "cap": False}.get(outcome.stop),
+                          nodes=outcome.nodes_explored)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +501,7 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
     f = f.monotone
     formula = formula_upper_bound(f, r)
     cap = n_cap if n_cap is not None else formula
-
-    def audit(witness):
-        certificate = is_witness(witness, f)
-        if certificate is None:
-            raise RuntimeError("search returned a coloring that fails certification; "
-                               "this is a bug in the incremental checker")
-        return certificate
-
-    return _threshold(("star", f), r, cap, formula, budget, audit, used_closure)
+    return _threshold(("star", f), r, cap, formula, budget, used_closure)
 
 
 def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
@@ -520,14 +514,7 @@ def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
     """
     if r < 1 or l < 1 or n_cap is not None and n_cap < 0:
         raise InvalidArgumentError("r and l must be >= 1 and the length cap a natural")
-
-    def audit(witness):
-        if ap_partition_check(witness, l) is not None:
-            raise RuntimeError("search returned a coloring containing a monochromatic "
-                               "progression; this is a bug in the completion check")
-        return None
-
-    return _threshold(("ap", l), r, n_cap, None, budget, audit)
+    return _threshold(("ap", l), r, n_cap, None, budget)
 
 
 def confirm_no_witness(n: int, f: GrowthFn, r: int,
@@ -537,7 +524,7 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     an indeterminate (None) result flags budget exhaustion."""
     if n < 0 or r < 1:
         raise InvalidArgumentError("n must be a natural and r >= 1")
-    return _confirm(("star", _nondecreasing(f)), r, n, budget)
+    return _confirmed(_threshold(("star", _nondecreasing(f)), r, n, None, budget))
 
 
 def confirm_no_ap_witness(n: int, r: int, l: int,
@@ -547,7 +534,7 @@ def confirm_no_ap_witness(n: int, r: int, l: int,
     :func:`confirm_no_witness`."""
     if n < 0 or r < 1 or l < 1:
         raise InvalidArgumentError("n must be a natural, r and l >= 1")
-    return _confirm(("ap", l), r, n, budget)
+    return _confirmed(_threshold(("ap", l), r, n, None, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
 from brownlab.colorfile import encode_coloring, rle_string
 from brownlab.core import Coloring
+from brownlab.errors import InvalidArgumentError
 
 
 @pytest.fixture()
@@ -102,6 +103,24 @@ def test_oracle_reports_a_search_that_says_too_little(cache_env, capsys, monkeyp
     assert (payload["value"], payload["oracle_value"], payload["oracle_agreed"]) == (
         value, oracle_value, False)
     assert f"ORACLE DISAGREEMENT: search says {value}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("brown", "--f", "linear:1", "--r", "2", "--max-n", "2"),
+     "--oracle needs an exact outcome; raise the budget or drop --max-n"),
+    (("vdw", "--r", "2", "--l", "4", "--no-cache"),
+     "--oracle is for small instances only (value <= 18)"),
+], ids=["bracket", "value-35"])
+def test_oracle_refuses_what_it_cannot_enumerate(cache_env, capsys, monkeypatch, argv,
+                                                 message):
+    def never(*args, **kwargs):
+        raise AssertionError("the enumeration ran")
+
+    monkeypatch.setattr(cli, "brown_number_bruteforce", never)
+    monkeypatch.setattr(cli, "vdw_number_bruteforce", never)
+    code, payload, err = _run(capsys, *argv, "--oracle")
+    assert (code, payload) == (2, None)
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_refuses_more_than_three_colors_before_searching(cache_env, capsys,
@@ -612,6 +631,18 @@ def test_closure_bound_overflow_stops_at_once(cache_env, capsys):
     assert payload["bounds"] == {"ardal": None, "recursion": None}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--f", "closure:linear:1", "--r-max", "6"),
+     "r=6: closure at 56777355256 sums more than 33554432 terms"),
+    (("--f", "exp2", "--r-max", "4"),
+     "r=4: 2**n with n of 35 bits exceeds the 33554432-bit cap"),
+], ids=["closure", "exp2"])
+def test_bounds_overflow_names_what_overflowed(cache_env, capsys, argv, message):
+    code, payload, err = _run(capsys, "bounds", *argv)
+    assert (code, payload) == (4, None)
+    assert err == f"magnitude overflow: recursion bound for {message}\n"
+
+
 def test_linear_bound_past_the_bit_cap_is_null(cache_env, capsys):
     # 2**60000000 is past the cap: neither command builds or renders it
     started = time.monotonic()
@@ -678,12 +709,34 @@ def test_psgen_reads_its_gaps_from_a_file(tmp_path, capsys):
     ("psgen",),
     ("psgen", "--gaps", "1,x"),
     ("decompose", "--x", "1,x", "--d", "1", "--horizon", "10"),
+    ("psgen", "--gaps", " 3,1_0"),
+    ("psgen", "--gaps", ""),
+    ("decompose", "--x", "1_0,+2", "--d", "2", "--horizon", "20"),
 ], ids=["bounds-r-max", "diag-n", "psgen-both", "psgen-neither", "psgen-gaps",
-        "decompose-x"])
+        "decompose-x", "psgen-gaps-space-underscore", "psgen-gaps-empty",
+        "decompose-x-underscore-plus"])
 def test_construction_usage_errors_exit_two(cache_env, capsys, argv):
     code, payload, err = _run(capsys, *argv)
     assert (code, payload) == (2, None)
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,position", [
+    (("brown", "--f", "linear:\u00b2", "--r", "2"), 7),
+    (("bounds", "--f", "table:1,\u00b2", "--r-max", "1"), 8),
+    (("bounds", "--f", "linear:" + "9" * 5000, "--r-max", "1"), 7),
+], ids=["superscript-slope", "superscript-table-value", "5000-digit-slope"])
+def test_growth_spec_numbers_outside_the_decimal_digits_exit_two(cache_env, capsys, argv,
+                                                                 position):
+    code, payload, err = _run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: bad growth spec: ") and err.count("\n") == 1
+    assert err.endswith(f"(at position {position})\n")
+
+
+def test_decompose_with_an_empty_list_has_no_elements(capsys):
+    code, payload, _ = _run(capsys, "decompose", "--x", "", "--d", "2", "--horizon", "20")
+    assert (code, payload["z"], payload["identity_ok"]) == (0, [], True)
 
 
 def test_decompose_command(capsys):
@@ -692,6 +745,25 @@ def test_decompose_command(capsys):
     assert code == 0
     assert payload["identity_ok"] is True
     assert payload["z"] == [0, 1, 2]
+
+
+def test_verify_and_progression_payloads_print_their_records(tmp_path, capsys):
+    assert run_cli(["ladder", "--s", "1", "--verify"]) == 0
+    claim = '"size_ok":true,"span_ok":true,"star_ok":true'
+    assert capsys.readouterr().out == (
+        '{"command":"ladder","length":"16","materialized":true,"palette":2,"s":1,'
+        f'"verify":{{"all_ok":true,"claims":[{{"color":0,{claim}}},{{"color":1,{claim}}}],'
+        '"failures":[]}}\n')
+    path = tmp_path / "alt.col"
+    path.write_text(encode_coloring(Coloring(2, (0, 1, 0, 1, 0, 1, 0, 1))))
+    assert run_cli(["ap", "--input", str(path), "--l", "3"]) == 0
+    assert capsys.readouterr().out == ('{"color":0,"command":"ap","difference":2,'
+                                       '"found":true,"l":3,"length":3,"start":0}\n')
+
+
+def test_encoding_must_be_plain_rle_or_auto():
+    with pytest.raises(InvalidArgumentError, match="unknown encoding 'zip'"):
+        encode_coloring(Coloring(2, (0, 1)), "zip")
 
 
 def test_ap_command(tmp_path, capsys):

@@ -407,3 +407,17 @@ def test_extract_needs_a_long_enough_window():
     prefix = _uniform_prefix(2, 10)
     with pytest.raises(InsufficientPrefixError):
         extract_homogeneous_ps(2, 2, (0, 5, 10), prefix, 3)
+
+
+@pytest.mark.parametrize("prefix,message", [
+    (_uniform_prefix(1, 3), "index 9 outside the generated prefix of 6 elements"),
+    # bounds that stop short of the elements, and a second block too small for
+    # the window's tail: neither comes out of ps_generate
+    (BlockPrefix(tuple(range(10)), ((0, 7),)), "spills past the last generated block"),
+    (BlockPrefix(tuple(range(10)), ((0, 7), (7, 8), (8, 10))),
+     "does not fit two consecutive blocks"),
+], ids=["past-the-prefix", "past-the-last-block", "two-blocks"])
+def test_extract_rejects_a_prefix_that_cannot_hold_the_window(prefix, message):
+    # n = 2, e = 1: the window is the ten indices 0..9, its tail 6..9
+    with pytest.raises(InsufficientPrefixError, match=message):
+        extract_homogeneous_ps(1, 1, tuple(range(10)), prefix, 2)

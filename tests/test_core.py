@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownlab.core import Coloring, GrowthFn, gap_size, max_run_size, parse_growth_spec
+from brownlab.core import (Coloring, GrowthFn, _natural, gap_size, max_run_size,
+                           parse_growth_spec)
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
 
 
@@ -232,11 +233,25 @@ def test_growth_spec_round_trip(spec):
     ("table:1;tail=quadratic", 13),
     ("closure:nope", 8),
     ("exp3", 0),
+    ("linear:\u00b2", 7),
+    pytest.param("linear:" + "9" * 5000, 7, id="linear-5000-digits"),
+    ("table:1,\u00b2", 8),
+    ("table:1,2;foo", 10),
+    ("table:3,1;tail=linear", 6),
 ])
 def test_growth_spec_parse_errors_carry_position(bad, position):
     with pytest.raises(GrowthSpecError) as err:
         parse_growth_spec(bad)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("007", 7), ("\u0663", 3), ("", None), (" 3", None), ("3 ", None),
+    ("1_0", None), ("+2", None), ("-1", None), ("\u00b2", None), ("9" * 5000, None),
+], ids=["zero", "leading-zeros", "arabic-indic", "empty", "leading-space",
+        "trailing-space", "underscore", "plus", "minus", "superscript", "5000-digits"])
+def test_natural_reads_decimal_digits_only(text, value):
+    assert _natural(text) == value
 
 
 def test_growth_spec_explicit_const_tail_accepted():

@@ -218,6 +218,21 @@ def test_confirm_budget_exhaustion_is_indeterminate():
     assert outcome.result is None
 
 
+@pytest.mark.parametrize("run,rule", [
+    (lambda: brown_number(LIN1, 2), "star"),
+    (lambda: confirm_no_witness(5, LIN1, 2), "star"),
+    (lambda: vdw_number(2, 3), "ap"),
+    (lambda: confirm_no_ap_witness(9, 2, 3), "ap"),
+], ids=["brown", "confirm", "vdw", "confirm-ap"])
+def test_every_search_audits_its_deepest_coloring(monkeypatch, run, rule):
+    # the audit is looked up in search's namespace when it runs, so a rebinding
+    # there (as the benchmark's tracer makes) reaches every search
+    monkeypatch.setattr(search, "is_witness", lambda coloring, f: None)
+    monkeypatch.setattr(search, "ap_partition_check", lambda coloring, l: (0, None))
+    with pytest.raises(RuntimeError, match=f"breaks its {rule} rule"):
+        run()
+
+
 def test_wall_clock_budget_brackets():
     outcome = brown_number(LIN2, 2, budget=SearchBudget(max_seconds=0.0))
     assert outcome.kind == "bracketed"
