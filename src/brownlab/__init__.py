@@ -15,8 +15,7 @@ from .checker import (WindowViolation, WitnessCertificate, has_large_homogeneous
                       verify_certificate)
 from .search import (ConfirmOutcome, SearchBudget, SearchOutcome, brown_number,
                      brown_number_bruteforce, confirm_no_ap_witness,
-                     confirm_no_witness, formula_upper_bound, vdw_number,
-                     vdw_number_bruteforce)
+                     confirm_no_witness, vdw_number, vdw_number_bruteforce)
 from .constructions import (BlockPrefix, ExtractReport, LadderStage,
                             LadderVerifyReport, ardal_bound, decompose_ps,
                             diag_bound_check, diag_prefix, extract_homogeneous_ps,
@@ -36,7 +35,7 @@ __all__ = [
     "verify_certificate",
     "ConfirmOutcome", "SearchBudget", "SearchOutcome", "brown_number",
     "brown_number_bruteforce", "confirm_no_ap_witness", "confirm_no_witness",
-    "formula_upper_bound", "vdw_number", "vdw_number_bruteforce",
+    "vdw_number", "vdw_number_bruteforce",
     "BlockPrefix", "ExtractReport", "LadderStage", "LadderVerifyReport",
     "ardal_bound", "decompose_ps", "diag_bound_check", "diag_prefix",
     "extract_homogeneous_ps", "ladder", "ladder_lower_bound_check",

@@ -20,13 +20,15 @@ from typing import Optional
 
 from . import constructions
 from .cache import ResultCache, resolve_cache_dir
-from .checker import _scan, is_witness
+# is_witness is not called here; it stays bound because bench/test_bench.py::
+# test_tracer_wraps_every_binding_by_identity_and_restores_them asserts cli.is_witness
+from .checker import _scan, is_witness  # noqa: F401
 from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
-from .core import Coloring, GrowthFn, _natural, parse_growth_spec
+from .core import Coloring, GrowthFn, _natural, _quoted, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
 from .progressions import ap_partition_check
-from .search import (SearchBudget, SearchOutcome, brown_number,
+from .search import (SearchBudget, SearchOutcome, _outcome, brown_number,
                      brown_number_bruteforce, confirm_no_witness, vdw_number,
                      vdw_number_bruteforce)
 
@@ -114,11 +116,10 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
 
 
 def _cached(cache, key: dict, f: Optional[GrowthFn]):
-    """``(outcome, state)``: a ``hit`` is the exact outcome rebuilt from an
-    entry's witness (decoded within its ``witness_length``), ``nodes`` and
-    ``wall_time`` once the witness passes the search's own audit (the star
-    check on ``f`` as the search closes it; for vdw, ``f`` None, no
-    ``l``-term progression); else None with ``off``, ``miss`` or ``rejected``."""
+    """``(outcome, state)``: a ``hit`` is the exact outcome that the search's
+    own builder, ``search._outcome``, audits and rebuilds from an entry's
+    witness (decoded within its ``witness_length``), ``nodes`` and
+    ``wall_time``; else None with ``off``, ``miss`` or ``rejected``."""
     if cache is None:
         return None, "off"
     entry = cache.get(key)
@@ -129,16 +130,12 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
         if type(nodes) is not int or nodes < 0 or type(wall) not in (int, float) \
                 or not 0 <= wall < math.inf:
             return None, "rejected"
-        witness = Coloring(key["r"], parse_rle_string(entry["witness_rle"],
-                                                      entry["witness_length"]))
-        certificate = None if f is None else is_witness(witness, f.monotone)
-        if certificate is None and (f is not None or ap_partition_check(witness, key["l"])):
-            return None, "rejected"
+        values = parse_rle_string(entry["witness_rle"], entry["witness_length"])
+        outcome = _outcome(("ap", key["l"]) if f is None else ("star", f), key["r"],
+                           values, nodes, wall)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None, "rejected"
-    value = witness.length + 1
-    return SearchOutcome("exact", value, value, value, witness, certificate, nodes, wall,
-                         used_closure=f is not None and not f.nondecreasing), "hit"
+    return outcome, "rejected" if outcome is None else "hit"
 
 
 def _search_command(args) -> int:
@@ -358,7 +355,7 @@ def _naturals(text: str, flag: str) -> list:
     values = list(map(_natural, tokens))
     if None in values:
         raise InvalidArgumentError(f"bad {flag} list: expected a natural, "
-                                   f"got {tokens[values.index(None)]!r}")
+                                   f"got {_quoted(tokens[values.index(None)])}")
     return values
 
 

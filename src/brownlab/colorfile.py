@@ -21,7 +21,7 @@ import re
 from itertools import chain, compress, islice, repeat
 from operator import add, eq, mul, ne, sub
 
-from .core import Coloring, _natural
+from .core import Coloring, _natural, _quoted
 from .errors import ColoringFileError, InvalidArgumentError
 
 _TOKENS_PER_LINE = 64
@@ -56,7 +56,7 @@ def _parse_token(token: str, rle: bool, palette=None):
     m = _RLE_TOKEN.match(token) if rle else None
     run = (m[1], m[2]) if m else (token, "1") if not rle and token.isdecimal() else None
     if run is None:
-        return f"expected {'<value>x<count>' if rle else 'a color index'}, got {token!r}"
+        return f"expected {'<value>x<count>' if rle else 'a color index'}, got {_quoted(token)}"
     run = tuple(map(_natural, run))
     if None in run:
         return "number has too many digits"
@@ -145,7 +145,8 @@ def decode_coloring(text: str) -> Coloring:
             problem = "has too many digits" if field.isdecimal() else "must be a natural"
             raise ColoringFileError(f"{name} {problem}", 1, header.index(field) + 1)
     if encoding not in ("plain", "rle"):
-        raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
+        raise ColoringFileError(f"unknown encoding {_quoted(encoding)}", 1,
+                                header.rindex(encoding) + 1)
     # line breaks are whitespace, so the header is the first six tokens
     tokens = text.split()
     del tokens[:6]                  # in place, so the token list is not copied

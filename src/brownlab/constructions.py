@@ -247,7 +247,10 @@ def ardal_bound(m: int, r: int) -> int:
 
 def brown_bounds(f: GrowthFn, r: int) -> tuple:
     """``(ardal, recursion)``: :func:`ardal_bound` when f is id or linear and
-    :func:`upper_bound_seq`, each None where it does not apply or overflows."""
+    :func:`upper_bound_seq`, each None where it does not apply (neither does
+    below one color) or overflows."""
+    if r < 1:
+        return None, None
     def capped(bound, *args):
         try:
             return bound(*args)
@@ -401,8 +404,8 @@ def decompose_ps(x: Sequence[int], d: int, horizon: int):
     ``X == Y & Z`` holds on ``[0, horizon - d)``; the last d positions are
     subject to boundary effects of the finite window.
     """
-    if d < 1:
-        raise InvalidArgumentError("d must be >= 1")
+    if d < 1 or horizon < 0:
+        raise InvalidArgumentError("d must be >= 1 and the horizon a natural")
     xset = set(x)
     if xset and (min(xset) < 0 or max(xset) >= horizon):
         raise InvalidArgumentError("x must lie within [0, horizon)")

@@ -199,6 +199,13 @@ def _natural(digits: str) -> Optional[int]:
         return None
 
 
+def _quoted(token: str) -> str:
+    """``repr(token)`` for an error message, cut to its first 40 characters and
+    followed by the token's length when longer, so the message stays short."""
+    text = repr(token)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(token)} characters)"
+
+
 def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
     """Parse a growth spec string.
 
@@ -215,7 +222,7 @@ def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
         pos = _base + len("linear:")
         slope = _natural(body)
         if slope is None:
-            raise GrowthSpecError(f"expected a slope integer, got {body!r}", pos)
+            raise GrowthSpecError(f"expected a slope integer, got {_quoted(body)}", pos)
         try:
             return GrowthFn.linear(slope)
         except InvalidArgumentError as exc:
@@ -225,7 +232,7 @@ def parse_growth_spec(text: str, _base: int = 0) -> GrowthFn:
     if text.startswith("closure:"):
         inner = parse_growth_spec(text[len("closure:"):], _base + len("closure:"))
         return GrowthFn.closure(inner)
-    raise GrowthSpecError(f"unrecognized growth spec {text!r}", _base)
+    raise GrowthSpecError(f"unrecognized growth spec {_quoted(text)}", _base)
 
 
 def _parse_table(text: str, base: int) -> GrowthFn:
@@ -239,7 +246,7 @@ def _parse_table(text: str, base: int) -> GrowthFn:
     for token in head.split(","):
         value = _natural(token)
         if value is None:
-            raise GrowthSpecError(f"expected a table value, got {token!r}", offset)
+            raise GrowthSpecError(f"expected a table value, got {_quoted(token)}", offset)
         values.append(value)
         offset += len(token) + 1
     tail = "const"
@@ -249,7 +256,7 @@ def _parse_table(text: str, base: int) -> GrowthFn:
             raise GrowthSpecError("expected tail=const or tail=linear", tail_off)
         tail = tail_part[len("tail="):]
         if tail not in ("const", "linear"):
-            raise GrowthSpecError(f"unknown tail rule {tail!r}", tail_off + len("tail="))
+            raise GrowthSpecError(f"unknown tail rule {_quoted(tail)}", tail_off + len("tail="))
     try:
         return GrowthFn.from_table(values, tail=tail)
     except InvalidArgumentError as exc:

@@ -11,8 +11,9 @@ A walk reports why it stopped, and every reader takes that from it: None
 when the capped tree was walked to its end, ``"cap"`` when a coloring
 reached the length cap, ``"nodes"`` or ``"deadline"`` when a budget ran out.
 One driver runs every search, each confirmation included (a search capped
-at n): it walks the tree, audits the deepest coloring by the rule that
-grew it and reports the outcome.
+at n): it checks the arguments, walks the tree, and audits the deepest
+coloring by the rule that grew it as it builds the outcome.  That builder
+is the only one: a cache hit is audited and rebuilt by it too.
 
 Symmetry is broken by first-use color canonicalization: a branch may
 introduce color c only when colors ``0..c-1`` are already in use.  Every
@@ -86,8 +87,8 @@ from math import inf
 from multiprocessing import Pool
 from typing import Optional
 
-from .checker import (WitnessCertificate, _nondecreasing, has_large_homogeneous_bruteforce,
-                      is_witness)
+from .checker import (BRUTEFORCE_LENGTH_CAP, WitnessCertificate, _nondecreasing,
+                      has_large_homogeneous_bruteforce, is_witness)
 from .constructions import brown_bounds
 from .core import Coloring, GrowthFn
 from .errors import InvalidArgumentError
@@ -318,13 +319,13 @@ class _DfsStats:
 def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
               part=(0, 1)) -> _DfsStats:
     """Iterative DFS of part ``part=(i, n)`` of the split, lowest color first,
-    by ``("star", f)`` or ``("ap", l)``.  ``best`` tracks the first (hence
-    lexicographically least) deepest valid coloring."""
+    by ``("star", f)`` on f's monotone form or ``("ap", l)``.  ``best`` tracks
+    the first (hence lexicographically least) deepest valid coloring."""
     index, parts = part
     never = 1 << 62
     last = cap if cap is not None else never
     values: list[int] = []
-    rule = (_StarRule(rule_desc[1], palette) if rule_desc[0] == "star"
+    rule = (_StarRule(rule_desc[1].monotone, palette) if rule_desc[0] == "star"
             else _ApRule(rule_desc[1], values, palette))
     nodes, stop = 0, None if last > 0 else "cap"
     # the record shares its first ``agree`` positions with the live path
@@ -434,10 +435,13 @@ def _fold(runs) -> _DfsStats:
                          key=("cap", "deadline", "nodes").index))
 
 
-def _threshold(rule_desc, palette, cap, upper, budget, used_closure=False) -> SearchOutcome:
-    """Walk the tree, or a pool task per part of the split with an equal share
-    of the node budget each (the pool starts no more processes than parts or
-    CPUs), audit the deepest coloring by its rule and report the threshold."""
+def _threshold(rule_desc, palette, cap, upper, budget) -> SearchOutcome:
+    """Check the arguments, walk the tree, or a pool task per part of the split
+    with an equal share of the node budget each (the pool starts no more processes
+    than parts or CPUs), and report what :func:`_outcome` builds from the record."""
+    kind, param = rule_desc
+    if palette < 1 or kind == "ap" and param < 1 or cap is not None and cap < 0:
+        raise InvalidArgumentError("r and l must be >= 1 and the length cap a natural")
     started = time.monotonic()
     budget = budget or SearchBudget()
     jobs = budget.jobs
@@ -449,20 +453,33 @@ def _threshold(rule_desc, palette, cap, upper, budget, used_closure=False) -> Se
         tasks = [(rule_desc, palette, cap, share, deadline, True, (i, jobs)) for i in range(jobs)]
         with Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
             stats = _fold(pool.starmap(_run_tree, tasks))
-    wall = time.monotonic() - started
-    witness = Coloring(palette=palette, values=stats.best)
-    kind, param = rule_desc
-    certificate = is_witness(witness, param) if kind == "star" else None
-    if (certificate is None) if kind == "star" else ap_partition_check(witness, param):
+    outcome = _outcome(rule_desc, palette, stats.best, stats.nodes,
+                       time.monotonic() - started, stats.stop, upper)
+    if outcome is None:
         raise RuntimeError(f"search returned a coloring that breaks its {kind} rule; "
                            "this is a bug in the incremental checks")
-    lower = len(stats.best) + 1
-    exact = stats.stop is None
+    return outcome
+
+
+def _outcome(rule_desc, palette, best, nodes, wall, stop=None, upper=None):
+    """The outcome of a search, or of a cache hit, whose deepest coloring is ``best``:
+    exact when the walk ended (``stop`` None), else a bracket up to ``upper``; None
+    when ``best`` fails the audit of its rule (star: a certificate on the growth's
+    monotone form; progression: no ``l``-term progression)."""
+    if palette < 1:   # no search runs on no colors, so neither may a hit
+        return None
+    witness = Coloring(palette=palette, values=best)
+    kind, param = rule_desc
+    certificate = is_witness(witness, param.monotone) if kind == "star" else None
+    if (certificate is None) if kind == "star" else ap_partition_check(witness, param):
+        return None
+    lower = len(best) + 1
+    exact = stop is None
     return SearchOutcome(kind="exact" if exact else "bracketed",
                          value=lower if exact else None, lower=lower,
                          upper=lower if exact else upper, witness=witness,
-                         certificate=certificate, nodes_explored=stats.nodes,
-                         wall_time=wall, used_closure=used_closure, stop=stats.stop)
+                         certificate=certificate, nodes_explored=nodes, wall_time=wall,
+                         used_closure=kind == "star" and not param.nondecreasing, stop=stop)
 
 
 def _confirmed(outcome: SearchOutcome) -> ConfirmOutcome:
@@ -477,12 +494,6 @@ def _confirmed(outcome: SearchOutcome) -> ConfirmOutcome:
 # ---------------------------------------------------------------------------
 
 
-def formula_upper_bound(f: GrowthFn, r: int) -> Optional[int]:
-    """Best closed-form bound available for (f, r): the least of
-    :func:`~brownlab.constructions.brown_bounds`, None when neither applies."""
-    return min((b for b in brown_bounds(f, r) if b is not None), default=None)
-
-
 def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
                  budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Least n such that every r-coloring of ``0..n-1`` has a homogeneous
@@ -490,18 +501,14 @@ def brown_number(f: GrowthFn, r: int, n_cap: Optional[int] = None,
 
     Exact when the pruned DFS exhausts the witness tree within budget and
     below ``n_cap``; otherwise a bracket whose lower end is one past the
-    longest witness found and whose upper end comes from the closed-form
-    bounds (None when they overflow).  Growth functions without the
+    longest witness found and whose upper end is the least of the
+    closed-form bounds (None when they overflow), which also caps the
+    length when ``n_cap`` is None.  Growth functions without the
     nondecreasing flag are replaced by their monotone closure, which bounds
     the original quantity from above; the outcome is flagged ``used_closure``.
     """
-    if r < 1 or n_cap is not None and n_cap < 0:
-        raise InvalidArgumentError("r must be >= 1 and the length cap a natural")
-    used_closure = not f.nondecreasing
-    f = f.monotone
-    formula = formula_upper_bound(f, r)
-    cap = n_cap if n_cap is not None else formula
-    return _threshold(("star", f), r, cap, formula, budget, used_closure)
+    formula = min((b for b in brown_bounds(f, r) if b is not None), default=None)
+    return _threshold(("star", f), r, formula if n_cap is None else n_cap, formula, budget)
 
 
 def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
@@ -512,8 +519,6 @@ def vdw_number(r: int, l: int, n_cap: Optional[int] = None,
     Same engine and outcome semantics as :func:`brown_number`; no
     closed-form upper bound is evaluated, so brackets carry ``upper=None``.
     """
-    if r < 1 or l < 1 or n_cap is not None and n_cap < 0:
-        raise InvalidArgumentError("r and l must be >= 1 and the length cap a natural")
     return _threshold(("ap", l), r, n_cap, None, budget)
 
 
@@ -522,8 +527,6 @@ def confirm_no_witness(n: int, f: GrowthFn, r: int,
     """Audit the upper half of an exact claim: does NO valid coloring of
     length n exist?  Runs the complete canonicalized DFS capped at depth n;
     an indeterminate (None) result flags budget exhaustion."""
-    if n < 0 or r < 1:
-        raise InvalidArgumentError("n must be a natural and r >= 1")
     return _confirmed(_threshold(("star", _nondecreasing(f)), r, n, None, budget))
 
 
@@ -532,8 +535,6 @@ def confirm_no_ap_witness(n: int, r: int, l: int,
     """Progression-side audit: does NO r-coloring of length n avoid a
     monochromatic l-term progression?  Same semantics as
     :func:`confirm_no_witness`."""
-    if n < 0 or r < 1 or l < 1:
-        raise InvalidArgumentError("n must be a natural, r and l >= 1")
     return _confirmed(_threshold(("ap", l), r, n, None, budget))
 
 
@@ -554,7 +555,7 @@ def _first_forced_length(r: int, n_limit: int, avoids) -> int:
     raise InvalidArgumentError(f"no value found up to the enumeration limit {n_limit}")
 
 
-def brown_number_bruteforce(f: GrowthFn, r: int, n_limit: int = 24) -> int:
+def brown_number_bruteforce(f: GrowthFn, r: int, n_limit: int = BRUTEFORCE_LENGTH_CAP) -> int:
     """Independent oracle: walk n upward, enumerating every r-coloring of n
     and testing each via subset enumeration, until all colorings have a
     large homogeneous set.  Everything but the pinned first color is

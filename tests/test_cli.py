@@ -296,6 +296,20 @@ def test_bounds_lists_only_audited_cache_entries(cache_env, capsys):
     assert [row["cached"] for row in payload["rows"]] == [{"kind": "exact", "value": 2}, None]
 
 
+@pytest.mark.parametrize("argv,key", [
+    (("brown", "--f", "linear:1", "--r", "0"), {"command": "brown", "growth": "linear:1", "r": 0}),
+    (("vdw", "--r", "0", "--l", "3"), {"command": "vdw", "r": 0, "l": 3}),
+], ids=["brown", "vdw"])
+def test_a_cache_entry_for_no_colors_is_never_served(cache_env, capsys, argv, key):
+    # no search stores one: the empty witness of an empty palette is rejected, and
+    # the search it falls back to refuses r = 0
+    ResultCache(cache_env / "cache").put(key, {"witness_rle": "", "witness_length": 0,
+                                              "nodes": 0, "wall_time": 0.0})
+    code, payload, err = _run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err == "error: r and l must be >= 1 and the length cap a natural\n"
+
+
 def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, capsys):
     _run(capsys, *VDW_R2_L3)
     _edit_cache_entry(cache_env / "cache",
@@ -712,9 +726,10 @@ def test_psgen_reads_its_gaps_from_a_file(tmp_path, capsys):
     ("psgen", "--gaps", " 3,1_0"),
     ("psgen", "--gaps", ""),
     ("decompose", "--x", "1_0,+2", "--d", "2", "--horizon", "20"),
+    ("decompose", "--x=", "--d", "2", "--horizon", "-1"),
 ], ids=["bounds-r-max", "diag-n", "psgen-both", "psgen-neither", "psgen-gaps",
         "decompose-x", "psgen-gaps-space-underscore", "psgen-gaps-empty",
-        "decompose-x-underscore-plus"])
+        "decompose-x-underscore-plus", "decompose-negative-horizon"])
 def test_construction_usage_errors_exit_two(cache_env, capsys, argv):
     code, payload, err = _run(capsys, *argv)
     assert (code, payload) == (2, None)
@@ -732,6 +747,27 @@ def test_growth_spec_numbers_outside_the_decimal_digits_exit_two(cache_env, caps
     assert (code, payload) == (2, None)
     assert err.startswith("error: bad growth spec: ") and err.count("\n") == 1
     assert err.endswith(f"(at position {position})\n")
+
+
+LONG = 3000   # characters of a rejected token
+
+
+@pytest.mark.parametrize("argv,where", [
+    (("bounds", "--f", "linear:" + "9" * 5000, "--r-max", "1"), "(at position 7)"),
+    (("brown", "--f", "foo" + "z" * LONG, "--r", "1"), "(at position 0)"),
+    (("bounds", "--f", "table:1," + "y" * LONG, "--r-max", "1"), "(at position 8)"),
+    (("bounds", "--f", "table:1;tail=" + "y" * LONG, "--r-max", "1"), "(at position 13)"),
+    (("psgen", "--gaps", "1," + "x" * LONG), "got 'xxxx"),
+    (("check", "--input", "long.col", "--f", "linear:1"), "(line 2, column 5)"),
+], ids=["slope", "unrecognized-spec", "table-value", "tail-rule", "gaps", "coloring-file"])
+def test_an_error_quoting_a_long_token_stays_one_short_line(tmp_path, monkeypatch, capsys,
+                                                            argv, where):
+    monkeypatch.chdir(tmp_path)   # the error names the file as given
+    (tmp_path / "long.col").write_text(f"palette 2 length 3 encoding plain\n0 1 {'x' * LONG}\n")
+    code, payload, err = _run(capsys, *argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert where in err and "characters)" in err, err
 
 
 def test_decompose_with_an_empty_list_has_no_elements(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brownlab.core import (Coloring, GrowthFn, _natural, gap_size, max_run_size,
+from brownlab.core import (Coloring, GrowthFn, _natural, _quoted, gap_size, max_run_size,
                            parse_growth_spec)
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
 
@@ -252,6 +252,13 @@ def test_growth_spec_parse_errors_carry_position(bad, position):
         "trailing-space", "underscore", "plus", "minus", "superscript", "5000-digits"])
 def test_natural_reads_decimal_digits_only(text, value):
     assert _natural(text) == value
+
+
+def test_quoted_cuts_a_long_token_to_a_prefix_and_its_length():
+    assert _quoted("foo") == "'foo'"
+    assert _quoted("x" * 38) == repr("x" * 38)
+    assert _quoted("x" * 39) == repr("x" * 39)[:40] + "... (39 characters)"
+    assert len(_quoted("\u0000" * 10_000)) < 80
 
 
 def test_growth_spec_explicit_const_tail_accepted():

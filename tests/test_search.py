@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brownlab import search
+from brownlab import cli, search
+from brownlab.cache import ResultCache
 from brownlab.checker import (WitnessCertificate, has_large_homogeneous_bruteforce,
                               star_violation, verify_certificate)
 from brownlab.core import Coloring, GrowthFn, parse_growth_spec
@@ -16,9 +17,8 @@ from brownlab.errors import InvalidArgumentError, PreconditionError
 from brownlab.progressions import ap_partition_check
 from brownlab.search import (SearchBudget, brown_number,
                              brown_number_bruteforce, confirm_no_ap_witness,
-                             confirm_no_witness, formula_upper_bound,
-                             vdw_number, vdw_number_bruteforce, _ApRule, _run_tree,
-                             _StarRule)
+                             confirm_no_witness, vdw_number, vdw_number_bruteforce,
+                             _ApRule, _run_tree, _StarRule)
 
 LIN1 = GrowthFn.linear(1)
 LIN2 = GrowthFn.linear(2)
@@ -43,6 +43,12 @@ def test_two_color_values_match_full_enumeration():
     assert brown_number(LIN1, 2).value <= ardal_bound(1, 2)
 
 
+def test_enumeration_stops_at_the_oracle_length_cap():
+    # B(linear:30, 1) = 31 is past the subset oracle's 20 positions
+    with pytest.raises(InvalidArgumentError, match="enumeration limit 20"):
+        brown_number_bruteforce(GrowthFn.linear(30), 1)
+
+
 def test_exact_outcomes_ship_sound_witnesses():
     for f, r in [(LIN1, 1), (LIN1, 2), (LIN2, 1), (LIN2, 2), (EXP2, 1), (EXP2, 2)]:
         outcome = brown_number(f, r)
@@ -57,6 +63,19 @@ def test_exact_outcomes_ship_sound_witnesses():
 def test_rejects_zero_colors():
     with pytest.raises(InvalidArgumentError):
         brown_number(LIN1, 0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: brown_number(LIN1, 0), lambda: brown_number(EXP2, -1),
+    lambda: brown_number(LIN1, 2, n_cap=-1), lambda: vdw_number(0, 3), lambda: vdw_number(2, 0),
+    lambda: vdw_number(2, 3, n_cap=-1), lambda: confirm_no_witness(-1, LIN1, 2),
+    lambda: confirm_no_witness(3, LIN1, 0), lambda: confirm_no_ap_witness(-1, 2, 3),
+    lambda: confirm_no_ap_witness(3, 0, 3), lambda: confirm_no_ap_witness(3, 2, 0),
+])
+def test_every_search_checks_its_arguments_with_one_message(run):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^r and l must be >= 1 and the length cap a natural$"):
+        run()
 
 
 def test_values_stay_below_closed_form_bounds():
@@ -138,13 +157,18 @@ def test_exponential_two_color_threshold_is_exact():
     assert outcome.value == 17
 
 
+def _formula_upper(f, r):
+    """The bracket's upper end before any node is walked: the closed-form bound."""
+    return brown_number(f, r, budget=SearchBudget(max_nodes=0)).upper
+
+
 def test_formula_upper_bound_picks_the_best():
-    assert formula_upper_bound(LIN1, 2) == min(ardal_bound(1, 2), upper_bound_seq(LIN1, 2))
-    assert formula_upper_bound(EXP2, 2) == 33
+    assert _formula_upper(LIN1, 2) == min(ardal_bound(1, 2), upper_bound_seq(LIN1, 2))
+    assert _formula_upper(EXP2, 2) == 33
 
 
 def test_overflowed_recursion_means_no_known_upper():
-    assert formula_upper_bound(EXP2, 4) is None
+    assert _formula_upper(EXP2, 4) is None
     outcome = brown_number(EXP2, 4, budget=SearchBudget(max_nodes=100))
     assert outcome.kind == "bracketed"
     assert outcome.upper is None
@@ -231,6 +255,19 @@ def test_every_search_audits_its_deepest_coloring(monkeypatch, run, rule):
     monkeypatch.setattr(search, "ap_partition_check", lambda coloring, l: (0, None))
     with pytest.raises(RuntimeError, match=f"breaks its {rule} rule"):
         run()
+
+
+def test_a_cache_hit_passes_the_audit_of_every_search(tmp_path, monkeypatch, capsys):
+    keys = [({"command": "brown", "growth": "linear:1", "r": 2}, LIN1),
+            ({"command": "vdw", "r": 2, "l": 3}, None)]
+    for argv in (["brown", "--f", "linear:1", "--r", "2"], ["vdw", "--r", "2", "--l", "3"]):
+        assert cli.run_cli([*argv, "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cache = ResultCache(tmp_path)
+    assert [cli._cached(cache, key, f)[1] for key, f in keys] == ["hit", "hit"]
+    monkeypatch.setattr(search, "is_witness", lambda coloring, f: None)
+    monkeypatch.setattr(search, "ap_partition_check", lambda coloring, l: (0, None))
+    assert [cli._cached(cache, key, f)[1] for key, f in keys] == ["rejected", "rejected"]
 
 
 def test_wall_clock_budget_brackets():
