@@ -210,18 +210,17 @@ def _run_oracle(args, f: Optional[GrowthFn], outcome: SearchOutcome, payload: di
         raise InvalidArgumentError(f"--oracle is for small instances only "
                                    f"(value <= {ORACLE_VALUE_CAP})")
     try:
-        oracle_value = (brown_number_bruteforce(f, args.r, value + 1) if f is not None
+        oracle_value = (brown_number_bruteforce(f.monotone, args.r, value + 1) if f is not None
                         else vdw_number_bruteforce(args.r, args.l, value + 1))
     except InvalidArgumentError:
         # every length up to value + 1 has a valid coloring: the search reported too little
         oracle_value = None
     payload["oracle_value"] = oracle_value
-    payload["oracle_agreed"] = oracle_value == value
-    if oracle_value != value:
+    agreed = payload["oracle_agreed"] = oracle_value == value
+    if not agreed:
         _note(f"ORACLE DISAGREEMENT: search says {value}, full enumeration says "
               f"{oracle_value or f'more than {value + 1}'}")
-        return False
-    return True
+    return agreed
 
 
 def _cmd_confirm(args) -> int:

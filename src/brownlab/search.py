@@ -5,7 +5,9 @@ position, and a branch is cut as soon as the newest assignment makes an
 extension invalid.  Validity is monotone (windows and progressions only
 grow under extension), so every node of the pruned tree is itself a valid
 coloring of its depth, valid colorings are closed under truncation, and
-the threshold equals the maximum tree depth plus one.
+the threshold equals the maximum tree depth plus one.  The walk keeps the
+node it tries in three locals, its depth, next color and highest color, and
+each ancestor as those two colors on one flat stack of ints.
 
 A walk reports why it stopped, and every reader takes that from it: None
 when the capped tree was walked to its end, ``"cap"`` when a coloring
@@ -243,7 +245,7 @@ class _ApRule:
         if self.span > _AP_STRIDES and cand:
             values, span, rest = self.values, self.span, self.rest[color]
             # bits[q] is bit q, up to the last q whose first term is >= 0
-            bits = bin(cand & ~ahead)[:1:-1][:pos // span + 1]
+            bits = bin(cand & ~ahead & (2 << pos // span) - 1)[:1:-1]
             cand = sum(1 << q for q in range(1, len(bits)) if bits[q] == "1"
                        and values[pos - span * q:pos - _AP_STRIDES * q:q] == rest)
         new = cand & ~ahead
@@ -320,23 +322,25 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
               part=(0, 1)) -> _DfsStats:
     """Iterative DFS of part ``part=(i, n)`` of the split, lowest color first,
     by ``("star", f)`` on f's monotone form or ``("ap", l)``.  ``best`` tracks
-    the first (hence lexicographically least) deepest valid coloring."""
+    the first (hence lexicographically least) deepest valid coloring.  The node
+    being tried is ``depth``, next color ``c`` and highest color ``lim``, each
+    ancestor its two colors on ``stack``; ``c = palette`` leaves a node at once."""
     index, parts = part
     never = 1 << 62
     last = cap if cap is not None else never
     values: list[int] = []
     rule = (_StarRule(rule_desc[1].monotone, palette) if rule_desc[0] == "star"
             else _ApRule(rule_desc[1], values, palette))
-    nodes, stop = 0, None if last > 0 else "cap"
+    if last <= 0:
+        return _DfsStats((), 0, "cap")
+    stop, last_color = None, palette - 1
+    lim = 0 if canonical else last_color
+    stack: list[int] = []
     # the record shares its first ``agree`` positions with the live path
     best: list[int] = []
-    best_len = agree = 0
-    frames = [0] if stop is None else []
-    last_color = palette - 1
-    # the highest color each depth may try, already clamped to the palette
-    color_limits = [0 if canonical else last_color]
+    nodes = depth = c = best_len = agree = 0
     try_push, rule_pop = rule.try_push, rule.pop
-    push_value, pop_value = values.append, values.pop
+    push_value, pop_value, stack_pop = values.append, values.pop, stack.pop
     # the node cap and the clock are both looked at when nodes reaches check_at
     check_at = 0
     # a push to leaf_depth reaches the cap or, above the split, a root; ``turn``
@@ -351,76 +355,73 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
     table_depth = -gap
     open_keys, open_depth = [], -1
     saved = spent = build_at = 0
-    while frames:
+    while True:
         if nodes >= check_at:
             stop = ("nodes" if max_nodes is not None and nodes >= max_nodes else
                     "deadline" if deadline is not None and time.monotonic() > deadline else None)
             if stop is not None:
                 break
             check_at = nodes + 2048 if max_nodes is None else min(nodes + 2048, max_nodes)
-        c = frames[-1]
-        limit_c = color_limits[-1]
-        if c > limit_c:
-            frames.pop()
-            if frames:
-                rule_pop(pop_value())
-                color_limits.pop()
-                depth = len(values)
-                if agree > depth:
-                    agree = depth
-                if depth < open_depth:
-                    _, key, start = open_keys.pop()
-                    open_depth = open_keys[-1][0] if open_keys else -1
-                    if key is None:   # back above the split
-                        own += nodes - start
-                        leaf_depth, gap, table_depth = top_leaf, never, -never
-                    elif nodes - start >= _TABLE_MIN:
-                        if len(table) >= _TABLE_SIZE:
-                            table.clear()
-                        table[key] = nodes - start
+        if c > lim:
+            if not depth:
+                break
+            lim, c = stack_pop(), stack_pop()
+            rule_pop(pop_value())
+            depth -= 1
+            if agree > depth:
+                agree = depth
+            if depth < open_depth:
+                _, key, start = open_keys.pop()
+                open_depth = open_keys[-1][0] if open_keys else -1
+                if key is None:   # back above the split
+                    own += nodes - start
+                    leaf_depth, gap, table_depth = top_leaf, never, -never
+                elif nodes - start >= _TABLE_MIN:
+                    if len(table) >= _TABLE_SIZE:
+                        table.clear()
+                    table[key] = nodes - start
             continue
-        frames[-1] = c + 1
         nodes += 1
-        if try_push(len(values), c):
-            push_value(c)
-            depth = len(values)
-            if depth > best_len:
-                best[agree:] = values[agree:]
-                best_len = agree = depth
-                table_depth = depth - gap
-            elif depth <= table_depth and nodes >= build_at:
-                key = _star_key(rule, depth,
-                                c + 1 if c == limit_c and c < last_color else limit_c)
-                spent += len(key) * _KEY_COST
-                count = table.get(key)
-                if count is not None:
-                    # a repeat of a walked subtree: count its attempts, then backtrack
-                    if max_nodes is not None and nodes + count > max_nodes:
-                        count = max_nodes - nodes
-                    nodes += count
-                    saved += count
-                build_at = saved + (spent - saved) * _TABLE_SHARE
-                if count is not None:
-                    color_limits.append(last_color)
-                    frames.append(palette)
-                    continue
-                open_keys.append((depth, key, nodes))
-                open_depth = depth
-            if depth >= leaf_depth:
-                if depth >= last:
-                    stop = "cap"
-                    break
-                if turn:   # another part's root: a leaf, whose spent frame backtracks
-                    turn -= 1
-                    color_limits.append(last_color)
-                    frames.append(palette)
-                    continue
-                turn = parts - 1
-                open_keys.append((depth, None, nodes))
-                open_depth = depth
-                leaf_depth, gap, table_depth = last, table_gap, best_len - table_gap
-            color_limits.append(c + 1 if c == limit_c and c < last_color else limit_c)
-            frames.append(0)
+        if not try_push(depth, c):
+            c += 1
+            continue
+        push_value(c)
+        depth += 1
+        stack += c + 1, lim
+        lim = c + 1 if c == lim and c < last_color else lim
+        c = 0
+        if depth > best_len:
+            best[agree:] = values[agree:]
+            best_len = agree = depth
+            table_depth = depth - gap
+        elif depth <= table_depth and nodes >= build_at:
+            key = _star_key(rule, depth, lim)
+            spent += len(key) * _KEY_COST
+            count = table.get(key)
+            if count is not None:
+                # a repeat of a walked subtree: count its attempts, then backtrack
+                if max_nodes is not None and nodes + count > max_nodes:
+                    count = max_nodes - nodes
+                nodes += count
+                saved += count
+            build_at = saved + (spent - saved) * _TABLE_SHARE
+            if count is not None:
+                c = palette
+                continue
+            open_keys.append((depth, key, nodes))
+            open_depth = depth
+        if depth >= leaf_depth:
+            if depth >= last:
+                stop = "cap"
+                break
+            if turn:   # another part's root: a leaf
+                turn -= 1
+                c = palette
+                continue
+            turn = parts - 1
+            open_keys.append((depth, None, nodes))
+            open_depth = depth
+            leaf_depth, gap, table_depth = last, table_gap, best_len - table_gap
     if index:   # part 0 alone counts the attempts above the split
         nodes = own + (nodes - open_keys[0][2] if open_keys else 0)
     return _DfsStats(tuple(best), nodes, stop)

@@ -89,6 +89,16 @@ def test_brown_oracle_agreement(cache_env, capsys):
     assert payload["value"] == payload["oracle_value"] <= 5
 
 
+def test_oracle_enumerates_the_closure_the_search_answered_for(capsys):
+    # table:3,1,2 is not nondecreasing: the search answers for its closure
+    # (3, 4, 6, ...), whose threshold at r = 1 is 5; the original's is 2
+    code, payload, err = _run(capsys, "brown", "--f", "table:3,1,2", "--r", "1", "--oracle",
+                              "--no-cache")
+    assert code == 0, err
+    assert (payload["value"], payload["used_closure"]) == (5, True)
+    assert (payload["oracle_value"], payload["oracle_agreed"]) == (5, True)
+
+
 @pytest.mark.parametrize("value,oracle_value", [(4, 5), (3, None)])
 def test_oracle_reports_a_search_that_says_too_little(cache_env, capsys, monkeypatch, value,
                                                       oracle_value):

@@ -200,9 +200,6 @@ def test_deadline_passing_in_the_parallel_split_brackets():
 
 
 def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
-    f = parse_growth_spec("linear:3")
-    stats = _run_tree(("star", f), 2, None, None, time.monotonic() - 1.0)
-    assert (stats.nodes, stats.stop) == (0, "deadline")
     reads = 0
     clock = time.monotonic
 
@@ -212,13 +209,16 @@ def test_deadline_is_read_at_node_zero_then_every_2048_nodes(monkeypatch):
         return clock()
 
     monkeypatch.setattr(time, "monotonic", counting_clock)
-    for max_nodes in (10_000, None):
-        reads = 0
-        timed = _run_tree(("star", f), 2, None, max_nodes, clock() + 3600.0)
-        untimed = _run_tree(("star", f), 2, None, max_nodes, None)
-        assert (timed.best, timed.nodes, timed.stop) == (untimed.best, untimed.nodes,
-                                                         untimed.stop)
-        assert 1 <= reads <= timed.nodes // 2048 + 2
+    for rule_desc, r in ((("star", parse_growth_spec("linear:3")), 2), (("ap", 3), 3)):
+        stats = _run_tree(rule_desc, r, None, None, clock() - 1.0)
+        assert (stats.nodes, stats.stop) == (0, "deadline")
+        for max_nodes in (10_000, None):
+            reads = 0
+            timed = _run_tree(rule_desc, r, None, max_nodes, clock() + 3600.0)
+            untimed = _run_tree(rule_desc, r, None, max_nodes, None)
+            assert (timed.best, timed.nodes, timed.stop) == (untimed.best, untimed.nodes,
+                                                             untimed.stop)
+            assert 1 <= reads <= timed.nodes // 2048 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +567,20 @@ def test_ap_rule_walks_the_same_tree_as_the_slice_rule(monkeypatch, l, r, max_no
     monkeypatch.setattr(search, "_ApRule", _SliceApRule)
     want = _run_tree(("ap", l), r, None, max_nodes, None)
     assert (got.best, got.nodes, got.stop) == (want.best, want.nodes, want.stop)
+
+
+def test_deep_walk_keeps_two_ints_a_level():
+    # the 25,869-deep walk of the deep-star workload: the path, the record and
+    # the rule's levels dominate; a tuple per level on the DFS stack (about
+    # 1.3 MB more here) would break the bound
+    tracemalloc.start()
+    try:
+        stats = _run_tree(("star", EXP2), 3, None, 50_000, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats.nodes, len(stats.best)) == (50_000, 25_869)
+    assert peak < 6_000_000
 
 
 def test_ap_rule_memory_grows_linearly_with_depth():
