@@ -335,8 +335,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    if args.n < 0:
-        raise InvalidArgumentError("--n must be a natural")
     coloring = constructions.diag_prefix(args.d, args.n)
     payload = {"command": "diag", "d": args.d, "n": args.n,
                "coloring_rle": rle_string(coloring.values)}

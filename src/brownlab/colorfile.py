@@ -1,18 +1,17 @@
 """Coloring file format: a one-line header plus a plain or run-length body.
 
-Header: ``palette <r> length <n> encoding <plain|rle>``.  The body holds
-whitespace-separated tokens, color indices for ``plain`` and
-``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse,
-byte for byte on canonical files, and loop over runs and tokens in C.
-Decoding parses each *distinct* token once, through a token table, and
-checks the summed counts against the declared length before it builds
-anything; a number with more digits than Python converts is rejected at
-its line and column.  A canonical rle body, the one :func:`rle_string`
-spells, is kept on the decoded coloring for its certificate to reuse.
-Files this program writes have at most
-``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
-distinct rle ones (the distinct counts of one value sum to at most
-``length``).
+Header: ``palette <r> length <n> encoding <plain|rle>``, with ``n`` at most
+``LENGTH_CAP``.  The body holds whitespace-separated tokens, color indices for
+``plain`` and ``<value>x<count>`` tokens for ``rle``.  Encoding and decoding
+are inverse, byte for byte on canonical files, and loop over runs and tokens
+in C.  Decoding parses each *distinct* token once and sums the counts before
+it builds anything.  That one pass rejects a body, a certificate's and a cache
+entry's too, at its first token that is malformed, too long, a zero count,
+outside the palette or past the length (a file gives its line and column).
+A canonical rle body, the one :func:`rle_string` spells, is kept on the
+decoded coloring for its certificate to reuse.  Files this program writes have
+at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
+distinct rle ones (the distinct counts of one value sum to at most ``length``).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .core import Coloring, _natural, _quoted
 from .errors import ColoringFileError, InvalidArgumentError
 
 _TOKENS_PER_LINE = 64
+LENGTH_CAP = 1 << 25            # 16 times the stage-2 ladder, the longest coloring written
 _RLE_TOKEN = re.compile(r"^(\d+)x(\d+)$")
 
 
@@ -67,17 +67,26 @@ def _parse_token(token: str, rle: bool, palette=None):
     return run
 
 
-def _decode_tokens(tokens: list, rle: bool, length: int, palette=None):
-    """``(values iterator, {token: (value, count)})``, or None when a distinct token
-    is rejected or the counts, summed before anything is built, miss ``length``."""
+def _decode_tokens(tokens: list, rle: bool, length, palette=None) -> tuple:
+    """``(values iterator, {token: (value, count)})``, built only once the counts sum to
+    ``length``, else ``(index, message)`` for the first token that is rejected or carries
+    the counts past ``length``, or ``len(tokens)`` when they fall short or ``length`` is
+    no natural up to ``LENGTH_CAP``."""
+    if type(length) is not int or not 0 <= length <= LENGTH_CAP:
+        return len(tokens), f"length must be a natural <= {LENGTH_CAP}"
     runs = {token: _parse_token(token, rle, palette) for token in set(tokens)}
-    if any(isinstance(run, str) for run in runs.values()):
-        return None
-    counts = {token: count for token, (_, count) in runs.items()}
-    if sum(map(counts.__getitem__, tokens)) != length:
-        return None
-    expansion = {token: (value,) * count for token, (value, count) in runs.items()}
-    return chain.from_iterable(map(expansion.__getitem__, tokens)), runs
+    # a rejected token counts past any length: the sum misses, the running total stops at it
+    counts = {token: length + 1 if isinstance(run, str) else run[1] for token, run in runs.items()}
+    if sum(map(counts.__getitem__, tokens)) == length:
+        expansion = {token: (value,) * count for token, (value, count) in runs.items()}
+        return chain.from_iterable(map(expansion.__getitem__, tokens)), runs
+    total = 0
+    for index, count in enumerate(map(counts.__getitem__, tokens)):
+        total += count
+        if total > length:
+            run = runs[tokens[index]]
+            return index, run if isinstance(run, str) else f"body exceeds declared length {length}"
+    return len(tokens), f"body holds {total} positions but header declares {length}"
 
 
 def _canonical(tokens: list, runs: dict) -> bool:
@@ -90,13 +99,12 @@ def _canonical(tokens: list, runs: dict) -> bool:
 
 
 def parse_rle_string(text: str, length: int) -> list:
-    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``."""
-    tokens = text.split()
-    decoded = _decode_tokens(tokens, True, length)
-    if decoded is None:
-        bad = (run for run in map(_parse_token, tokens, repeat(True)) if isinstance(run, str))
-        raise InvalidArgumentError(next(bad, f"run-length body does not hold {length} positions"))
-    return list(decoded[0])
+    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``;
+    a rejected body raises the message a coloring file would carry."""
+    decoded, runs = _decode_tokens(text.split(), True, length)
+    if isinstance(runs, str):
+        raise InvalidArgumentError(runs)
+    return list(decoded)
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
@@ -112,21 +120,14 @@ def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def _body_error(lines, rle, palette, length, length_column) -> ColoringFileError:
-    """The error at the first body token that is malformed, has a zero count, lies
-    outside the palette or runs past ``length``, else at the header's length."""
-    total = 0
+def _position(lines: list, index: int, length_column: int) -> tuple:
+    """``(line, column)`` of body token ``index``; past the last, the header's length."""
     for lineno, line in enumerate(lines[1:], start=2):
-        for match in re.finditer(r"\S+", line):
-            parsed = _parse_token(match.group(0), rle, palette)
-            if not isinstance(parsed, str):
-                total += parsed[1]
-                if total <= length:
-                    continue
-                parsed = f"body exceeds declared length {length}"
-            return ColoringFileError(parsed, lineno, match.start() + 1)
-    return ColoringFileError(f"body holds {total} positions but header declares {length}",
-                             1, length_column)
+        starts = [match.start() for match in re.finditer(r"\S+", line)]
+        if index < len(starts):
+            return lineno, starts[index] + 1
+        index -= len(starts)
+    return 1, length_column
 
 
 def decode_coloring(text: str) -> Coloring:
@@ -150,10 +151,10 @@ def decode_coloring(text: str) -> Coloring:
     # line breaks are whitespace, so the header is the first six tokens
     tokens = text.split()
     del tokens[:6]                  # in place, so the token list is not copied
-    decoded = _decode_tokens(tokens, encoding == "rle", length, palette)
-    if decoded is None:
-        raise _body_error(lines, encoding == "rle", palette, length, header.index(fields[3]) + 1)
-    coloring = Coloring(palette=palette, values=tuple(decoded[0]))
-    if encoding == "rle" and _canonical(tokens, decoded[1]):
+    decoded, runs = _decode_tokens(tokens, encoding == "rle", length, palette)
+    if isinstance(runs, str):
+        raise ColoringFileError(runs, *_position(lines, decoded, header.index(fields[3]) + 1))
+    coloring = Coloring(palette=palette, values=tuple(decoded))
+    if encoding == "rle" and _canonical(tokens, runs):
         object.__setattr__(coloring, "_rle_body", " ".join(tokens))
     return coloring

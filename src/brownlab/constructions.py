@@ -77,8 +77,8 @@ def decimal_str(n: int) -> str:
 def diag_prefix(d: int, n: int) -> Coloring:
     """The length-n prefix of the width-d alternating-block 2-coloring: blocks
     of d consecutive positions alternate between colors 0 and 1."""
-    if d < 1:
-        raise InvalidArgumentError("block width must be >= 1")
+    if d < 1 or n < 0:
+        raise InvalidArgumentError("block width must be >= 1 and the length a natural")
     return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)))
 
 

@@ -323,8 +323,9 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
     """Iterative DFS of part ``part=(i, n)`` of the split, lowest color first,
     by ``("star", f)`` on f's monotone form or ``("ap", l)``.  ``best`` tracks
     the first (hence lexicographically least) deepest valid coloring.  The node
-    being tried is ``depth``, next color ``c`` and highest color ``lim``, each
-    ancestor its two colors on ``stack``; ``c = palette`` leaves a node at once."""
+    being tried is ``depth``, next color ``c`` and highest color ``lim``; each
+    ancestor keeps its highest color on ``stack`` and resumes at its child's color
+    plus one.  ``c = palette`` leaves a node at once."""
     index, parts = part
     never = 1 << 62
     last = cap if cap is not None else never
@@ -340,7 +341,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
     best: list[int] = []
     nodes = depth = c = best_len = agree = 0
     try_push, rule_pop = rule.try_push, rule.pop
-    push_value, pop_value, stack_pop = values.append, values.pop, stack.pop
+    push_value, pop_value, push_lim, pop_lim = values.append, values.pop, stack.append, stack.pop
     # the node cap and the clock are both looked at when nodes reaches check_at
     check_at = 0
     # a push to leaf_depth reaches the cap or, above the split, a root; ``turn``
@@ -365,8 +366,8 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
         if c > lim:
             if not depth:
                 break
-            lim, c = stack_pop(), stack_pop()
-            rule_pop(pop_value())
+            rule_pop(c := pop_value())
+            lim, c = pop_lim(), c + 1
             depth -= 1
             if agree > depth:
                 agree = depth
@@ -387,7 +388,7 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
             continue
         push_value(c)
         depth += 1
-        stack += c + 1, lim
+        push_lim(lim)
         lim = c + 1 if c == lim and c < last_color else lim
         c = 0
         if depth > best_len:

@@ -336,6 +336,26 @@ def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, 
     assert (code, payload["cache"], payload["value"]) == (0, "rejected", 9)
 
 
+def test_huge_witness_length_in_a_brown_cache_entry_is_rejected_before_allocation(cache_env,
+                                                                                 capsys):
+    _run(capsys, *BROWN_LIN1_R2)
+    _edit_cache_entry(cache_env / "cache", lambda e: e["result"].update(
+        witness_rle="0x1000000000", witness_length=1_000_000_000))
+    cache = ResultCache(cache_env / "cache")
+    key = {"command": "brown", "growth": "linear:1", "r": 2}
+    tracemalloc.start()
+    try:
+        state = _cached(cache, key, cli._parse_growth("linear:1"))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (state, peak < 1_000_000) == ("rejected", True)
+    code, payload, _ = _run(capsys, *BROWN_LIN1_R2)
+    assert (code, payload["cache"], payload["value"]) == (0, "rejected", 5)
+    code, payload, _ = _run(capsys, *BROWN_LIN1_R2)
+    assert (code, payload["cache"], payload["value"]) == (0, "hit", 5)
+
+
 @pytest.mark.parametrize("argv", [
     ("brown", "--f", "linear:1", "--r", "1", "--no-cache", "--certificate", "{dir}"),
     ("brown", "--f", "linear:1", "--r", "1", "--cache-dir", "{file}"),
@@ -521,6 +541,22 @@ def test_check_token_too_long_to_convert_exits_two(tmp_path, capsys):
     code, payload, err = _run(capsys, "check", "--input", str(path), "--f", "exp2")
     assert (code, payload) == (2, None)
     assert "line 2, column 1" in err and "too many digits" in err
+
+
+@pytest.mark.parametrize("argv", [("check", "--f", "exp2"), ("ap", "--l", "3")],
+                         ids=["check", "ap"])
+def test_a_length_past_the_cap_exits_two_at_the_header(tmp_path, capsys, argv):
+    path = tmp_path / "huge.col"
+    path.write_text("palette 1 length 1000000000 encoding rle\n0x1000000000\n")   # 54 bytes
+    tracemalloc.start()
+    try:
+        code, payload, err = _run(capsys, argv[0], "--input", str(path), *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, payload, peak < 1_000_000) == (2, None, True)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith("length must be a natural <= 33554432 (line 1, column 18)\n"), err
 
 
 def test_check_missing_file_exits_two(capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brownlab.checker import WitnessCertificate
-from brownlab.colorfile import (decode_coloring, encode_coloring,
+from brownlab.colorfile import (LENGTH_CAP, decode_coloring, encode_coloring,
                                 parse_rle_string, rle_string)
 from brownlab.core import Coloring
 from brownlab.errors import ColoringFileError, InvalidArgumentError
@@ -366,6 +366,67 @@ def test_huge_run_in_a_certificate_is_rejected_before_allocation(length):
     assert _peak_bytes(load) < 1_000_000
 
 
+# 54 bytes declaring a billion positions, which its one run fills
+HUGE_LENGTH_FILE = "palette 1 length 1000000000 encoding rle\n0x1000000000\n"
+LENGTH_MESSAGE = f"length must be a natural <= {LENGTH_CAP}"
+
+
+def test_huge_declared_length_in_a_file_is_rejected_at_the_header():
+    assert len(HUGE_LENGTH_FILE) == 54
+
+    def decode():
+        with pytest.raises(ColoringFileError, match=LENGTH_MESSAGE) as err:
+            decode_coloring(HUGE_LENGTH_FILE)
+        assert (err.value.line, err.value.column) == (1, 18)
+    assert _peak_bytes(decode) < 1_000_000
+
+
+@pytest.mark.parametrize("length", [1_000_000_000, LENGTH_CAP + 1, -1, None, True, 1.0, "1"])
+def test_certificate_length_must_be_a_natural_up_to_the_cap(length):
+    doc = json.dumps({"palette": 1, "length": length, "growth": "exp2",
+                      "coloring_rle": "0x1000000000", "classes": [[[1, 1, 2]]]})
+
+    def load():
+        with pytest.raises(InvalidArgumentError, match=LENGTH_MESSAGE):
+            WitnessCertificate.from_json(doc)
+    assert _peak_bytes(load) < 1_000_000
+
+
+# certificate and cache-entry bodies: good runs below the palette of 10,
+# malformed tokens, zero counts and counts that overflow a small length
+_BODY_TOKENS = st.one_of(
+    st.builds("{}x{}".format, st.integers(0, 9), st.integers(1, 3)),
+    st.sampled_from(_BAD_TOKENS),
+    st.builds("{}x0".format, st.integers(0, 9)),
+    st.builds("{}x{}".format, st.integers(0, 9), st.integers(4, 40)),
+)
+
+
+def _verdict(decode):
+    try:
+        return list(decode())
+    except InvalidArgumentError as exc:
+        return str(exc)
+    except ColoringFileError as exc:
+        where = f" (line {exc.line}, column {exc.column})"
+        assert str(exc).endswith(where)
+        return str(exc)[:-len(where)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_BODY_TOKENS, st.sampled_from([" ", "\n", "\t "])), max_size=8),
+       st.one_of(st.integers(0, 12), st.just(LENGTH_CAP + 1)))
+@example([("0x5", " "), ("zz", " ")], 2)
+@example([("1x1", " "), ("0x0", "\n"), ("2x40", " ")], 1)
+@example([("3x2", " ")], 5)
+@example([], LENGTH_CAP + 1)
+def test_rle_strings_and_files_reject_a_body_alike(runs, n):
+    body = "".join(chain.from_iterable(runs))
+    text = f"palette 10 length {n} encoding rle\n{body}\n"
+    want = _verdict(lambda: parse_rle_string(body, n))
+    assert _verdict(lambda: decode_coloring(text).values) == want
+
+
 def test_rle_string_length_must_match():
     assert parse_rle_string("0x2 1x1", 3) == [0, 0, 1]
     with pytest.raises(InvalidArgumentError):
@@ -374,3 +435,8 @@ def test_rle_string_length_must_match():
         parse_rle_string("0x2 1x0 2", 2)
     with pytest.raises(InvalidArgumentError, match="got '2'"):
         parse_rle_string("0x2 2 1x0", 2)
+    # the cap is inclusive
+    with pytest.raises(InvalidArgumentError, match=f"header declares {LENGTH_CAP}"):
+        parse_rle_string("0x1", LENGTH_CAP)
+    with pytest.raises(InvalidArgumentError, match=LENGTH_MESSAGE):
+        parse_rle_string("0x1", LENGTH_CAP + 1)

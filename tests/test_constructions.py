@@ -32,6 +32,12 @@ def test_diag_prefix_is_a_two_coloring():
     assert c.classes()[0] == (0, 1, 2, 6, 7, 8)
 
 
+@pytest.mark.parametrize("d,n", [(2, -1), (0, 5)], ids=["negative-length", "zero-width"])
+def test_diag_prefix_checks_its_arguments(d, n):
+    with pytest.raises(InvalidArgumentError, match="block width must be >= 1 and the length"):
+        diag_prefix(d, n)
+
+
 def test_diag_bound_is_attained_exactly():
     assert diag_bound_check(3, 12) == 3
     assert diag_bound_check(1, 4) == 1
