@@ -16,11 +16,10 @@ from .checker import (WindowViolation, WitnessCertificate, has_large_homogeneous
 from .search import (ConfirmOutcome, SearchBudget, SearchOutcome, brown_number,
                      brown_number_bruteforce, confirm_no_ap_witness,
                      confirm_no_witness, vdw_number, vdw_number_bruteforce)
-from .constructions import (BlockPrefix, ExtractReport, LadderStage,
-                            LadderVerifyReport, ardal_bound, decompose_ps,
-                            diag_bound_check, diag_prefix, extract_homogeneous_ps,
-                            ladder, ladder_lower_bound_check, ladder_verify,
-                            ps_generate, ps_problems, tower, upper_bound_seq)
+from .constructions import (BlockPrefix, LadderStage, LadderVerifyReport, ardal_bound,
+                            decompose_ps, diag_bound_check, diag_prefix,
+                            extract_homogeneous_ps, ladder, ladder_lower_bound_check,
+                            ladder_verify, ps_generate, ps_problems, tower, upper_bound_seq)
 from .progressions import ApWitness, ap_partition_check
 from .colorfile import decode_coloring, encode_coloring
 from . import errors
@@ -36,7 +35,7 @@ __all__ = [
     "ConfirmOutcome", "SearchBudget", "SearchOutcome", "brown_number",
     "brown_number_bruteforce", "confirm_no_ap_witness", "confirm_no_witness",
     "vdw_number", "vdw_number_bruteforce",
-    "BlockPrefix", "ExtractReport", "LadderStage", "LadderVerifyReport",
+    "BlockPrefix", "LadderStage", "LadderVerifyReport",
     "ardal_bound", "decompose_ps", "diag_bound_check", "diag_prefix",
     "extract_homogeneous_ps", "ladder", "ladder_lower_bound_check",
     "ladder_verify", "ps_generate", "ps_problems", "tower", "upper_bound_seq",

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checker import star_violation
-from .core import Coloring, GrowthFn, _runs, gap_size, max_run_size
+from .colorfile import LENGTH_CAP
+from .core import Coloring, GrowthFn, _runs, max_run_size
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
 LADDER_MATERIALIZE_CAP = 2   # stages beyond this carry their length only
@@ -76,9 +77,9 @@ def decimal_str(n: int) -> str:
 
 def diag_prefix(d: int, n: int) -> Coloring:
     """The length-n prefix of the width-d alternating-block 2-coloring: blocks
-    of d consecutive positions alternate between colors 0 and 1."""
-    if d < 1 or n < 0:
-        raise InvalidArgumentError("block width must be >= 1 and the length a natural")
+    of d consecutive positions alternate between colors 0 and 1; n <= ``LENGTH_CAP``."""
+    if d < 1 or not 0 <= n <= LENGTH_CAP:
+        raise InvalidArgumentError(f"block width must be >= 1 and the length in 0..{LENGTH_CAP}")
     return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)))
 
 
@@ -90,11 +91,10 @@ def diag_bound_check(d: int, n: int) -> int:
     one, so the measured value is exactly d whenever a full block fits,
     which is why a prefix of at least 2d positions is required.
     """
-    if d < 1:
-        raise InvalidArgumentError("block width must be >= 1")
+    coloring = diag_prefix(d, n)
     if n < 2 * d:
         raise InsufficientPrefixError(f"need a prefix of at least {2 * d} positions for width {d}")
-    return max(max_run_size(h, d) for h in diag_prefix(d, n).classes())
+    return max(max_run_size(h, d) for h in coloring.classes())
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +347,12 @@ def ps_generate(gaps: Coloring, blocks: int) -> BlockPrefix:
 
     Starts at 0 with the one-element block I_1; after block n the next
     element jumps by n and block n+1 continues with n gaps of ``gaps(n+1)``.
-    Needs ``gaps`` defined and >= 1 at every used position 2..blocks.
+    Needs ``gaps`` defined and >= 1 at every used position 2..blocks, and at
+    most ``LENGTH_CAP`` elements in all.
     The emitted prefix satisfies ``x_k <= palette * k * (k+1) / 2``.
     """
-    if blocks < 1:
-        raise InvalidArgumentError("at least one block must be requested")
+    if blocks < 1 or blocks * (blocks + 1) // 2 > LENGTH_CAP:
+        raise InvalidArgumentError(f"blocks must be >= 1 and hold at most {LENGTH_CAP} elements")
     if gaps.length <= blocks:
         raise InvalidArgumentError(
             f"gap coloring defines positions < {gaps.length}, but block {blocks} is requested")
@@ -397,40 +398,26 @@ def ps_problems(prefix: BlockPrefix, gaps: Coloring) -> list:
 
 
 def decompose_ps(x: Sequence[int], d: int, horizon: int):
-    """Split a prefix into (syndetic-part, thick-part) with X = Y intersect Z.
+    """Split a prefix into sorted tuples (syndetic-part, thick-part) with X = Y & Z.
 
-    ``Z`` smears X right by 0..d-1 (a thick prefix when X is piecewise
-    d-syndetic); ``Y`` re-adds everything outside Z.  The identity
-    ``X == Y & Z`` holds on ``[0, horizon - d)``; the last d positions are
-    subject to boundary effects of the finite window.
+    ``Z`` smears X right by 0..d-1 within the horizon (a thick prefix when X is
+    piecewise d-syndetic); ``Y`` is X plus everything outside Z, built in one pass
+    over the horizon, which is at most ``LENGTH_CAP``.  ``X == Y & Z`` holds on
+    ``[0, horizon - d)``; the last d positions see the edge of the finite window.
     """
-    if d < 1 or horizon < 0:
-        raise InvalidArgumentError("d must be >= 1 and the horizon a natural")
+    if d < 1 or not 0 <= horizon <= LENGTH_CAP:
+        raise InvalidArgumentError(f"d must be >= 1 and the horizon a natural <= {LENGTH_CAP}")
     xset = set(x)
     if xset and (min(xset) < 0 or max(xset) >= horizon):
         raise InvalidArgumentError("x must lie within [0, horizon)")
-    zset = {v + s for v in xset for s in range(d) if v + s < horizon}
-    yset = xset | (set(range(horizon)) - zset)
-    return tuple(sorted(yset)), tuple(sorted(zset))
-
-
-@dataclass(frozen=True)
-class ExtractReport:
-    """Outcome of the block-selection extraction."""
-
-    image: tuple           # the x-values indexed by the whole index set
-    subset: tuple          # n elements of the image with gaps <= e*d
-    gap_bound: int         # e*d
-
-    @property
-    def ok(self) -> bool:
-        return (len(self.subset) >= 1
-                and gap_size(self.subset) <= self.gap_bound)
+    zset = {v + s for v in xset for s in range(min(d, horizon - v))}
+    return tuple(v for v in range(horizon) if v in xset or v not in zset), tuple(sorted(zset))
 
 
 def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
-                           prefix: BlockPrefix, n: int) -> ExtractReport:
-    """Pull an n-element subset with gaps <= e*d out of ``{x_j : j in Y}``.
+                           prefix: BlockPrefix, n: int) -> tuple:
+    """The n-element subset with gaps <= e*d pulled out of ``{x_j : j in Y}``,
+    as a sorted tuple of x-values.
 
     ``prefix`` must come from :func:`ps_generate` with all gap values <= d,
     and the index set Y must contain a window of ``k + 2n`` indices with
@@ -457,19 +444,16 @@ def extract_homogeneous_ps(d: int, e: int, index_set: Sequence[int],
         raise InsufficientPrefixError(
             f"index {y[-1]} outside the generated prefix of {len(prefix.elements)} elements")
     tail = window[k:]
-    image = tuple(prefix.elements[j] for j in y)
     block_first = prefix.block_of_index(tail[0])
     first_end = prefix.bounds[block_first - 1][1]
     if all(j < first_end for j in tail[:n]):
-        subset = tuple(prefix.elements[j] for j in tail[:n])
-    else:
-        if block_first >= len(prefix.bounds):
-            raise InsufficientPrefixError("window tail spills past the last generated block")
-        next_start, next_end = prefix.bounds[block_first]
-        if not all(next_start <= j < next_end for j in tail[n:]):
-            raise InsufficientPrefixError(
-                "window tail does not fit two consecutive blocks; "
-                "the prefix gaps likely exceed the declared bound")
-        subset = tuple(prefix.elements[j] for j in tail[n:])
-    return ExtractReport(image=image, subset=subset, gap_bound=e * d)
+        return tuple(prefix.elements[j] for j in tail[:n])
+    if block_first >= len(prefix.bounds):
+        raise InsufficientPrefixError("window tail spills past the last generated block")
+    next_start, next_end = prefix.bounds[block_first]
+    if not all(next_start <= j < next_end for j in tail[n:]):
+        raise InsufficientPrefixError(
+            "window tail does not fit two consecutive blocks; "
+            "the prefix gaps likely exceed the declared bound")
+    return tuple(prefix.elements[j] for j in tail[n:])
 

@@ -39,6 +39,8 @@ class Coloring:
         if not isinstance(values, tuple):
             object.__setattr__(self, "values", tuple(values))
             values = self.values
+        if type(self.palette) is not int:
+            raise InvalidArgumentError(f"palette must be an int, not {type(self.palette).__name__}")
         if values:
             if self.palette < 1:
                 raise InvalidArgumentError("palette must be >= 1 for a nonempty coloring")

@@ -183,7 +183,6 @@ def test_criterion_8_constructions():
                                                  for _ in range(blocks + 2)))
                     prefix = ps_generate(gaps, blocks + 1)
                     indices = tuple(range(0, e * needed, e))
-                    report = extract_homogeneous_ps(d, e, indices, prefix, n)
-                    assert report.ok, (n, d, e)
-                    assert len(report.subset) == n
-                    assert gap_size(report.subset) <= e * d
+                    subset = extract_homogeneous_ps(d, e, indices, prefix, n)
+                    assert len(subset) == n, (n, d, e)
+                    assert gap_size(subset) <= e * d

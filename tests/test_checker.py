@@ -301,6 +301,15 @@ def test_tampered_certificates_are_rejected():
             WitnessCertificate.from_json(text)
 
 
+@pytest.mark.parametrize("palette", [2.5, True, 2.0, "2"])
+def test_certificate_palette_must_be_an_int(palette):
+    # 2.5 used to load and then fail verify_certificate with a bare TypeError,
+    # and true loaded and verified as palette True
+    doc = json.loads(is_witness(C1, EXP2).to_json())
+    with pytest.raises(InvalidArgumentError, match="palette must be an int"):
+        WitnessCertificate.from_json(json.dumps(dict(doc, palette=palette)))
+
+
 def _tamper_palette(doc):
     doc["classes"].append([])
 

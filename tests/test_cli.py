@@ -1,9 +1,7 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
+import re
 import time
 import tracemalloc
 from importlib import import_module
@@ -43,29 +41,26 @@ def _edit_cache_entry(cache_dir, edit):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python_m(*argv):
-    """``python -m brownlab`` in a subprocess, importing this checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "brownlab", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 # ---------------------------------------------------------------------------
 # brown / vdw
 # ---------------------------------------------------------------------------
 
 
-def test_python_dash_m_runs_the_cli(cache_env):
-    done = _python_m("vdw", "--r", "2", "--l", "3")
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["value"] == 9
+def test_python_dash_m_runs_the_cli(cache_env, python_m, capsys):
+    code, out, err = python_m("vdw", "--r", "2", "--l", "3", "--no-cache")
+    assert code == 0, err
+    assert json.loads(out)["value"] == 9
+    # the same stdout as run_cli in this process, the wall time aside
+    assert run_cli(["vdw", "--r", "2", "--l", "3", "--no-cache"]) == 0
+    def masked(text):
+        return re.sub(r'"wall_time":[0-9.e-]+', '"wall_time":0', text)
+    assert masked(out) == masked(capsys.readouterr().out)
 
 
-def test_entry_points_call_run_cli(cache_env):
-    done = _python_m("bounds", "--m", "1", "--r-max", "1")
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["command"] == "bounds"
+def test_entry_points_call_run_cli(cache_env, python_m):
+    code, out, err = python_m("bounds", "--m", "1", "--r-max", "1")
+    assert code == 0, err
+    assert json.loads(out)["command"] == "bounds"
     tomllib = pytest.importorskip("tomllib")   # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["brownlab"]
@@ -814,6 +809,30 @@ def test_an_error_quoting_a_long_token_stays_one_short_line(tmp_path, monkeypatc
     assert (code, payload) == (2, None)
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
     assert where in err and "characters)" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("diag", "--d", "2", "--n", "1000000000"),
+    ("psgen", "--input", "gaps.col"),
+    ("decompose", "--x", "0", "--d", "1", "--horizon", "10000000000"),
+    ("decompose", "--x", "0", "--d", "10000000000", "--horizon", "20000000000"),
+], ids=["diag-n", "psgen-elements", "decompose-horizon", "decompose-horizon-and-d"])
+def test_a_construction_past_the_length_cap_exits_two(tmp_path, monkeypatch, python_m, argv):
+    monkeypatch.chdir(tmp_path)
+    # 46 bytes that ask for 200,000 blocks, about 2 * 10**10 elements
+    (tmp_path / "gaps.col").write_text("palette 2 length 200000 encoding rle\n1x200000\n")
+    code, out, err = python_m(*argv)
+    assert (code, out) == (2, ""), err[-500:]
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-500:]
+    assert "33554432" in err
+
+
+def test_decompose_smears_no_further_than_the_horizon(python_m, capsys):
+    # a width of 10**10 used to run the smear loop 10**10 times past the horizon
+    code, out, err = python_m("decompose", "--x", "0", "--d", "10000000000", "--horizon", "100")
+    assert code == 0, err
+    assert run_cli(["decompose", "--x", "0", "--d", "100", "--horizon", "100"]) == 0
+    assert out == capsys.readouterr().out.replace('"d":100,', '"d":10000000000,')
 
 
 def test_decompose_with_an_empty_list_has_no_elements(capsys):

@@ -1,12 +1,14 @@
 import decimal
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brownlab.checker import is_witness
+from brownlab.colorfile import LENGTH_CAP
 from brownlab.core import Coloring, GrowthFn, gap_size, max_run_size
 from brownlab.constructions import (_LEAF_BITS, BIT_CAP, BlockPrefix, ardal_bound,
                                     brown_bounds, decimal_str, decompose_ps,
@@ -32,7 +34,8 @@ def test_diag_prefix_is_a_two_coloring():
     assert c.classes()[0] == (0, 1, 2, 6, 7, 8)
 
 
-@pytest.mark.parametrize("d,n", [(2, -1), (0, 5)], ids=["negative-length", "zero-width"])
+@pytest.mark.parametrize("d,n", [(2, -1), (0, 5), (1, LENGTH_CAP + 1)],
+                         ids=["negative-length", "zero-width", "past-the-cap"])
 def test_diag_prefix_checks_its_arguments(d, n):
     with pytest.raises(InvalidArgumentError, match="block width must be >= 1 and the length"):
         diag_prefix(d, n)
@@ -47,6 +50,13 @@ def test_diag_bound_is_attained_exactly():
 def test_diag_bound_needs_two_blocks():
     with pytest.raises(InsufficientPrefixError):
         diag_bound_check(5, 9)
+
+
+@pytest.mark.parametrize("d,n", [(0, 10), (2, -1)], ids=["zero-width", "negative-length"])
+def test_diag_bound_refuses_what_diag_prefix_refuses(d, n):
+    # a bad width or length is refused before the short-prefix check of (5, 9) above
+    with pytest.raises(InvalidArgumentError, match="block width must be >= 1 and the length"):
+        diag_bound_check(d, n)
 
 
 def test_diag_bound_matches_direct_run_scan():
@@ -312,6 +322,9 @@ def test_ps_generate_rejects_bad_input():
         ps_generate(Coloring(2, (1, 1, 0, 1)), 3)   # zero gap at a used position
     with pytest.raises(InvalidArgumentError):
         ps_generate(Coloring(2, (1, 1, 1)), 5)      # not enough positions
+    # 8192 blocks hold 33,558,528 elements, 8191 blocks 33,550,336
+    with pytest.raises(InvalidArgumentError, match=f"at most {LENGTH_CAP} elements"):
+        ps_generate(Coloring(2, (1,) * 8193), 8192)
 
 
 def test_block_of_index():
@@ -357,6 +370,30 @@ def test_decompose_identity_on_random_prefixes():
 def test_decompose_rejects_out_of_horizon():
     with pytest.raises(InvalidArgumentError):
         decompose_ps((5, 30), 2, 20)
+    with pytest.raises(InvalidArgumentError, match=f"horizon a natural <= {LENGTH_CAP}"):
+        decompose_ps((0,), 1, LENGTH_CAP + 1)
+
+
+def test_decompose_matches_its_set_definition():
+    rng = random.Random(22)
+    for _ in range(300):
+        horizon = rng.randint(0, 80)
+        d = rng.randint(1, 90)
+        xs = set(rng.sample(range(horizon), k=rng.randint(0, horizon)))
+        z = {v + s for v in xs for s in range(d) if v + s < horizon}
+        expected = tuple(sorted(xs | (set(range(horizon)) - z))), tuple(sorted(z))
+        assert decompose_ps(tuple(xs), d, horizon) == expected
+
+
+def test_decompose_builds_no_set_of_the_whole_horizon():
+    xs = tuple(range(0, 200_000, 7))
+    tracemalloc.start()
+    try:
+        decompose_ps(xs, 3, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +409,17 @@ def _uniform_prefix(gap, blocks):
 def test_extract_trivial_index_set():
     prefix = _uniform_prefix(2, 40)
     all_indices = tuple(range(len(prefix.elements)))
-    report = extract_homogeneous_ps(2, 1, all_indices, prefix, 3)
-    assert report.ok
-    assert len(report.subset) == 3
-    assert gap_size(report.subset) <= 2
+    subset = extract_homogeneous_ps(2, 1, all_indices, prefix, 3)
+    assert len(subset) == 3
+    assert gap_size(subset) <= 2
 
 
 def test_extract_consecutive_run_inherits_block_window():
     prefix = _uniform_prefix(3, 30)
     window = tuple(range(0, 120))
-    report = extract_homogeneous_ps(3, 1, window, prefix, 2)
-    assert report.ok
-    assert gap_size(report.subset) <= 3
+    subset = extract_homogeneous_ps(3, 1, window, prefix, 2)
+    assert len(subset) == 2
+    assert gap_size(subset) <= 3
 
 
 def test_extract_randomized_piecewise_syndetic_index_sets():
@@ -402,11 +438,10 @@ def test_extract_randomized_piecewise_syndetic_index_sets():
                                 tuple(rng.randint(1, d) for _ in range(blocks + 2)))
                 prefix = ps_generate(gaps, blocks + 1)
                 indices = tuple(range(0, e * needed, e))
-                report = extract_homogeneous_ps(d, e, indices, prefix, n)
-                assert report.ok, (n, d, e)
-                assert len(report.subset) == n
-                assert gap_size(report.subset) <= e * d
-                assert set(report.subset) <= set(report.image)
+                subset = extract_homogeneous_ps(d, e, indices, prefix, n)
+                assert len(subset) == n, (n, d, e)
+                assert gap_size(subset) <= e * d
+                assert set(subset) <= {prefix.elements[j] for j in indices}
 
 
 def test_extract_needs_a_long_enough_window():

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brownlab.constructions import (extract_homogeneous_ps, ladder, ladder_lower_bound_check,
+                                    ps_generate, tower)
 from brownlab.core import (Coloring, GrowthFn, _natural, _quoted, gap_size, max_run_size,
                            parse_growth_spec)
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
+from brownlab.search import brown_number_bruteforce, vdw_number_bruteforce
 
 
 def finite_set(elements):
@@ -94,6 +97,13 @@ def test_coloring_accepts_exactly_the_values_in_its_palette(palette, values):
         assert Coloring(palette, values).values == tuple(values)
         return
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        Coloring(palette, values)
+
+
+@pytest.mark.parametrize("palette", [2.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("values", [(), (0, 1)], ids=["empty", "two-positions"])
+def test_coloring_palette_must_be_an_int(palette, values):
+    with pytest.raises(InvalidArgumentError, match="palette must be an int"):
         Coloring(palette, values)
 
 
@@ -188,6 +198,32 @@ def test_growth_construction_errors():
         GrowthFn.from_table((5, 3), tail="linear")
     with pytest.raises(InvalidArgumentError):
         GrowthFn.exp2()(-1)
+
+
+ONE_BLOCK = ps_generate(Coloring(2, (1, 1)), 1)   # the one element 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ladder(-1),
+    lambda: tower(-1, 0),
+    lambda: ladder_lower_bound_check(1).implied_lower_bound(0),
+    lambda: ONE_BLOCK.block_of_index(1),
+    lambda: ps_generate(Coloring(2, (1, 1)), 0),
+    lambda: extract_homogeneous_ps(0, 1, (0,), ONE_BLOCK, 1),
+    lambda: extract_homogeneous_ps(1, 0, (0,), ONE_BLOCK, 1),
+    lambda: extract_homogeneous_ps(1, 1, (0,), ONE_BLOCK, 0),
+    lambda: GrowthFn("bogus"),
+    lambda: GrowthFn.from_table([-1]),
+    lambda: GrowthFn.from_table([1], tail="x"),
+    lambda: GrowthFn("closure"),
+    lambda: brown_number_bruteforce(GrowthFn.identity(), 0),
+    lambda: vdw_number_bruteforce(2, 0),
+], ids=["ladder-stage", "tower", "implied-lower-bound-r", "block-of-index", "ps-generate-blocks",
+        "extract-d", "extract-e", "extract-n", "growth-kind", "table-value", "tail-rule",
+        "closure-inner", "brown-bruteforce-r", "vdw-bruteforce-l"])
+def test_each_argument_check_raises_invalid_argument(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 def test_monotone_closure_examples():
