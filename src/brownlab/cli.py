@@ -361,20 +361,16 @@ def _cmd_psgen(args) -> int:
         raise InvalidArgumentError("give exactly one of --gaps or --input")
     if args.input is not None:
         gaps = _read_coloring(args.input)
-        blocks = args.blocks if args.blocks is not None else gaps.length - 1
     else:
         values = _naturals(args.gaps, "--gaps")
         # inline values feed blocks 2, 3, ...; positions 0 and 1 are unused
         palette = max(values + [1]) + 1
         gaps = Coloring(palette=palette, values=tuple([1, 1] + values))
-        blocks = args.blocks if args.blocks is not None else len(values) + 1
+    blocks = args.blocks if args.blocks is not None else gaps.length - 1
     prefix = constructions.ps_generate(gaps, blocks)
     problems = constructions.ps_problems(prefix, gaps)
-    payload = {"command": "psgen", "blocks": blocks,
-               "elements": list(prefix.elements),
-               "block_bounds": [list(b) for b in prefix.bounds],
-               "problems": problems}
-    _emit(payload)
+    _emit({"command": "psgen", "blocks": blocks, "elements": prefix.elements,
+           "block_bounds": prefix.bounds, "problems": problems})
     _note(f"generated {len(prefix.elements)} elements in {blocks} blocks"
           + ("" if not problems else f"; PROBLEMS: {problems}"))
     return EXIT_OK if not problems else EXIT_NEGATIVE
@@ -382,13 +378,11 @@ def _cmd_psgen(args) -> int:
 
 def _cmd_decompose(args) -> int:
     xs = _naturals(args.x, "--x") if args.x else []
-    y, z = constructions.decompose_ps(tuple(sorted(set(xs))), args.d, args.horizon)
-    cut = args.horizon - args.d
-    xset = {v for v in xs if v < cut}
-    identity_ok = xset == {v for v in set(y) & set(z) if v < cut}
-    payload = {"command": "decompose", "d": args.d, "horizon": args.horizon,
-               "y": list(y), "z": list(z), "identity_ok": identity_ok}
-    _emit(payload)
+    y, z = constructions.decompose_ps(xs, args.d, args.horizon)
+    zs = set(z)
+    identity_ok = sorted(set(xs)) == [v for v in y if v in zs]
+    _emit({"command": "decompose", "d": args.d, "horizon": args.horizon,
+           "y": y, "z": z, "identity_ok": identity_ok})
     return EXIT_OK if identity_ok else EXIT_NEGATIVE
 
 

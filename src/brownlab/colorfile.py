@@ -1,17 +1,18 @@
 """Coloring file format: a one-line header plus a plain or run-length body.
 
 Header: ``palette <r> length <n> encoding <plain|rle>``, with ``n`` at most
-``LENGTH_CAP``.  The body holds whitespace-separated tokens, color indices for
-``plain`` and ``<value>x<count>`` tokens for ``rle``.  Encoding and decoding
-are inverse, byte for byte on canonical files, and loop over runs and tokens
-in C.  Decoding parses each *distinct* token once and sums the counts before
-it builds anything.  That one pass rejects a body, a certificate's and a cache
-entry's too, at its first token that is malformed, too long, a zero count,
-outside the palette or past the length (a file gives its line and column).
-A canonical rle body, the one :func:`rle_string` spells, is kept on the
-decoded coloring for its certificate to reuse.  Files this program writes have
-at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
-distinct rle ones (the distinct counts of one value sum to at most ``length``).
+``LENGTH_CAP``, a length every command holds within 1 GiB of address space.
+The body holds whitespace-separated tokens, color indices for ``plain`` and
+``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse,
+byte for byte on canonical files, and loop over runs and tokens in C.  Decoding
+parses each *distinct* token once and sums the counts before it builds
+anything.  That one pass rejects a body, a certificate's and a cache entry's
+too, at its first token that is malformed, too long, a zero count, outside the
+palette or past the length (a file gives its line and column).  A canonical rle
+body, the one :func:`rle_string` spells, is kept on the decoded coloring for
+its certificate to reuse.  Files this program writes have at most ``palette``
+distinct plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
+distinct counts of one value sum to at most ``length``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core import Coloring, _natural, _quoted
 from .errors import ColoringFileError, InvalidArgumentError
 
 _TOKENS_PER_LINE = 64
-LENGTH_CAP = 1 << 25            # 16 times the stage-2 ladder, the longest coloring written
+LENGTH_CAP = 1 << 23            # 4 times the stage-2 ladder, the longest coloring written
 _RLE_TOKEN = re.compile(r"^(\d+)x(\d+)$")
 
 

@@ -25,6 +25,7 @@ import bisect
 import decimal
 import functools
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import Optional, Sequence
 
 from .checker import star_violation
@@ -346,7 +347,9 @@ def ps_generate(gaps: Coloring, blocks: int) -> BlockPrefix:
     ``gaps(n)``.
 
     Starts at 0 with the one-element block I_1; after block n the next
-    element jumps by n and block n+1 continues with n gaps of ``gaps(n+1)``.
+    element jumps by n and block n+1 continues with n gaps of ``gaps(n+1)``,
+    so the elements are one running sum of those steps and block n spans
+    indices ``[n(n-1)/2, n(n+1)/2)``.
     Needs ``gaps`` defined and >= 1 at every used position 2..blocks, and at
     most ``LENGTH_CAP`` elements in all.
     The emitted prefix satisfies ``x_k <= palette * k * (k+1) / 2``.
@@ -359,16 +362,11 @@ def ps_generate(gaps: Coloring, blocks: int) -> BlockPrefix:
     for n in range(2, blocks + 1):
         if gaps.values[n] < 1:
             raise InvalidArgumentError(f"gap value at {n} must be >= 1")
-    xs = [0]
-    bounds = [(0, 1)]
-    for n in range(1, blocks):
-        xs.append(xs[-1] + n)
-        start = len(xs) - 1
-        gap = gaps.values[n + 1]
-        for _ in range(n):
-            xs.append(xs[-1] + gap)
-        bounds.append((start, len(xs)))
-    return BlockPrefix(elements=tuple(xs), bounds=tuple(bounds))
+    steps = chain.from_iterable(chain((n,), repeat(gaps.values[n + 1], n))
+                                for n in range(1, blocks))
+    return BlockPrefix(elements=tuple(accumulate(steps, initial=0)),
+                       bounds=tuple((n * (n - 1) // 2, n * (n + 1) // 2)
+                                    for n in range(1, blocks + 1)))
 
 
 def ps_problems(prefix: BlockPrefix, gaps: Coloring) -> list:
@@ -402,8 +400,8 @@ def decompose_ps(x: Sequence[int], d: int, horizon: int):
 
     ``Z`` smears X right by 0..d-1 within the horizon (a thick prefix when X is
     piecewise d-syndetic); ``Y`` is X plus everything outside Z, built in one pass
-    over the horizon, which is at most ``LENGTH_CAP``.  ``X == Y & Z`` holds on
-    ``[0, horizon - d)``; the last d positions see the edge of the finite window.
+    over the horizon, which is at most ``LENGTH_CAP``.  Each smear starts at offset
+    0, so Z contains X and ``X == Y & Z`` holds on the whole horizon.
     """
     if d < 1 or not 0 <= horizon <= LENGTH_CAP:
         raise InvalidArgumentError(f"d must be >= 1 and the horizon a natural <= {LENGTH_CAP}")

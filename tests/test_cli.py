@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from brownlab import checker, cli, constructions
 from brownlab.cache import ResultCache
 from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
-from brownlab.colorfile import encode_coloring, rle_string
+from brownlab.colorfile import LENGTH_CAP, encode_coloring, rle_string
 from brownlab.core import Coloring
 from brownlab.errors import InvalidArgumentError
 
@@ -551,7 +552,16 @@ def test_a_length_past_the_cap_exits_two_at_the_header(tmp_path, capsys, argv):
         tracemalloc.stop()
     assert (code, payload, peak < 1_000_000) == (2, None, True)
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert err.endswith("length must be a natural <= 33554432 (line 1, column 18)\n"), err
+    assert err.endswith("length must be a natural <= 8388608 (line 1, column 18)\n"), err
+
+
+def test_check_at_the_length_cap_answers_within_a_gibibyte(tmp_path, python_m):
+    path = tmp_path / "cap.col"
+    path.write_text(f"palette 1 length {LENGTH_CAP} encoding rle\n0x{LENGTH_CAP}\n")
+    code, out, err = python_m("check", "--input", str(path), "--f", "linear:1")
+    assert code == 1, err[-500:]
+    assert json.loads(out)["violation"] == {"color": 0, "start": 0, "end": LENGTH_CAP - 1,
+                                            "length": LENGTH_CAP, "gap_size": 1}
 
 
 def test_check_missing_file_exits_two(capsys):
@@ -811,12 +821,20 @@ def test_an_error_quoting_a_long_token_stays_one_short_line(tmp_path, monkeypatc
     assert where in err and "characters)" in err, err
 
 
+# the fewest blocks whose b * (b + 1) / 2 elements exceed LENGTH_CAP
+BLOCKS_PAST_CAP = next(b for b in range(1, LENGTH_CAP) if b * (b + 1) // 2 > LENGTH_CAP)
+
+
 @pytest.mark.parametrize("argv", [
     ("diag", "--d", "2", "--n", "1000000000"),
     ("psgen", "--input", "gaps.col"),
     ("decompose", "--x", "0", "--d", "1", "--horizon", "10000000000"),
     ("decompose", "--x", "0", "--d", "10000000000", "--horizon", "20000000000"),
-], ids=["diag-n", "psgen-elements", "decompose-horizon", "decompose-horizon-and-d"])
+    ("diag", "--d", "2", "--n", str(LENGTH_CAP + 1)),
+    ("psgen", "--input", "gaps.col", "--blocks", str(BLOCKS_PAST_CAP)),
+    ("decompose", "--x", "0", "--d", "1", "--horizon", str(LENGTH_CAP + 1)),
+], ids=["diag-n", "psgen-elements", "decompose-horizon", "decompose-horizon-and-d",
+        "diag-n-cap-plus-one", "psgen-blocks-past-cap", "decompose-horizon-cap-plus-one"])
 def test_a_construction_past_the_length_cap_exits_two(tmp_path, monkeypatch, python_m, argv):
     monkeypatch.chdir(tmp_path)
     # 46 bytes that ask for 200,000 blocks, about 2 * 10**10 elements
@@ -824,7 +842,7 @@ def test_a_construction_past_the_length_cap_exits_two(tmp_path, monkeypatch, pyt
     code, out, err = python_m(*argv)
     assert (code, out) == (2, ""), err[-500:]
     assert err.startswith("error: ") and err.count("\n") == 1, err[-500:]
-    assert "33554432" in err
+    assert "8388608" in err
 
 
 def test_decompose_smears_no_further_than_the_horizon(python_m, capsys):
@@ -846,6 +864,34 @@ def test_decompose_command(capsys):
     assert code == 0
     assert payload["identity_ok"] is True
     assert payload["z"] == [0, 1, 2]
+
+
+SEVENTHS = ",".join(map(str, range(0, 200_000, 7)))
+
+
+def test_decompose_builds_no_set_but_z(capsys):
+    tracemalloc.start()
+    try:
+        code = run_cli(["decompose", "--x", SEVENTHS, "--d", "3", "--horizon", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["identity_ok"] is True
+    assert (code, peak < 21_500_000) == (0, True), peak
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("psgen", "--gaps", ",".join(str(1 + i * i % 5) for i in range(299))),
+     "6eea28ba580ef6a933a9704e445ebdd8b97c1d430a5b880caee1a30e505ab5cf"),
+    (("decompose", "--x", SEVENTHS, "--d", "3", "--horizon", "200000"),
+     "8e064745b8166bcf5e33784c912fe7c32bda0f85a5bf6fbfd83605cd9ad815d6"),
+    (("decompose", "--x", ",".join(str(v) for v in range(150_000) if v % 11 in (0, 3, 4)),
+      "--d", "5", "--horizon", "150000"),
+     "216d4875974e5c4f2a8e15b3f1c38beb5a5e31811303a481c436d82850e5981e"),
+], ids=["psgen-300-blocks", "decompose-sevenths", "decompose-three-in-eleven"])
+def test_construction_stdout_is_pinned(capsys, argv, digest):
+    assert run_cli(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_and_progression_payloads_print_their_records(tmp_path, capsys):

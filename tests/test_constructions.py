@@ -317,6 +317,32 @@ def test_ps_generate_random_colorings_satisfy_contract():
         assert ps_problems(prefix, gaps) == []
 
 
+def _ps_generate_by_appending(gaps, blocks):
+    """The element-by-element loop that ``ps_generate`` replaced, kept as a reference."""
+    xs = [0]
+    bounds = [(0, 1)]
+    for n in range(1, blocks):
+        xs.append(xs[-1] + n)
+        start = len(xs) - 1
+        gap = gaps.values[n + 1]
+        for _ in range(n):
+            xs.append(xs[-1] + gap)
+        bounds.append((start, len(xs)))
+    return tuple(xs), tuple(bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=60).flatmap(
+    lambda values: st.tuples(st.just(values), st.integers(1, len(values) - 1))))
+@example(([1, 1], 1))
+@example(([3, 1, 2], 2))
+def test_ps_generate_matches_the_appending_loop(case):
+    values, blocks = case
+    gaps = Coloring(max(values) + 1, tuple(values))
+    prefix = ps_generate(gaps, blocks)
+    assert (prefix.elements, prefix.bounds) == _ps_generate_by_appending(gaps, blocks)
+
+
 def test_ps_generate_rejects_bad_input():
     with pytest.raises(InvalidArgumentError):
         ps_generate(Coloring(2, (1, 1, 0, 1)), 3)   # zero gap at a used position
@@ -365,6 +391,7 @@ def test_decompose_identity_on_random_prefixes():
         lhs = {v for v in xs if v < cut}
         rhs = {v for v in set(y) & set(z) if v < cut}
         assert lhs == rhs
+        assert set(y) & set(z) == set(xs)   # Z contains X, so the identity holds everywhere
 
 
 def test_decompose_rejects_out_of_horizon():
