@@ -381,7 +381,8 @@ def test_huge_declared_length_in_a_file_is_rejected_at_the_header():
     assert _peak_bytes(decode) < 1_000_000
 
 
-@pytest.mark.parametrize("length", [1_000_000_000, LENGTH_CAP + 1, -1, None, True, 1.0, "1"])
+@pytest.mark.parametrize("length", [1_000_000_000, LENGTH_CAP + 1, 4 * LENGTH_CAP + 1,
+                                    -1, None, True, 1.0, "1"])
 def test_certificate_length_must_be_a_natural_up_to_the_cap(length):
     doc = json.dumps({"palette": 1, "length": length, "growth": "exp2",
                       "coloring_rle": "0x1000000000", "classes": [[[1, 1, 2]]]})
