@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colorfile import parse_rle_string, rle_string
+from .colorfile import coloring_rle, parse_rle_string
 from .core import Coloring, GrowthFn, _runs, parse_growth_spec
 from .errors import (GrowthSpecError, InvalidArgumentError, PreconditionError,
                      ResourceLimitError)
@@ -165,7 +165,7 @@ class WitnessCertificate:
             "palette": self.coloring.palette,
             "length": self.coloring.length,
             "growth": self.growth_spec,
-            "coloring_rle": self.coloring._rle_body or rle_string(self.coloring.values),
+            "coloring_rle": coloring_rle(self.coloring),
             "classes": [[list(t) for t in cls] for cls in self.per_class],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))

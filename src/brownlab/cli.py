@@ -23,7 +23,7 @@ from .cache import ResultCache, resolve_cache_dir
 # is_witness is not called here; it stays bound because bench/test_bench.py::
 # test_tracer_wraps_every_binding_by_identity_and_restores_them asserts cli.is_witness
 from .checker import _scan, is_witness  # noqa: F401
-from .colorfile import decode_coloring, encode_coloring, parse_rle_string, rle_string
+from .colorfile import coloring_rle, decode_coloring, encode_coloring, parse_rle_string
 from .core import Coloring, GrowthFn, _natural, _quoted, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
@@ -106,7 +106,7 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
     if outcome.certificate is not None:
         payload["certificate"] = json.loads(outcome.certificate.to_json())
     else:
-        payload["witness_rle"] = rle_string(outcome.witness.values)
+        payload["witness_rle"] = coloring_rle(outcome.witness)
     return payload
 
 
@@ -160,7 +160,7 @@ def _search_command(args) -> int:
                    else vdw_number(args.r, args.l, n_cap=args.max_n, budget=budget))
         if cache is not None and outcome.kind == "exact":
             with _writing(cache.directory):
-                cache.put(key, {"witness_rle": rle_string(outcome.witness.values),
+                cache.put(key, {"witness_rle": coloring_rle(outcome.witness),
                                 "witness_length": outcome.witness.length,
                                 "nodes": outcome.nodes_explored,
                                 "wall_time": round(outcome.wall_time, 6)})
@@ -337,7 +337,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_diag(args) -> int:
     coloring = constructions.diag_prefix(args.d, args.n)
     payload = {"command": "diag", "d": args.d, "n": args.n,
-               "coloring_rle": rle_string(coloring.values)}
+               "coloring_rle": coloring_rle(coloring)}
     if args.out:
         with _writing(args.out):
             Path(args.out).write_text(encode_coloring(coloring))
@@ -403,8 +403,15 @@ def _cmd_ap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _natural_arg(text: str) -> int:
+    """Every integer flag's type: a natural read by ``core._natural``, else a usage error."""
+    if (value := _natural(text)) is None:
+        raise argparse.ArgumentTypeError(f"expected a natural, got {_quoted(text)}")
+    return value
+
+
 def _add_search_flags(parser) -> None:
-    parser.add_argument("--max-n", type=int, default=None,
+    parser.add_argument("--max-n", type=_natural_arg, default=None,
                         help="cap the searched coloring length (forces bracketing if hit)")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check the exact value against full enumeration")
@@ -416,11 +423,11 @@ def _add_search_flags(parser) -> None:
 
 
 def _add_budget_flags(parser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_natural_arg, default=1,
                         help="split the search into this many parts, one process each (default 1)")
     parser.add_argument("--require-exact", action="store_true",
                         help="exit 3 instead of reporting a bracket")
-    parser.add_argument("--budget-nodes", type=int, default=None,
+    parser.add_argument("--budget-nodes", type=_natural_arg, default=None,
                         help=f"node budget, 0 = unlimited (default {DEFAULT_NODE_BUDGET}, "
                              "none when --budget-seconds is given)")
     parser.add_argument("--budget-seconds", type=float, default=None,
@@ -429,27 +436,27 @@ def _add_budget_flags(parser) -> None:
 
 @functools.cache  # built once: run_cli parses every call with it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="brownlab",
-        description="Thresholds, witnesses and bounds for gap-bounded colorings.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    new_parser = functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = new_parser(prog="brownlab",
+                        description="Thresholds, witnesses and bounds for gap-bounded colorings.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     p = sub.add_parser("brown", help="compute or bracket a Brown number")
     p.add_argument("--f", required=True, help="growth spec, e.g. linear:2 or exp2")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
+    p.add_argument("--r", type=_natural_arg, required=True, help="number of colors")
     _add_search_flags(p)
     p.set_defaults(handler=_search_command)
 
     p = sub.add_parser("vdw", help="compute or bracket a van der Waerden number")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
-    p.add_argument("--l", type=int, required=True, help="progression length")
+    p.add_argument("--r", type=_natural_arg, required=True, help="number of colors")
+    p.add_argument("--l", type=_natural_arg, required=True, help="progression length")
     _add_search_flags(p)
     p.set_defaults(handler=_search_command)
 
     p = sub.add_parser("confirm", help="audit that no witness of length n exists")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural_arg, required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_natural_arg, required=True)
     _add_budget_flags(p)
     p.set_defaults(handler=_cmd_confirm)
 
@@ -459,53 +466,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("ladder", help="generate or verify a witness ladder stage")
-    p.add_argument("--s", type=int, required=True, help="stage index")
+    p.add_argument("--s", type=_natural_arg, required=True, help="stage index")
     p.add_argument("--verify", action="store_true", help="check the stage claims")
     p.add_argument("--out", default=None, help="write the stage coloring to this file")
     p.set_defaults(handler=_cmd_ladder)
 
     p = sub.add_parser("bounds", help="tabulate closed-form bounds")
     p.add_argument("--f", default=None, help="growth spec")
-    p.add_argument("--m", type=int, default=None, help="linear slope shortcut")
-    p.add_argument("--r-max", type=int, required=True)
+    p.add_argument("--m", type=_natural_arg, default=None, help="linear slope shortcut")
+    p.add_argument("--r-max", type=_natural_arg, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("diag", help="emit an alternating-block coloring prefix")
-    p.add_argument("--d", type=int, required=True, help="block width")
-    p.add_argument("--n", type=int, required=True, help="prefix length")
+    p.add_argument("--d", type=_natural_arg, required=True, help="block width")
+    p.add_argument("--n", type=_natural_arg, required=True, help="prefix length")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_diag)
 
     p = sub.add_parser("psgen", help="generate a piecewise-syndetic block prefix")
     p.add_argument("--gaps", default=None, help="comma list of gaps for blocks 2,3,...")
     p.add_argument("--input", default=None, help="coloring file supplying the gaps")
-    p.add_argument("--blocks", type=int, default=None)
+    p.add_argument("--blocks", type=_natural_arg, default=None)
     p.set_defaults(handler=_cmd_psgen)
 
     p = sub.add_parser("decompose", help="split a prefix into syndetic and thick parts")
     p.add_argument("--x", required=True, help="comma list of elements")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--d", type=_natural_arg, required=True)
+    p.add_argument("--horizon", type=_natural_arg, required=True)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("ap", help="find a monochromatic progression in a coloring file")
     p.add_argument("--input", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_natural_arg, required=True)
     p.set_defaults(handler=_cmd_ap)
 
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except MagnitudeError as exc:
         _note(f"magnitude overflow: {exc}")
         return EXIT_MAGNITUDE
-    except BrownlabError as exc:
+    except (BrownlabError, argparse.ArgumentError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE

@@ -8,9 +8,10 @@ byte for byte on canonical files, and loop over runs and tokens in C.  Decoding
 parses each *distinct* token once and sums the counts before it builds
 anything.  That one pass rejects a body, a certificate's and a cache entry's
 too, at its first token that is malformed, too long, a zero count, outside the
-palette or past the length (a file gives its line and column).  A canonical rle
-body, the one :func:`rle_string` spells, is kept on the decoded coloring for
-its certificate to reuse.  Files this program writes have at most ``palette``
+palette or past the length (a file gives its line and column).  A coloring
+decoded from a canonical rle file, or built by ``ladder`` or ``diag_prefix``,
+keeps its canonical body, which the rle writer and the certificate reuse through
+:func:`coloring_rle`.  Files this program writes have at most ``palette``
 distinct plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
 distinct counts of one value sum to at most ``length``).
 """
@@ -27,6 +28,7 @@ from .errors import ColoringFileError, InvalidArgumentError
 _TOKENS_PER_LINE = 64
 LENGTH_CAP = 1 << 23            # 4 times the stage-2 ladder, the longest coloring written
 _RLE_TOKEN = re.compile(r"^(\d+)x(\d+)$")
+_LINE = re.compile(rf"[^ ]+(?: [^ ]+){{0,{_TOKENS_PER_LINE - 1}}}")   # one line of a body
 
 
 def _runs(values) -> tuple:
@@ -49,6 +51,11 @@ def _rle_tokens(values) -> list:
 def rle_string(values) -> str:
     """Space-separated ``<value>x<count>`` tokens of naturals (canonical certificate form)."""
     return " ".join(_rle_tokens(values))
+
+
+def coloring_rle(coloring: Coloring) -> str:
+    """The coloring's canonical rle body: the one it keeps, else spelled from its values."""
+    return coloring._rle_body or rle_string(coloring.values)
 
 
 def _parse_token(token: str, rle: bool, palette=None):
@@ -90,13 +97,13 @@ def _decode_tokens(tokens: list, rle: bool, length, palette=None) -> tuple:
     return len(tokens), f"body holds {total} positions but header declares {length}"
 
 
-def _canonical(tokens: list, runs: dict) -> bool:
-    """True when rle tokens spell their values as :func:`rle_string` does: each
-    token reads ``f"{value}x{count}"`` and no two adjacent ones share a value."""
+def _canonical_body(tokens: list, runs: dict):
+    """The body of rle tokens that spell their values as :func:`rle_string` does (each
+    token reads ``f"{value}x{count}"`` and no two adjacent ones share a value), else None."""
     if any(token != f"{value}x{count}" for token, (value, count) in runs.items()):
-        return False
+        return None
     heads = list(map({token: v for token, (v, _) in runs.items()}.__getitem__, tokens))
-    return not any(map(eq, islice(heads, 1, None), heads))
+    return None if any(map(eq, islice(heads, 1, None), heads)) else " ".join(tokens)
 
 
 def parse_rle_string(text: str, length: int) -> list:
@@ -115,10 +122,8 @@ def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
     if encoding not in ("plain", "rle"):
         raise InvalidArgumentError(f"unknown encoding {encoding!r}")
     header = f"palette {coloring.palette} length {coloring.length} encoding {encoding}"
-    tokens = _rle_tokens(coloring.values) if encoding == "rle" else list(map(str, coloring.values))
-    lines = [" ".join(tokens[i:i + _TOKENS_PER_LINE])
-             for i in range(0, len(tokens), _TOKENS_PER_LINE)]
-    return "\n".join([header, *lines]) + "\n"
+    body = coloring_rle(coloring) if encoding == "rle" else " ".join(map(str, coloring.values))
+    return "\n".join([header, *_LINE.findall(body)]) + "\n"
 
 
 def _position(lines: list, index: int, length_column: int) -> tuple:
@@ -155,7 +160,5 @@ def decode_coloring(text: str) -> Coloring:
     decoded, runs = _decode_tokens(tokens, encoding == "rle", length, palette)
     if isinstance(runs, str):
         raise ColoringFileError(runs, *_position(lines, decoded, header.index(fields[3]) + 1))
-    coloring = Coloring(palette=palette, values=tuple(decoded))
-    if encoding == "rle" and _canonical(tokens, runs):
-        object.__setattr__(coloring, "_rle_body", " ".join(tokens))
-    return coloring
+    return Coloring(palette=palette, values=tuple(decoded),     # the values first: a lower peak
+                    _rle_body=_canonical_body(tokens, runs) if encoding == "rle" else None)

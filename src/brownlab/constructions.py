@@ -25,7 +25,8 @@ import bisect
 import decimal
 import functools
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import gt, le, ne, sub
 from typing import Optional, Sequence
 
 from .checker import star_violation
@@ -81,7 +82,10 @@ def diag_prefix(d: int, n: int) -> Coloring:
     of d consecutive positions alternate between colors 0 and 1; n <= ``LENGTH_CAP``."""
     if d < 1 or not 0 <= n <= LENGTH_CAP:
         raise InvalidArgumentError(f"block width must be >= 1 and the length in 0..{LENGTH_CAP}")
-    return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)))
+    q, rem = divmod(n, d)       # q full runs alternate from 0, their tokens of one width
+    full = (f"0x{d} 1x{d} " * ((q + 1) // 2))[:q * len(f"0x{d} ")]
+    return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)),
+                    _rle_body=full + f"{q & 1}x{rem}" if rem else full[:-1])
 
 
 def diag_bound_check(d: int, n: int) -> int:
@@ -134,12 +138,16 @@ class LadderStage:
         return self.coloring is not None
 
 
-def _ladder_values(s: int, lengths: Sequence[int]) -> list:
-    values = [0, 0]
+def _ladder_coloring(s: int, lengths: Sequence[int]) -> Coloring:
+    """Stage s's values and canonical rle body, doubled and repeated alike: a block starts at
+    0 and stays below ``2**stage``, its shifted copy does not, so adjacent runs differ."""
+    values, body = [0, 0], "0x2"
     for stage in range(s):
-        shifted = [v + (1 << stage) for v in values]
-        values = (values + shifted) * (1 << lengths[stage])
-    return values
+        shift, repeats = 1 << stage, 1 << lengths[stage]
+        values = (values + [v + shift for v in values]) * repeats
+        shifted = (f"{int(v) + shift}x{c}" for v, c in map(str.split, body.split(), repeat("x")))
+        body = " ".join([" ".join([body, *shifted])] * repeats)
+    return Coloring(palette=1 << s, values=tuple(values), _rle_body=body)
 
 
 def ladder(s: int) -> LadderStage:
@@ -151,7 +159,7 @@ def ladder(s: int) -> LadderStage:
     lengths = ladder_lengths(s)
     coloring = None
     if s <= LADDER_MATERIALIZE_CAP:
-        coloring = Coloring(palette=1 << s, values=tuple(_ladder_values(s, lengths)))
+        coloring = _ladder_coloring(s, lengths)
     return LadderStage(index=s, length=lengths[s], palette=1 << s, coloring=coloring)
 
 
@@ -370,10 +378,10 @@ def ps_generate(gaps: Coloring, blocks: int) -> BlockPrefix:
 
 
 def ps_problems(prefix: BlockPrefix, gaps: Coloring) -> list:
-    """Check the emitted block structure against its contract; list failures."""
+    """Check the emitted block structure against its contract in C-level passes; list failures."""
     problems = []
     xs = prefix.elements
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if any(map(le, islice(xs, 1, None), xs)):
         problems.append("elements are not strictly increasing")
     for n, (start, end) in enumerate(prefix.bounds, start=1):
         block = xs[start:end]
@@ -381,17 +389,15 @@ def ps_problems(prefix: BlockPrefix, gaps: Coloring) -> list:
             problems.append(f"block {n} holds {len(block)} elements, expected {n}")
         if n >= 2:
             expect = gaps.values[n]
-            if any(b - a != expect for a, b in zip(block, block[1:])):
+            if any(map(ne, map(sub, islice(block, 1, None), block), repeat(expect))):
                 problems.append(f"block {n} internal gaps differ from {expect}")
-            prev_end = prefix.bounds[n - 2][1]
-            separation = block[0] - xs[prev_end - 1]
+            separation = block[0] - xs[prefix.bounds[n - 2][1] - 1]
             if separation != n - 1:
                 problems.append(f"blocks {n - 1},{n} separated by {separation}, expected {n - 1}")
-    r = gaps.palette
-    for k, x in enumerate(xs):
-        if x > r * k * (k + 1) // 2:
-            problems.append(f"growth bound fails at index {k}: {x}")
-            break
+    r = gaps.palette            # r * k * (k + 1) // 2 is the running sum of r * k
+    k = next(compress(count(), map(gt, xs, accumulate(range(0, r * len(xs), r)))), None)
+    if k is not None:
+        problems.append(f"growth bound fails at index {k}: {xs[k]}")
     return problems
 
 

@@ -31,8 +31,8 @@ class Coloring:
 
     palette: int
     values: tuple
-    # the canonical run-length body the values were decoded from; set by decode_coloring only
-    _rle_body: Optional[str] = field(init=False, default=None, compare=False, repr=False)
+    # the values' canonical rle body, kept by a builder that has it (see colorfile.coloring_rle)
+    _rle_body: Optional[str] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         values = self.values

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from brownlab import checker, cli, constructions
+from brownlab import cli, colorfile, constructions
 from brownlab.cache import ResultCache
 from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
@@ -506,7 +506,7 @@ def test_check_of_the_stage_two_ladder_reuses_the_file_body(tmp_path, capsys, mo
     def reencode(values):
         raise AssertionError("the certificate re-encoded a canonical body")
 
-    monkeypatch.setattr(checker, "rle_string", reencode)
+    monkeypatch.setattr(colorfile, "_rle_tokens", reencode)
     code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "exp2")
     monkeypatch.undo()
     assert code == 0
@@ -747,6 +747,51 @@ def test_diag_writes_its_coloring(tmp_path, capsys):
     code, payload, _ = _run(capsys, "diag", "--d", "2", "--n", "6", "--out", str(out))
     assert (code, payload["out"]) == (0, str(out))
     assert out.read_text() == encode_coloring(Coloring(2, (0, 0, 1, 1, 0, 0)))
+
+
+@pytest.mark.parametrize("d,n", [(3, 0), (3, 2), (3, 7), (3, 12), (1, 5), (4, 20_001)],
+                         ids=["empty", "below-d", "partial-run", "full-runs", "width-one",
+                              "long-rle-file"])
+def test_diag_prints_and_writes_its_kept_body(tmp_path, capsys, d, n):
+    out = tmp_path / "diag.col"
+    code, payload, _ = _run(capsys, "diag", "--d", str(d), "--n", str(n), "--out", str(out))
+    values = tuple((x // d) & 1 for x in range(n))
+    assert (code, payload["coloring_rle"]) == (0, rle_string(values))
+    assert out.read_text() == encode_coloring(Coloring(2, values))
+
+
+_INTEGER_FLAGS = [
+    ("brown", "--f", "linear:1", "--r", "{}"),
+    ("brown", "--f", "linear:1", "--r", "2", "--max-n", "{}"),
+    ("brown", "--f", "linear:1", "--r", "2", "--jobs", "{}"),
+    ("brown", "--f", "linear:1", "--r", "2", "--budget-nodes", "{}"),
+    ("vdw", "--r", "2", "--l", "{}"),
+    ("confirm", "--n", "{}", "--f", "linear:1", "--r", "2"),
+    ("ladder", "--s", "{}"),
+    ("bounds", "--m", "{}", "--r-max", "2"),
+    ("bounds", "--m", "1", "--r-max", "{}"),
+    ("diag", "--d", "{}", "--n", "6"),
+    ("psgen", "--gaps", "1,1", "--blocks", "{}"),
+    ("decompose", "--x", "0", "--d", "1", "--horizon", "{}"),
+    ("ap", "--input", "unread.col", "--l", "{}"),
+]
+
+
+def _flag_of(argv) -> str:
+    """The flag whose value is the ``{}`` slot of ``argv``."""
+    return argv[argv.index("{}") - 1]
+
+
+@pytest.mark.parametrize("argv", _INTEGER_FLAGS, ids=lambda argv: argv[0] + _flag_of(argv))
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "-1", "\u00b2", "9" * 5000],
+                         ids=["underscore", "plus", "leading-space", "minus", "superscript",
+                              "5000-digits"])
+def test_integer_flags_read_decimal_digits_only(cache_env, capsys, argv, text):
+    flag = _flag_of(argv)
+    code, payload, err = _run(capsys, *(text if a == "{}" else a for a in argv))
+    assert (code, payload) == (2, None)
+    assert err.startswith(f"error: argument {flag}: expected a natural, got ") and \
+        err.count("\n") == 1, err
 
 
 def test_psgen_command(capsys):

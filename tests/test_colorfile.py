@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brownlab import colorfile
 from brownlab.checker import WitnessCertificate
 from brownlab.colorfile import (LENGTH_CAP, decode_coloring, encode_coloring,
                                 parse_rle_string, rle_string)
+from brownlab.constructions import diag_prefix, ladder
 from brownlab.core import Coloring
 from brownlab.errors import ColoringFileError, InvalidArgumentError
 
@@ -111,9 +113,37 @@ def test_value_at_palette_boundary_is_rejected():
         decode_coloring("palette 1 length 2 encoding rle\n1x2\n")
 
 
-def test_stage_two_ladder_file_round_trips():
-    from brownlab.constructions import ladder
+@pytest.mark.parametrize("build", [lambda: ladder(0).coloring, lambda: ladder(1).coloring,
+                                   lambda: ladder(2).coloring, lambda: diag_prefix(3, 20_000),
+                                   lambda: diag_prefix(1, 7), lambda: diag_prefix(4, 0)],
+                         ids=["ladder-0", "ladder-1", "ladder-2", "diag-long", "diag-short",
+                              "diag-empty"])
+def test_a_kept_body_encodes_as_the_values_do(build):
+    kept = build()
+    assert kept._rle_body is not None
+    rebuilt = Coloring(kept.palette, kept.values)
+    for encoding in ("plain", "rle", "auto"):
+        assert encode_coloring(kept, encoding) == encode_coloring(rebuilt, encoding)
 
+
+def test_a_decoded_canonical_file_is_written_from_its_kept_body(monkeypatch):
+    text = encode_coloring(Coloring(3, (0, 0, 2) * 100), "rle")
+    decoded = decode_coloring(text)
+
+    def rescan(values):
+        raise AssertionError("the writer re-found the runs of a kept body")
+
+    monkeypatch.setattr(colorfile, "_rle_tokens", rescan)
+    assert encode_coloring(decoded, "rle") == text
+
+
+def test_a_non_canonical_file_re_encodes_canonically():
+    decoded = decode_coloring("palette 1 length 2 encoding rle\n0x1 0x1\n")
+    assert decoded._rle_body is None
+    assert encode_coloring(decoded, "rle") == "palette 1 length 2 encoding rle\n0x2\n"
+
+
+def test_stage_two_ladder_file_round_trips():
     stage = ladder(2)
     text = encode_coloring(stage.coloring)       # auto picks rle at this size
     assert text.splitlines()[0] == "palette 4 length 2097152 encoding rle"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brownlab.checker import is_witness
-from brownlab.colorfile import LENGTH_CAP
+from brownlab.colorfile import LENGTH_CAP, rle_string
 from brownlab.core import Coloring, GrowthFn, gap_size, max_run_size
 from brownlab.constructions import (_LEAF_BITS, BIT_CAP, BlockPrefix, ardal_bound,
                                     brown_bounds, decimal_str, decompose_ps,
@@ -39,6 +39,14 @@ def test_diag_prefix_is_a_two_coloring():
 def test_diag_prefix_checks_its_arguments(d, n):
     with pytest.raises(InvalidArgumentError, match="block width must be >= 1 and the length"):
         diag_prefix(d, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10])
+def test_diag_prefix_keeps_its_canonical_body(d):
+    # n = 0, n < d, n % d != 0 and n % d == 0, with an odd and an even number of full runs
+    for n in sorted({0, 1, d - 1, d, d + 1, 2 * d, 3 * d, 3 * d + 1, 4 * d - 1, 40}):
+        c = diag_prefix(d, n)
+        assert c._rle_body == rle_string(c.values), (d, n)
 
 
 def test_diag_bound_is_attained_exactly():
@@ -83,6 +91,12 @@ def test_ladder_base_stages():
 
     s2 = ladder(2)
     assert (s2.length, s2.palette) == (2_097_152, 4)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_ladder_keeps_its_canonical_body(s):
+    coloring = ladder(s).coloring
+    assert coloring._rle_body == rle_string(coloring.values)
 
 
 def test_ladder_length_identities():
@@ -295,6 +309,45 @@ def test_ps_problems_reports_each_broken_clause(elements, bounds, problem):
     tampered = BlockPrefix(elements=elements or prefix.elements,
                            bounds=bounds or prefix.bounds)
     assert problem in ps_problems(tampered, gaps)
+
+
+def _ps_problems_by_loops(prefix, gaps):
+    """The per-element loops that ``ps_problems`` replaced, kept as a reference."""
+    problems = []
+    xs = prefix.elements
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        problems.append("elements are not strictly increasing")
+    for n, (start, end) in enumerate(prefix.bounds, start=1):
+        block = xs[start:end]
+        if len(block) != n:
+            problems.append(f"block {n} holds {len(block)} elements, expected {n}")
+        if n >= 2:
+            expect = gaps.values[n]
+            if any(b - a != expect for a, b in zip(block, block[1:])):
+                problems.append(f"block {n} internal gaps differ from {expect}")
+            separation = block[0] - xs[prefix.bounds[n - 2][1] - 1]
+            if separation != n - 1:
+                problems.append(f"blocks {n - 1},{n} separated by {separation}, expected {n - 1}")
+    for k, x in enumerate(xs):
+        if x > gaps.palette * k * (k + 1) // 2:
+            problems.append(f"growth bound fails at index {k}: {x}")
+            break
+    return problems
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(1, r - 1), min_size=3, max_size=12))),
+       st.lists(st.tuples(st.integers(0, 80), st.integers(-40, 40)), max_size=4))
+def test_ps_problems_matches_the_per_element_loops(gaps_spec, edits):
+    r, values = gaps_spec
+    gaps = Coloring(r, tuple([1, 1] + values))
+    prefix = ps_generate(gaps, len(values) + 1)
+    xs = list(prefix.elements)
+    for i, delta in edits:              # shift some elements, up or down
+        xs[i % len(xs)] += delta
+    tampered = BlockPrefix(elements=tuple(xs), bounds=prefix.bounds)
+    assert ps_problems(tampered, gaps) == _ps_problems_by_loops(tampered, gaps)
 
 
 def test_ps_generate_uniform_gaps_give_intervals():
