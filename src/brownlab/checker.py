@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colorfile import coloring_rle, parse_rle_string
+from .colorfile import LENGTH_CAP, coloring_rle, parse_rle_string
 from .core import Coloring, GrowthFn, _runs, parse_growth_spec
 from .errors import (GrowthSpecError, InvalidArgumentError, PreconditionError,
                      ResourceLimitError)
@@ -178,6 +178,8 @@ class WitnessCertificate:
             doc = json.loads(text)
             values = parse_rle_string(doc["coloring_rle"], doc["length"])
             coloring = Coloring(palette=doc["palette"], values=tuple(values))
+            if coloring.palette > LENGTH_CAP:
+                raise InvalidArgumentError(f"palette must be a natural <= {LENGTH_CAP}")
             if not isinstance(doc["growth"], str):
                 raise InvalidArgumentError("certificate growth field is not a spec string")
             per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])

@@ -93,11 +93,14 @@ def _writing(path):
 
 
 def _outcome_payload(outcome: SearchOutcome) -> dict:
+    upper, digits = outcome.upper, sys.get_int_max_str_digits()
+    if upper and digits and upper.bit_length() > 3 * digits and upper >= 10 ** digits:
+        upper = None        # json's str() refuses it (below 8**digits it has fewer digits)
     payload = {
         "kind": outcome.kind,
         "value": outcome.value,
         "lower": outcome.lower,
-        "upper": outcome.upper,
+        "upper": upper,
         "nodes": outcome.nodes_explored,
         "wall_time": round(outcome.wall_time, 6),
         "witness_length": outcome.witness.length,

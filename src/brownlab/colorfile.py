@@ -1,7 +1,7 @@
 """Coloring file format: a one-line header plus a plain or run-length body.
 
-Header: ``palette <r> length <n> encoding <plain|rle>``, with ``n`` at most
-``LENGTH_CAP``, a length every command holds within 1 GiB of address space.
+Header: ``palette <r> length <n> encoding <plain|rle>``, with ``r`` and ``n`` at
+most ``LENGTH_CAP``, a size every command holds within 1 GiB of address space.
 The body holds whitespace-separated tokens, color indices for ``plain`` and
 ``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse,
 byte for byte on canonical files, and loop over runs and tokens in C.  Decoding
@@ -9,8 +9,8 @@ parses each *distinct* token once and sums the counts before it builds
 anything.  That one pass rejects a body, a certificate's and a cache entry's
 too, at its first token that is malformed, too long, a zero count, outside the
 palette or past the length (a file gives its line and column).  A coloring
-decoded from a canonical rle file, or built by ``ladder`` or ``diag_prefix``,
-keeps its canonical body, which the rle writer and the certificate reuse through
+decoded from a canonical rle file or repeated by :func:`periodic` keeps its
+canonical body, which the rle writer and the certificate reuse through
 :func:`coloring_rle`.  Files this program writes have at most ``palette``
 distinct plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
 distinct counts of one value sum to at most ``length``).
@@ -39,18 +39,23 @@ def _runs(values) -> tuple:
     return list(map(values.__getitem__, starts)), list(map(sub, starts[1:] + [n], starts))
 
 
-def _rle_tokens(values) -> list:
-    """Each run's token, spelled once per distinct key ``value + count * base``."""
+def rle_string(values) -> str:
+    """Space-separated ``<value>x<count>`` tokens of naturals, one per run, canonically."""
     heads, counts = _runs(values)
     base = max(heads, default=0) + 1
     keys = list(map(add, heads, map(mul, counts, repeat(base))))
     spelled = {key: f"{key % base}x{key // base}" for key in set(keys)}
-    return list(map(spelled.__getitem__, keys))
+    return " ".join(map(spelled.__getitem__, keys))
 
 
-def rle_string(values) -> str:
-    """Space-separated ``<value>x<count>`` tokens of naturals (canonical certificate form)."""
-    return " ".join(_rle_tokens(values))
+def periodic(palette: int, block: tuple, n: int) -> Coloring:
+    """The first n positions of ``block`` repeated, their canonical body spelled on the block
+    and on the partial tail, then joined: copies that touch must differ where they meet."""
+    if n > len(block) and block[:1] == block[-1:]:
+        raise InvalidArgumentError("a repeated block must be nonempty and differ at its ends")
+    q, rem = divmod(n, len(block) or 1)
+    body = [rle_string(block)] * q + ([rle_string(block[:rem])] if rem else [])
+    return Coloring(palette=palette, values=block * q + block[:rem], _rle_body=" ".join(body))
 
 
 def coloring_rle(coloring: Coloring) -> str:
@@ -148,8 +153,9 @@ def decode_coloring(text: str) -> Coloring:
                                 1, 1)
     palette, length, encoding = _natural(fields[1]), _natural(fields[3]), fields[5]
     for name, field, value in (("palette", fields[1], palette), ("length", fields[3], length)):
-        if value is None:
-            problem = "has too many digits" if field.isdecimal() else "must be a natural"
+        if value is None or value > LENGTH_CAP:
+            problem = ("must be a natural" if not field.isdecimal() else "has too many digits"
+                       if value is None else f"must be a natural <= {LENGTH_CAP}")
             raise ColoringFileError(f"{name} {problem}", 1, header.index(field) + 1)
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {_quoted(encoding)}", 1,

@@ -30,7 +30,7 @@ from operator import gt, le, ne, sub
 from typing import Optional, Sequence
 
 from .checker import star_violation
-from .colorfile import LENGTH_CAP
+from .colorfile import LENGTH_CAP, periodic
 from .core import Coloring, GrowthFn, _runs, max_run_size
 from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeError
 
@@ -82,10 +82,7 @@ def diag_prefix(d: int, n: int) -> Coloring:
     of d consecutive positions alternate between colors 0 and 1; n <= ``LENGTH_CAP``."""
     if d < 1 or not 0 <= n <= LENGTH_CAP:
         raise InvalidArgumentError(f"block width must be >= 1 and the length in 0..{LENGTH_CAP}")
-    q, rem = divmod(n, d)       # q full runs alternate from 0, their tokens of one width
-    full = (f"0x{d} 1x{d} " * ((q + 1) // 2))[:q * len(f"0x{d} ")]
-    return Coloring(palette=2, values=tuple((x // d) & 1 for x in range(n)),
-                    _rle_body=full + f"{q & 1}x{rem}" if rem else full[:-1])
+    return periodic(2, (0,) * min(d, n) + (1,) * min(d, max(n - d, 0)), n)   # d is unbounded
 
 
 def diag_bound_check(d: int, n: int) -> int:
@@ -138,18 +135,6 @@ class LadderStage:
         return self.coloring is not None
 
 
-def _ladder_coloring(s: int, lengths: Sequence[int]) -> Coloring:
-    """Stage s's values and canonical rle body, doubled and repeated alike: a block starts at
-    0 and stays below ``2**stage``, its shifted copy does not, so adjacent runs differ."""
-    values, body = [0, 0], "0x2"
-    for stage in range(s):
-        shift, repeats = 1 << stage, 1 << lengths[stage]
-        values = (values + [v + shift for v in values]) * repeats
-        shifted = (f"{int(v) + shift}x{c}" for v, c in map(str.split, body.split(), repeat("x")))
-        body = " ".join([" ".join([body, *shifted])] * repeats)
-    return Coloring(palette=1 << s, values=tuple(values), _rle_body=body)
-
-
 def ladder(s: int) -> LadderStage:
     """Build stage s.  Stages past the materialization cap come back with
     their length only (flagged via ``materialized``); stages whose length is
@@ -159,7 +144,11 @@ def ladder(s: int) -> LadderStage:
     lengths = ladder_lengths(s)
     coloring = None
     if s <= LADDER_MATERIALIZE_CAP:
-        coloring = _ladder_coloring(s, lengths)
+        coloring = periodic(1, (0, 0), 2)
+        # stage t beside its copy shifted by 2**t, repeated: a block starts at 0, ends >= 2**t
+        for t in range(s):
+            v = coloring.values
+            coloring = periodic(2 << t, v + tuple(x + (1 << t) for x in v), lengths[t + 1])
     return LadderStage(index=s, length=lengths[s], palette=1 << s, coloring=coloring)
 
 

@@ -31,7 +31,7 @@ class Coloring:
 
     palette: int
     values: tuple
-    # the values' canonical rle body, kept by a builder that has it (see colorfile.coloring_rle)
+    # the values' canonical rle body, set only in colorfile (by its decoder and `periodic`)
     _rle_body: Optional[str] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 from importlib import import_module
@@ -415,6 +416,19 @@ def test_brown_overflowing_bound_brackets_without_upper(cache_env, capsys):
     assert payload["bounds"] == {"ardal": None, "recursion": None}
 
 
+@pytest.mark.parametrize("growth,r,digits", [("linear:1", 14270, 4300), ("linear:1", 14271, 4301),
+                                             ("linear:1", 20000, 6025), ("linear:5", 3000, 4519)])
+def test_brown_prints_no_upper_bound_too_long_for_str(cache_env, capsys, growth, r, digits):
+    # json spells an int with str(), which refuses more than sys.get_int_max_str_digits()
+    # digits (4,300 by default); such a bound is null, its digits stay in "bounds"
+    code, payload, err = _run(capsys, "brown", "--f", growth, "--r", str(r),
+                              "--budget-nodes", "1", "--no-cache")
+    ardal = payload["bounds"]["ardal"]
+    assert (code, payload["kind"], len(ardal)) == (0, "bracketed", digits)
+    assert payload["upper"] == (int(ardal) if digits <= sys.get_int_max_str_digits() else None)
+    assert f"in [2, {ardal[0]}.{ardal[1:5]}e+{digits - 1}]" in err
+
+
 def test_parallel_search_keeps_one_deadline(cache_env, capsys):
     started = time.monotonic()
     code, payload, _ = _run(capsys, "brown", "--f", "exp2", "--r", "3", "--jobs", "2",
@@ -506,7 +520,7 @@ def test_check_of_the_stage_two_ladder_reuses_the_file_body(tmp_path, capsys, mo
     def reencode(values):
         raise AssertionError("the certificate re-encoded a canonical body")
 
-    monkeypatch.setattr(colorfile, "_rle_tokens", reencode)
+    monkeypatch.setattr(colorfile, "_runs", reencode)
     code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "exp2")
     monkeypatch.undo()
     assert code == 0
@@ -562,6 +576,19 @@ def test_check_at_the_length_cap_answers_within_a_gibibyte(tmp_path, python_m):
     assert code == 1, err[-500:]
     assert json.loads(out)["violation"] == {"color": 0, "start": 0, "end": LENGTH_CAP - 1,
                                             "length": LENGTH_CAP, "gap_size": 1}
+
+
+@pytest.mark.parametrize("palette", ["1000000000", str(LENGTH_CAP + 1)])
+@pytest.mark.parametrize("argv", [("check", "--f", "linear:1"), ("ap", "--l", "3")],
+                         ids=["check", "ap"])
+def test_a_palette_past_the_cap_exits_two_at_the_header(tmp_path, python_m, palette, argv):
+    # one class per palette color: 10**9 of them ended in a MemoryError under 1 GiB
+    path = tmp_path / "wide.col"
+    path.write_text(f"palette {palette} length 1 encoding plain\n0\n")
+    code, out, err = python_m(argv[0], "--input", str(path), *argv[1:])
+    assert (code, out) == (2, ""), err[-500:]
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-500:]
+    assert err.endswith(f"palette must be a natural <= {LENGTH_CAP} (line 1, column 9)\n"), err
 
 
 def test_check_missing_file_exits_two(capsys):
@@ -896,6 +923,14 @@ def test_decompose_smears_no_further_than_the_horizon(python_m, capsys):
     assert code == 0, err
     assert run_cli(["decompose", "--x", "0", "--d", "100", "--horizon", "100"]) == 0
     assert out == capsys.readouterr().out.replace('"d":100,', '"d":10000000000,')
+
+
+def test_diag_repeats_no_block_wider_than_the_prefix(python_m, capsys):
+    # a width of 10**9 would build a block of 2 * 10**9 positions were it not cut to n
+    code, out, err = python_m("diag", "--d", "1000000000", "--n", "5")
+    assert code == 0, err
+    assert run_cli(["diag", "--d", "5", "--n", "5"]) == 0
+    assert out == capsys.readouterr().out.replace('"d":5,', '"d":1000000000,')
 
 
 def test_decompose_with_an_empty_list_has_no_elements(capsys):

@@ -2,7 +2,7 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import chain
+from itertools import chain, cycle, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from brownlab import colorfile
 from brownlab.checker import WitnessCertificate
 from brownlab.colorfile import (LENGTH_CAP, decode_coloring, encode_coloring,
-                                parse_rle_string, rle_string)
+                                parse_rle_string, periodic, rle_string)
 from brownlab.constructions import diag_prefix, ladder
 from brownlab.core import Coloring
 from brownlab.errors import ColoringFileError, InvalidArgumentError
@@ -126,6 +126,24 @@ def test_a_kept_body_encodes_as_the_values_do(build):
         assert encode_coloring(kept, encoding) == encode_coloring(rebuilt, encoding)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=8).map(tuple), st.integers(0, 40))
+@example((), 0)
+@example((), 1)
+@example((0, 1, 0), 4)
+@example((0, 0), 2)
+@example((0, 1, 1), 3)
+def test_periodic_repeats_its_block_and_keeps_its_canonical_body(block, n):
+    if n > len(block) and (not block or block[0] == block[-1]):
+        # there is no block to copy, or two copies would touch with equal values
+        with pytest.raises(InvalidArgumentError, match="repeated block"):
+            periodic(4, block, n)
+        return
+    coloring = periodic(4, block, n)
+    assert coloring.values == tuple(islice(cycle(block), n))
+    assert coloring._rle_body == rle_string(coloring.values)
+
+
 def test_a_decoded_canonical_file_is_written_from_its_kept_body(monkeypatch):
     text = encode_coloring(Coloring(3, (0, 0, 2) * 100), "rle")
     decoded = decode_coloring(text)
@@ -133,7 +151,7 @@ def test_a_decoded_canonical_file_is_written_from_its_kept_body(monkeypatch):
     def rescan(values):
         raise AssertionError("the writer re-found the runs of a kept body")
 
-    monkeypatch.setattr(colorfile, "_rle_tokens", rescan)
+    monkeypatch.setattr(colorfile, "_runs", rescan)
     assert encode_coloring(decoded, "rle") == text
 
 
@@ -421,6 +439,18 @@ def test_certificate_length_must_be_a_natural_up_to_the_cap(length):
         with pytest.raises(InvalidArgumentError, match=LENGTH_MESSAGE):
             WitnessCertificate.from_json(doc)
     assert _peak_bytes(load) < 1_000_000
+
+
+@pytest.mark.parametrize("palette", [1_000_000_000, LENGTH_CAP + 1])
+def test_certificate_palette_must_be_a_natural_up_to_the_cap(palette):
+    # verify_certificate scans one class per palette color
+    doc = {"palette": palette, "length": 1, "growth": "exp2", "coloring_rle": "0x1",
+           "classes": [[[1, 1, 2]]]}
+    with pytest.raises(InvalidArgumentError, match=f"palette must be a natural <= {LENGTH_CAP}"):
+        WitnessCertificate.from_json(json.dumps(doc))
+    # the cap is inclusive
+    doc["palette"] = LENGTH_CAP
+    assert WitnessCertificate.from_json(json.dumps(doc)).coloring.palette == LENGTH_CAP
 
 
 # certificate and cache-entry bodies: good runs below the palette of 10,
