@@ -37,7 +37,7 @@ from .errors import InsufficientPrefixError, InvalidArgumentError, MagnitudeErro
 LADDER_MATERIALIZE_CAP = 2   # stages beyond this carry their length only
 LADDER_LENGTH_CAP = 3        # n_s is not representable past stage 3
 BIT_CAP = 1 << 25            # largest exponent evaluated as 2**n
-_LEAF_BITS = 4_000           # str(int) and Decimal(int) are quadratic, cheap below this
+_LEAF_BITS = 4_000           # Decimal(int) is quadratic, cheap below this
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          traps=[decimal.Inexact, decimal.Rounded])
 
@@ -52,8 +52,8 @@ def decimal_str(n: int) -> str:
     """
     if n < 0:
         raise InvalidArgumentError("decimal_str renders naturals only")
-    if n.bit_length() <= _LEAF_BITS:
-        return str(n)
+    if n.bit_length() <= _LEAF_BITS:   # Decimal, unlike str(int), has no digit limit
+        return str(decimal.Decimal(n))
 
     @functools.cache
     def pow2(k: int) -> decimal.Decimal:

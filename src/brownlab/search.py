@@ -41,16 +41,13 @@ are infinite, and passes when ``1 <= f(1)``.  Budgets are read from a
 per-rule limit table that holds f(d) for each gap d seen so far, so f is
 evaluated only at gaps that occur.
 
-The progression rule keeps, per color, an int whose bit p is set when
-that color at p would complete a monochromatic l-term progression, so a
-push is rejected by one bit test and a rejected push changes nothing.
-The work is done on accept: the differences q whose earlier terms all
-carry the pushed color are the AND of one shifted bitmask per stride
-1..min(l - 2, 4), and each such q forbids pos + q.  Past four strides
-the survivors are confirmed by a slice compare, so a color keeps at most
-ten masks whatever l is.  A push saves the bits it set, shifted down by
-its position, and its pop XORs them back, so memory grows linearly with
-the depth.
+The progression rule keeps, per color, an int whose bit p is set when that
+color at p would complete an l-term progression: a push is rejected by one
+bit test and changes nothing.  On accept, the differences q whose earlier
+terms all carry the color are the AND of its class (stride 1) and one mask
+per stride 2..min(l - 2, 4), past four strides confirmed by a slice compare,
+and each forbids pos + q.  A push saves the bits it set, shifted down by its
+position, and its pop XORs them back, so memory grows linearly with depth.
 
 The star search counts a repeated subtree instead of walking it again.  A
 node's future depends only on the highest color its children may try and,
@@ -196,74 +193,74 @@ class _StarRule:
         self.levels[color].pop()
 
 
-# the most strides whose bitmasks the progression rule keeps per color
-_AP_STRIDES = 4
+_AP_STRIDES = 4   # the most strides whose masks the progression rule keeps
 
 
 class _ApRule:
     """Reject assignments that complete a monochromatic l-term progression.
 
     ``forbidden[c]`` has bit p set when color c at p would complete one.
-    The stride-k masks of a color are kept per residue and reversed:
-    position p is bit ``tops[k] - p // k`` of mask ``p % k``, so one right
-    shift lines the terms pos - kq up as bit q.  ``pop`` is called once
-    the value has left ``values``, so ``len(values)`` is the position.
-    """
+    The masks are reversed, p of stride k at bit ``tops[k] - p // k``, so one
+    right shift lines the terms pos - kq up as bit q: ``classes[c]`` is stride
+    1, color c's class, and strides 2..min(l - 2, 4) keep a mask per residue."""
 
-    __slots__ = ("values", "span", "forbidden", "strides", "rest", "width", "tops", "saved")
+    __slots__ = ("values", "forbidden", "classes", "strides", "rest", "tops", "saved")
 
     def __init__(self, l: int, values, palette: int):
-        self.values = values
-        self.span = l - 2
-        # l == 1: every position is forbidden from the start
+        self.values, self.saved = values, []
+        # l == 1: every position is forbidden; l == 2: every earlier position counts
         self.forbidden = [-1 if l == 1 else 0] * palette
-        ks = range(1, min(l - 2, _AP_STRIDES) + 1)
+        self.classes = [-1 if l == 2 else 0] * palette
+        ks = range(2, min(l - 2, _AP_STRIDES) + 1)
         self.strides = [[(k, [0] * k) for k in ks] for _ in range(palette)]
-        # the terms that the stride masks do not cover, as one slice
-        self.rest = [[c] * (l - 2 - _AP_STRIDES) for c in range(palette)]
-        self.width = 64
-        self.tops = [None] + [(self.width - 1) // k for k in ks]
-        self.saved: list[int] = []
+        self.rest = [[c] * (l - 2 - _AP_STRIDES) for c in range(palette)]   # terms past stride 4
+        self.tops = [None] + [63 // k for k in range(1, _AP_STRIDES + 1)]
 
     def try_push(self, pos: int, color: int) -> bool:
         forbidden = self.forbidden[color]
         ahead = forbidden >> pos
         if ahead & 1:
             return False
-        if pos >= self.width:
+        if pos > self.tops[1]:
             self._grow()
         tops = self.tops
-        # bit q >= 1 of cand: the terms pos - kq of every masked stride k have
-        # this color; with no stride (l == 2) every later position qualifies
-        cand = -2
+        shift = tops[1] - pos
+        self.classes[color] = mask = self.classes[color] ^ 1 << shift
+        # bit q >= 1 of cand: the terms pos - kq of every masked stride k have this color
+        cand = mask >> shift & -2
         for k, row in self.strides[color]:
             shift = tops[k] - pos // k
             res = pos % k
-            mask = row[res] | 1 << shift
-            row[res] = mask
+            row[res] = mask = row[res] | 1 << shift
             cand &= mask >> shift
-        if self.span > _AP_STRIDES and cand:
-            values, span, rest = self.values, self.span, self.rest[color]
-            # bits[q] is bit q, up to the last q whose first term is >= 0
-            bits = bin(cand & ~ahead & (2 << pos // span) - 1)[:1:-1]
-            cand = sum(1 << q for q in range(1, len(bits)) if bits[q] == "1"
-                       and values[pos - span * q:pos - _AP_STRIDES * q:q] == rest)
+        if cand and self.rest[color]:
+            cand = self._confirm(pos, color, cand & ~ahead)
         new = cand & ~ahead
         self.forbidden[color] = forbidden ^ new << pos
         self.saved.append(new)
         return True
 
+    def _confirm(self, pos: int, color: int, cand: int) -> int:
+        """The bits q of ``cand`` whose terms pos - kq for k > 4 have ``color``."""
+        values, rest = self.values, self.rest[color]
+        span = len(rest) + _AP_STRIDES
+        bits = bin(cand & (2 << pos // span) - 1)[:1:-1]   # bits[q] is bit q, q <= pos // span
+        return sum(1 << q for q in range(1, len(bits)) if bits[q] == "1"
+                   and values[pos - span * q:pos - _AP_STRIDES * q:q] == rest)
+
     def pop(self, color: int) -> None:
-        pos = len(self.values)
+        pos = len(self.values)   # the value has left ``values``
         self.forbidden[color] ^= self.saved.pop() << pos
         tops = self.tops
+        self.classes[color] ^= 1 << tops[1] - pos
         for k, row in self.strides[color]:
             row[pos % k] ^= 1 << (tops[k] - pos // k)
 
     def _grow(self) -> None:
-        """Double the width; every reversed mask moves up to its new top."""
-        self.width *= 2
-        tops = [None] + [(self.width - 1) // k for k in range(1, len(self.tops))]
+        """Double the width: masks move up to their new tops, full ones stay full."""
+        tops = [None] + [(2 * self.tops[1] + 1) // k for k in range(1, _AP_STRIDES + 1)]
+        up = tops[1] - self.tops[1]
+        self.classes = [mask << up if mask >= 0 else ~(~mask << up) for mask in self.classes]
         for rows in self.strides:
             for k, row in rows:
                 row[:] = [mask << (tops[k] - self.tops[k]) for mask in row]
@@ -330,8 +327,11 @@ def _run_tree(rule_desc, palette, cap, max_nodes, deadline, canonical=True,
     never = 1 << 62
     last = cap if cap is not None else never
     values: list[int] = []
-    rule = (_StarRule(rule_desc[1].monotone, palette) if rule_desc[0] == "star"
-            else _ApRule(rule_desc[1], values, palette))
+    # a canonical walk tries color c only at depth c or deeper, after c attempts
+    reach = (min(palette, last, never if max_nodes is None else max_nodes + 1) if canonical
+             else palette)
+    rule = (_StarRule(rule_desc[1].monotone, reach) if rule_desc[0] == "star"
+            else _ApRule(rule_desc[1], values, reach))
     if last <= 0:
         return _DfsStats((), 0, "cap")
     stop, last_color = None, palette - 1

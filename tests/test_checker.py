@@ -275,6 +275,22 @@ def test_certificate_revalidates_from_raw_coloring():
     assert verify_certificate(cert)
 
 
+# the length-40 record of `brown --f linear:4 --r 2`, which is not diag_prefix(4, 40);
+# an exhaustive `confirm --n 41 --f linear:4 --r 2` found no longer witness
+LINEAR4_RECORD = ('{"classes":[[[1,4,4],[2,8,8],[3,12,12],[4,15,16],[5,20,20]],'
+                  '[[1,4,4],[2,8,8],[3,9,12],[5,20,20]]],'
+                  '"coloring_rle":"0x4 1x1 0x4 1x2 0x4 1x3 0x2 1x2 0x1 1x4 0x4 1x4 0x1 1x4",'
+                  '"growth":"linear:4","length":40,"palette":2}')
+
+
+def test_the_length_40_linear4_certificate_verifies():
+    cert = WitnessCertificate.from_json(LINEAR4_RECORD)
+    assert verify_certificate(cert)
+    assert (cert.proves_exceeds, cert.to_json()) == (40, LINEAR4_RECORD)
+    for c in (0, 1):   # neither color extends it
+        assert is_witness(Coloring(2, cert.coloring.values + (c,)), GrowthFn.linear(4)) is None
+
+
 def test_tampered_certificates_are_rejected():
     cert = is_witness(C1, EXP2)
     doc = json.loads(cert.to_json())

@@ -43,6 +43,11 @@ def _edit_cache_entry(cache_dir, edit):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _masked(text):
+    """CLI stdout with the wall time zeroed."""
+    return re.sub(r'"wall_time":[0-9.e-]+', '"wall_time":0', text)
+
+
 # ---------------------------------------------------------------------------
 # brown / vdw
 # ---------------------------------------------------------------------------
@@ -54,9 +59,7 @@ def test_python_dash_m_runs_the_cli(cache_env, python_m, capsys):
     assert json.loads(out)["value"] == 9
     # the same stdout as run_cli in this process, the wall time aside
     assert run_cli(["vdw", "--r", "2", "--l", "3", "--no-cache"]) == 0
-    def masked(text):
-        return re.sub(r'"wall_time":[0-9.e-]+', '"wall_time":0', text)
-    assert masked(out) == masked(capsys.readouterr().out)
+    assert _masked(out) == _masked(capsys.readouterr().out)
 
 
 def test_entry_points_call_run_cli(cache_env, python_m):
@@ -427,6 +430,31 @@ def test_brown_prints_no_upper_bound_too_long_for_str(cache_env, capsys, growth,
     assert (code, payload["kind"], len(ardal)) == (0, "bracketed", digits)
     assert payload["upper"] == (int(ardal) if digits <= sys.get_int_max_str_digits() else None)
     assert f"in [2, {ardal[0]}.{ardal[1:5]}e+{digits - 1}]" in err
+
+
+def test_bounds_render_the_same_under_a_small_int_digit_limit(python_m, monkeypatch):
+    # decimal_str renders bounds of up to 4,000 bits (about 1,205 digits) without str(int),
+    # which refuses more digits than PYTHONINTMAXSTRDIGITS
+    plain = python_m("bounds", "--m", "3000", "--r-max", "1")
+    assert plain[0] == 0, plain[2]
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    assert python_m("bounds", "--m", "3000", "--r-max", "1") == plain
+    code, out, err = python_m("brown", "--f", "linear:1", "--r", "2500", "--budget-nodes", "1",
+                              "--no-cache")
+    assert code == 0, err
+    assert (json.loads(out)["upper"], len(json.loads(out)["bounds"]["ardal"])) == (None, 756)
+
+
+@pytest.mark.parametrize("r,l", [(1_000_000_000, 3), (1_048_576, 7)])
+def test_a_wide_vdw_palette_builds_only_the_colors_a_walk_reaches(python_m, capsys, r, l):
+    # a canonical walk of 1,000 attempts tries no color past 1,000, so the rule
+    # holds 1,001 colors: the same walk as on 1,001 colors
+    argv = ["vdw", "--r", str(r), "--l", str(l), "--budget-nodes", "1000", "--no-cache"]
+    code, out, err = python_m(*argv)
+    assert code == 0, err
+    argv[2] = "1001"
+    assert run_cli(argv) == 0
+    assert _masked(out) == _masked(capsys.readouterr().out).replace('"r":1001,', f'"r":{r},')
 
 
 def test_parallel_search_keeps_one_deadline(cache_env, capsys):

@@ -49,6 +49,15 @@ def test_diag_prefix_keeps_its_canonical_body(d):
         assert c._rle_body == rle_string(c.values), (d, n)
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_diag_prefix_is_a_linear_witness_up_to_2k_k_plus_1(k):
+    # a class window over m blocks has k*m elements and gap size k + 1, so at most
+    # k + 1 blocks a class fit: B(linear:k, 2) > 2k(k + 1), and one position more fails
+    f, n = GrowthFn.linear(k), 2 * k * (k + 1)
+    assert is_witness(diag_prefix(k, n), f) is not None
+    assert is_witness(diag_prefix(k, n + 1), f) is None
+
+
 def test_diag_bound_is_attained_exactly():
     assert diag_bound_check(3, 12) == 3
     assert diag_bound_check(1, 4) == 1

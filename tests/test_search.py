@@ -517,33 +517,6 @@ def test_star_rule_accepts_exactly_the_star_classes(spec, palette, steps):
             values.append(c)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 3), st.lists(st.integers(-1, 2), max_size=240))
-# l == 1: every push is rejected
-@example(1, 2, [0, 1, -1, 0])
-# l == 2: a color is taken once, and free again after its pop
-@example(2, 3, [0, 1, 0, 2, 1, -1, 2, -1, 1, 0])
-# 0, 0 forbids 0 at position 2; the pop of position 1 clears that bit again
-@example(3, 2, [0, 0, 0, -1, 1, 0, 0])
-# the masks double their width at the push of position 64; pops take the
-# path back below 64 and pushes bring it up again on the wider masks
-@example(7, 2, [0, 1] * 50 + [-1] * 40 + [1, 0] * 20)
-def test_ap_rule_accepts_exactly_the_progression_free_colorings(l, palette, steps):
-    # -1 pops the last position; a color pushes it at the next position
-    values = []
-    rule = _ApRule(l, values, palette)
-    for step in steps:
-        if step < 0:
-            if values:
-                rule.pop(values.pop())
-            continue
-        c = step % palette
-        accepted = rule.try_push(len(values), c)
-        assert accepted == (ap_partition_check(Coloring(palette, values + [c]), l) is None)
-        if accepted:
-            values.append(c)
-
-
 class _SliceApRule:
     """The plain progression rule: for each common difference q, compare the
     slice of the l - 1 earlier terms with l - 1 copies of the color."""
@@ -561,12 +534,71 @@ class _SliceApRule:
         pass
 
 
-@pytest.mark.parametrize("l,r,max_nodes", [(3, 3, None), (7, 2, 20_000), (100, 2, 3_000)])
+def _first_fit(l, palette, *plan):
+    """Steps for the rule test: a plan entry n < 0 pops -n positions, and the
+    k-th entry n > 0 pushes n positions, each trying the colors from k up
+    (mod the palette) until the slice rule keeps one."""
+    values, steps = [], []
+    rule = _SliceApRule(l, values, palette)
+    for k, n in enumerate(plan):
+        if n < 0:
+            del values[n:]
+            steps += [-1] * -n
+        for _ in range(n):
+            for j in range(palette):
+                steps.append((k + j) % palette)
+                if rule.try_push(len(values), steps[-1]):
+                    values.append(steps[-1])
+                    break
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.lists(st.integers(-1, 2), max_size=240))
+# l == 1: every push is rejected
+@example(1, 2, [0, 1, -1, 0])
+# l == 2: a color is taken once, and free again after its pop
+@example(2, 3, [0, 1, 0, 2, 1, -1, 2, -1, 1, 0])
+# 0, 0 forbids 0 at position 2; the pop of position 1 clears that bit again
+@example(3, 2, [0, 0, 0, -1, 1, 0, 0])
+# the masks double their width at the push of position 64; pops take the
+# path back below 64 and pushes bring it up again on the wider masks
+@example(7, 2, [0, 1] * 50 + [-1] * 40 + [1, 0] * 20)
+# first fit up to 140, back to 40 and up to 140 again: the masks double at 64
+# and at 128, and each climb is rejected many times past both
+@example(3, 8, _first_fit(3, 8, 140, -100, 100))
+@example(5, 4, _first_fit(5, 4, 140, -100, 100))
+# l == 2 on distinct colors past 64, back to 63 and up again: the full class masks
+# stay full in the bits the growth adds, so colors 64 and 65 are refused at 66
+@example(2, 70, list(range(66)) + [-1] * 3 + [63, 64, 65, 65, 64, 66, -1, 66])
+def test_ap_rule_accepts_exactly_the_progression_free_colorings(l, palette, steps):
+    # -1 pops the last position; a color pushes it at the next position
+    values = []
+    rule = _ApRule(l, values, palette)
+    for step in steps:
+        if step < 0:
+            if values:
+                rule.pop(values.pop())
+            continue
+        c = step % palette
+        accepted = rule.try_push(len(values), c)
+        assert accepted == (ap_partition_check(Coloring(palette, values + [c]), l) is None)
+        if accepted:
+            values.append(c)
+
+
+@pytest.mark.parametrize("l,r,max_nodes", [(3, 3, None), (5, 2, 50_000), (7, 2, 20_000),
+                                            (100, 2, 3_000)])
 def test_ap_rule_walks_the_same_tree_as_the_slice_rule(monkeypatch, l, r, max_nodes):
     got = _run_tree(("ap", l), r, None, max_nodes, None)
     monkeypatch.setattr(search, "_ApRule", _SliceApRule)
     want = _run_tree(("ap", l), r, None, max_nodes, None)
     assert (got.best, got.nodes, got.stop) == (want.best, want.nodes, want.stop)
+
+
+def test_ap_rule_push_keeps_no_closure_cells():
+    # a cell variable costs every push, the two thirds that one bit test rejects included
+    assert _ApRule.try_push.__code__.co_cellvars == ()
 
 
 def test_deep_walk_keeps_one_int_a_level():
