@@ -8,25 +8,26 @@ condition*.  A coloring whose classes all satisfy the star condition is a
 homogeneous sets, i.e. that the corresponding Brown number exceeds its
 length.
 
-Two deciders are provided.  The fast path is one scan of a coloring: a
-left-to-right pass over each class checks its record runs (see ``_runs``)
-against f of their gap size; for nondecreasing f this is equivalent to
-checking every window.  The scan stops at the first class that breaks the
-star condition with its least such window, a :class:`WindowViolation`, or
-else yields the :class:`WitnessCertificate`; a certificate verifies only
-when the scan reproduces it exactly.  The brute-force oracle enumerates
-every subset of every class and is the semantics of record, usable with
-arbitrary growth functions.
+Two deciders are provided.  The fast path is one scan of a coloring: one
+left-to-right pass over its values (``core._class_runs``) yields every class's
+record runs, checked against f of their gap size; for nondecreasing f this is
+equivalent to checking every window.  The scan reports the first class that
+breaks the star condition with its least such window, a
+:class:`WindowViolation`, or else yields the :class:`WitnessCertificate`, whose
+empty classes share one empty transcript; a certificate verifies only when the
+scan reproduces it exactly.  The brute-force oracle enumerates every subset of
+every class and is the semantics of record, usable with arbitrary growth functions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .colorfile import LENGTH_CAP, coloring_rle, parse_rle_string
-from .core import Coloring, GrowthFn, _runs, parse_growth_spec
+from .core import Coloring, GrowthFn, _class_runs, parse_growth_spec
 from .errors import (GrowthSpecError, InvalidArgumentError, PreconditionError,
                      ResourceLimitError)
 
@@ -44,35 +45,39 @@ class WindowViolation:
     length: int
 
 
-def _check_class(h: Sequence[int], f: GrowthFn, color: Optional[int] = None):
-    """Fast star check: every maximal run stays within f of its gap size.
+def _check(pairs, f: GrowthFn) -> tuple:
+    """The star check of each class that occurs among ``(position, color)`` pairs,
+    in one pass: ``({color: (start, end, gap size, length)}, {color: triples})``.
 
-    Returns ``(WindowViolation or None, certificate triples)``.  The triples
-    are ``(d, longest d-bounded run, f(d))`` for each distinct gap value d of
-    h (plus d = 1); the violation is the least ``(start, end)`` maximal run
-    longer than f of its own gap size, reported for ``color``.
-    Sound and complete for nondecreasing f: a window with gap size d sits
-    inside the maximal d-bounded run around it, whose gap size is d.  Record
-    runs suffice: the longest and the first violating run of each d are records.
+    The first dict holds each breaking class's least ``(start, end)`` maximal run
+    longer than f of its own gap size.  The certificate triples are ``(d, longest
+    d-bounded run, f(d))`` for d = 1 and each distinct gap value d of the class.
+    Sound and complete for nondecreasing f: a window with gap size d sits inside
+    the maximal d-bounded run around it, whose gap size is d.  Record runs
+    suffice: the longest and the first violating run of each d are records, and
+    so is a class's first element (f(1) = 0 breaks every class).
     """
-    sizes: dict[int, int] = {}
-    limits = {1: f(1)} if h else {}
-    least = None
-    for g, lo, hi in _runs(h):
-        size = hi - lo + 1
-        sizes[g] = size
+    limits: dict = {}       # d -> f(d), shared by the classes
+    least: dict = {}
+    sizes: dict = {}        # color -> {d: longest d-run}
+    for color, g, lo, hi, start, end in _class_runs(pairs):
+        size = sizes.setdefault(color, {})[g] = hi - lo + 1
         if g not in limits:
             limits[g] = f(g)
-        if size > limits[g] and (least is None or (h[lo], h[hi]) < least[:2]):
-            least = (h[lo], h[hi], g, size)
-    if h and limits[1] < 1 and (len(h) == 1 or h[1] - h[0] > 1):
-        least = (h[0], h[0], 1, 1)     # a lone first element is already too large
-    triples = []
-    best = 1
-    for d in sorted(limits):
-        best = max(best, sizes.get(d, 1))
-        triples.append((d, best, limits[d]))
-    return (None if least is None else WindowViolation(color, *least)), triples
+        if size > limits[g] and (color not in least or (start, end) < least[color][:2]):
+            least[color] = (start, end, g, size)
+    triples = {}
+    for color, runs in sizes.items():
+        ds = sorted(runs)
+        triples[color] = tuple(zip(ds, accumulate(map(runs.__getitem__, ds), max),
+                                   map(limits.__getitem__, ds)))
+    return least, triples
+
+
+def _check_class(h: Sequence[int], f: GrowthFn, color: Optional[int] = None):
+    """``(WindowViolation or None, certificate triples)`` of the set ``h``, as ``color``."""
+    least, triples = _check(zip(h, repeat(0)), f)
+    return (WindowViolation(color, *least[0]) if least else None), triples.get(0, ())
 
 
 def _nondecreasing(f: GrowthFn) -> GrowthFn:
@@ -90,7 +95,7 @@ def star_violation(h: Sequence[int], f: GrowthFn) -> Optional[WindowViolation]:
     nondecreasing; use :func:`has_large_homogeneous_bruteforce` for
     arbitrary growth functions.
     """
-    return _check_class(tuple(h), _nondecreasing(f))[0]
+    return _check_class(h, _nondecreasing(f))[0]
 
 
 def _subset_gaps(h: Sequence[int]):
@@ -166,7 +171,7 @@ class WitnessCertificate:
             "length": self.coloring.length,
             "growth": self.growth_spec,
             "coloring_rle": coloring_rle(self.coloring),
-            "classes": [[list(t) for t in cls] for cls in self.per_class],
+            "classes": self.per_class,      # json writes tuples as lists
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -192,18 +197,17 @@ class WitnessCertificate:
 
 
 def _scan(coloring: Coloring, f: GrowthFn):
-    """The one star check of a coloring: ``(violation, None)`` for the least
-    (start, end) window of the first class that breaks the star condition,
-    else ``(None, certificate)``."""
+    """The one star check of a coloring, one pass over its values: ``(violation,
+    None)`` for the least (start, end) window of the first class that breaks the
+    star condition, else ``(None, certificate)``; empty classes share ``()``."""
     _nondecreasing(f)
-    per_class = []
-    for color, h in enumerate(coloring.classes()):
-        violation, triples = _check_class(h, f, color)
-        if violation is not None:
-            return violation, None
-        per_class.append(tuple(triples))
+    least, triples = _check(enumerate(coloring.values), f)
+    if least:
+        color = min(least)
+        return WindowViolation(color, *least[color]), None
+    per_class = tuple(map(triples.get, range(coloring.palette), repeat(())))
     return None, WitnessCertificate(coloring=coloring, growth_spec=f.spec_string(),
-                                    per_class=tuple(per_class))
+                                    per_class=per_class)
 
 
 def is_witness(coloring: Coloring, f: GrowthFn) -> Optional[WitnessCertificate]:

@@ -249,9 +249,8 @@ def _cmd_check(args) -> int:
     f = _parse_growth(args.f)
     v, cert = _scan(coloring, f)
     if cert is not None:
-        payload = {"command": "check", "witness": True,
-                   "certificate": json.loads(cert.to_json())}
-        _emit(payload)
+        # _emit's spelling, with the certificate's canonical JSON as written: its key sorts first
+        print('{"certificate":' + cert.to_json() + ',"command":"check","witness":true}')
         _note(f"witness: every class fits {f.spec_string()}; "
               f"proves the threshold exceeds {coloring.length}")
         return EXIT_OK

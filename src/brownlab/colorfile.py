@@ -3,24 +3,25 @@
 Header: ``palette <r> length <n> encoding <plain|rle>``, with ``r`` and ``n`` at
 most ``LENGTH_CAP``, a size every command holds within 1 GiB of address space.
 The body holds whitespace-separated tokens, color indices for ``plain`` and
-``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse,
-byte for byte on canonical files, and loop over runs and tokens in C.  Decoding
-parses each *distinct* token once and sums the counts before it builds
-anything.  That one pass rejects a body, a certificate's and a cache entry's
-too, at its first token that is malformed, too long, a zero count, outside the
-palette or past the length (a file gives its line and column).  A coloring
-decoded from a canonical rle file or repeated by :func:`periodic` keeps its
-canonical body, which the rle writer and the certificate reuse through
-:func:`coloring_rle`.  Files this program writes have at most ``palette``
-distinct plain tokens, or ``palette * sqrt(2 * length)`` distinct rle ones (the
-distinct counts of one value sum to at most ``length``).
+``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse, byte
+for byte on canonical files, and loop over runs and tokens in C.  Decoding reads
+a line at a time (a certificate's one-line body 64 tokens at a time), so it
+never holds a string per token; it parses each *distinct* token once and sums
+the counts before it builds anything.  That one pass rejects a body, a
+certificate's and a cache entry's too, at its first token that is malformed, too
+long, a zero count, outside the palette or past the length (a file gives its
+line and column).  A coloring decoded from a canonical rle file or repeated by
+:func:`periodic` keeps its canonical body, which the rle writer and the
+certificate reuse through :func:`coloring_rle`.  Files this program writes have
+at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
+distinct rle ones (the distinct counts of one value sum to at most ``length``).
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain, compress, islice, repeat
-from operator import add, eq, mul, ne, sub
+from operator import add, mul, ne, sub
 
 from .core import Coloring, _natural, _quoted
 from .errors import ColoringFileError, InvalidArgumentError
@@ -80,44 +81,48 @@ def _parse_token(token: str, rle: bool, palette=None):
     return run
 
 
-def _decode_tokens(tokens: list, rle: bool, length, palette=None) -> tuple:
-    """``(values iterator, {token: (value, count)})``, built only once the counts sum to
-    ``length``, else ``(index, message)`` for the first token that is rejected or carries
-    the counts past ``length``, or ``len(tokens)`` when they fall short or ``length`` is
-    no natural up to ``LENGTH_CAP``."""
+def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
+    """``(values, whether rle_string spells them so)`` of the tokens of ``chunks``, split a
+    chunk (a line) at a time, built once the counts sum to ``length``; else ``(message,
+    (chunk, column))`` for the first token that is rejected or carries the counts past
+    ``length``, or ``(message, None)`` if they fall short or ``length`` is out of range."""
     if type(length) is not int or not 0 <= length <= LENGTH_CAP:
-        return len(tokens), f"length must be a natural <= {LENGTH_CAP}"
-    runs = {token: _parse_token(token, rle, palette) for token in set(tokens)}
-    # a rejected token counts past any length: the sum misses, the running total stops at it
-    counts = {token: length + 1 if isinstance(run, str) else run[1] for token, run in runs.items()}
-    if sum(map(counts.__getitem__, tokens)) == length:
-        expansion = {token: (value,) * count for token, (value, count) in runs.items()}
-        return chain.from_iterable(map(expansion.__getitem__, tokens)), runs
-    total = 0
-    for index, count in enumerate(map(counts.__getitem__, tokens)):
+        return f"length must be a natural <= {LENGTH_CAP}", None
+    counts, runs = {}, {}
+    total = tokens = 0
+    for i, chunk in enumerate(chunks):
+        line = chunk.split()
+        tokens += len(line)
+        for token in set(line).difference(counts):       # each distinct token is parsed once
+            run = runs[token] = _parse_token(token, rle, palette)
+            # a rejected token counts past any length: the running total stops at it
+            counts[token] = length + 1 if isinstance(run, str) else run[1]
+        count = sum(map(counts.__getitem__, line))
+        if total + count > length:
+            for token in re.finditer(r"\S+", chunk):
+                total += counts[token[0]]
+                if total > length:
+                    run = runs[token[0]]
+                    return (run if isinstance(run, str)
+                            else f"body exceeds declared length {length}"), (i, token.start())
         total += count
-        if total > length:
-            run = runs[tokens[index]]
-            return index, run if isinstance(run, str) else f"body exceeds declared length {length}"
-    return len(tokens), f"body holds {total} positions but header declares {length}"
-
-
-def _canonical_body(tokens: list, runs: dict):
-    """The body of rle tokens that spell their values as :func:`rle_string` does (each
-    token reads ``f"{value}x{count}"`` and no two adjacent ones share a value), else None."""
-    if any(token != f"{value}x{count}" for token, (value, count) in runs.items()):
-        return None
-    heads = list(map({token: v for token, (v, _) in runs.items()}.__getitem__, tokens))
-    return None if any(map(eq, islice(heads, 1, None), heads)) else " ".join(tokens)
+    if total != length:
+        return f"body holds {total} positions but header declares {length}", None
+    expansion = {token: (value,) * count for token, (value, count) in runs.items()}
+    values = tuple(chain.from_iterable(map(expansion.__getitem__,
+                                           chain.from_iterable(map(str.split, chunks)))))
+    # each token reads f"{value}x{count}", and no two adjacent ones share a value
+    return values, (rle and all(token == f"{v}x{c}" for token, (v, c) in runs.items())
+                    and tokens == bool(values) + sum(map(ne, islice(values, 1, None), values)))
 
 
 def parse_rle_string(text: str, length: int) -> list:
     """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``;
     a rejected body raises the message a coloring file would carry."""
-    decoded, runs = _decode_tokens(text.split(), True, length)
-    if isinstance(runs, str):
-        raise InvalidArgumentError(runs)
-    return list(decoded)
+    values, _ = _decode_body(_LINE.findall(text), True, length)
+    if isinstance(values, str):
+        raise InvalidArgumentError(values)
+    return list(values)
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
@@ -129,16 +134,6 @@ def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
     header = f"palette {coloring.palette} length {coloring.length} encoding {encoding}"
     body = coloring_rle(coloring) if encoding == "rle" else " ".join(map(str, coloring.values))
     return "\n".join([header, *_LINE.findall(body)]) + "\n"
-
-
-def _position(lines: list, index: int, length_column: int) -> tuple:
-    """``(line, column)`` of body token ``index``; past the last, the header's length."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        starts = [match.start() for match in re.finditer(r"\S+", line)]
-        if index < len(starts):
-            return lineno, starts[index] + 1
-        index -= len(starts)
-    return 1, length_column
 
 
 def decode_coloring(text: str) -> Coloring:
@@ -160,11 +155,10 @@ def decode_coloring(text: str) -> Coloring:
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {_quoted(encoding)}", 1,
                                 header.rindex(encoding) + 1)
-    # line breaks are whitespace, so the header is the first six tokens
-    tokens = text.split()
-    del tokens[:6]                  # in place, so the token list is not copied
-    decoded, runs = _decode_tokens(tokens, encoding == "rle", length, palette)
-    if isinstance(runs, str):
-        raise ColoringFileError(runs, *_position(lines, decoded, header.index(fields[3]) + 1))
-    return Coloring(palette=palette, values=tuple(decoded),     # the values first: a lower peak
-                    _rle_body=_canonical_body(tokens, runs) if encoding == "rle" else None)
+    values, detail = _decode_body(lines[1:], encoding == "rle", length, palette)
+    if isinstance(values, str):             # no token to blame: the header's length field
+        line, column = (-1, header.index(fields[3])) if detail is None else detail
+        raise ColoringFileError(values, line + 2, column + 1)
+    # the canonical body has one space between tokens, whatever the file's line breaks
+    body = " ".join(map(" ".join, filter(None, map(str.split, lines[1:])))) if detail else None
+    return Coloring(palette=palette, values=values, _rle_body=body)

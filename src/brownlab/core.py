@@ -8,21 +8,22 @@ they stand for color classes and for homogeneous sets under analysis.
 The central quantity is the *gap size* ``gap_size(H)``: the largest
 difference between consecutive elements of ``H``, with the convention
 that sets of at most one element (including the empty set) have gap
-size 1.  A *window* of ``H`` is a run of consecutive elements in H's
-sorted enumeration; windows are the sets the growth-bound checks in
-:mod:`brownlab.checker` quantify over.
+size 1.  A *window* of ``H`` is a run of consecutive elements in H's sorted
+enumeration; windows are the sets the checks in :mod:`brownlab.checker` quantify
+over.  Their one run kernel, ``_class_runs``, walks ``(position, color)`` pairs
+once, holding a few objects per color that occurs and none per position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
-from operator import sub
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GrowthSpecError, InvalidArgumentError
 
 FiniteSet = tuple  # strictly increasing tuple of naturals
+_TOP = float("inf")  # larger than every gap
 
 
 @dataclass(frozen=True)
@@ -277,38 +278,63 @@ def gap_size(h: Sequence[int]) -> int:
     return max(b - a for a, b in zip(h, h[1:]))
 
 
-def _runs(h: Sequence[int]) -> Iterator[tuple]:
-    """Yield ``(g, lo, hi)`` for each *record* g-run: a maximal run ``h[lo..hi]``
-    whose gaps are all <= g and include one equal to g, longer than every
-    earlier g-run.
+def _class_runs(pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """Yield ``(color, g, lo, hi, start, end)`` for each *record* g-run of each
+    color's class h, in one pass over ``(position, color)`` pairs in increasing
+    position: a maximal run ``h[lo..hi]``, from ``start`` to ``end``, whose gaps
+    are all <= g and include one equal to g, longer than every earlier g-run.
 
-    Every window with gap size g >= 2 lies inside exactly one g-run.  The
-    g-runs are disjoint and close in position order, so the longest one and
-    the first one longer than any bound are records, yielded in position
-    order; singletons never are.  One left-to-right pass keeps a stack of the
-    open runs, strictly decreasing in gap size: a larger gap closes each below it.
+    Every window with gap size g lies inside exactly one g-run.  The g-runs are
+    disjoint and close in position order, so the longest one and the first one
+    longer than any bound are records, yielded in position order.  The 1-runs
+    are the stretches of consecutive positions, each counted whole; a singleton
+    is a record only as a class's first element.  A g-run with g >= 2 joins
+    whole stretches: each color that occurs keeps a stack of its open runs,
+    strictly decreasing in gap size, and a larger gap closes each below it.
     """
-    if len(h) < 2:
-        return
-    top = h[-1] - h[0] + 1              # larger than every gap; closes every run
-    gs, los = [top], [0]
-    last = top                          # gs[-1]
-    best: dict = {}                     # g -> hi - lo of its longest run so far
-    for hi, g in enumerate(chain(map(sub, islice(h, 1, None), h), (top,)), 1):
-        if g == last:
+    # color -> [first and last position of its last stretch, class size so far,
+    #           top gap of its stack, longest 1-run, stack of (g, lo, start), best]
+    state: dict = {}
+    color, first, last = None, -2, -2
+    for x, c in chain(pairs, ((None, None),)):
+        if c == color and x == last + 1:
+            last = x
             continue
-        lo = hi - 1
-        while last < g:
-            lo = los.pop()
-            if hi - lo > best.get(last, 0):
-                best[last] = hi - lo
-                yield last, lo, hi - 1
-            gs.pop()
-            last = gs[-1]
-        if g != last:
-            gs.append(g)
-            los.append(lo)
-            last = g
+        if color is not None:
+            s = state.get(color)
+            if s is None:
+                s = state[color] = [first, last, 0, _TOP, 0, [(_TOP, 0, first)], {}]
+            elif first - s[1] != s[3]:
+                yield from _close(color, s, first)
+            k, n = last - first + 1, s[2]
+            s[0], s[1], s[2] = first, last, n + k
+            if k > s[4]:
+                s[4] = k
+                yield color, 1, n, n + k - 1, first, last
+        color, first, last = c, x, x
+    for color, s in state.items():
+        yield from _close(color, s, _TOP)
+
+
+def _close(color, s: list, x) -> Iterator[tuple]:
+    """Step color's state ``s`` over the gap to ``x`` (``_TOP`` closes all), yielding records."""
+    first, end, hi, top, _, stack, best = s
+    g = x - end
+    lo, start = hi - (end - first + 1), first      # the last stretch is the open 1-run
+    while top < g:
+        _, lo, start = stack.pop()
+        if hi - lo > best.get(top, 0):
+            best[top] = hi - lo
+            yield color, top, lo, hi - 1, start, end
+        top = stack[-1][0]
+    if g != top:
+        stack.append((g, lo, start))
+    s[3] = g                                        # the new top
+
+
+def _runs(h: Sequence[int]) -> Iterator[tuple]:
+    """``(g, lo, hi)`` of each record g-run of the set ``h``, singletons aside."""
+    return ((g, lo, hi) for _, g, lo, hi, _, _ in _class_runs(zip(h, repeat(0))) if hi > lo)
 
 
 def max_run_size(h: Sequence[int], d: int) -> int:

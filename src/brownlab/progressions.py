@@ -7,6 +7,7 @@ partition search (least length-1 threshold is 1).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .core import Coloring, FiniteSet
@@ -28,7 +29,8 @@ def ap_partition_check(coloring: Coloring, l: int):
 
     Scans (start, difference) pairs in ascending order and returns
     ``(color, witness)`` for the first hit, or None; absence is a valid
-    outcome below the corresponding van der Waerden threshold.
+    outcome below the corresponding van der Waerden threshold.  Only pairs
+    whose second term shares the start's color are tried.
     """
     if l < 1:
         raise InvalidArgumentError("progression length must be >= 1")
@@ -39,10 +41,13 @@ def ap_partition_check(coloring: Coloring, l: int):
             return None
         return values[0], ApWitness(0, 0, 1)
     span = l - 1
-    for start in range(n):
-        color = values[start]
-        max_diff = (n - 1 - start) // span
-        for diff in range(1, max_diff + 1):
-            if all(values[start + i * diff] == color for i in range(1, l)):
-                return color, ApWitness(start, diff, l)
+    for start, color in enumerate(values):
+        stop = start + (n - 1 - start) // span + 1      # past the last second term that fits
+        second = start
+        with suppress(ValueError):                      # no further second term of the color
+            while True:
+                second = values.index(color, second + 1, stop)
+                diff = second - start
+                if values[second + diff:start + l * diff:diff].count(color) == l - 2:
+                    return color, ApWitness(start, diff, l)
     return None

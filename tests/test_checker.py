@@ -1,16 +1,18 @@
 import itertools
 import json
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brownlab.checker import (WindowViolation, WitnessCertificate, _check_class,
+from brownlab.checker import (WindowViolation, WitnessCertificate, _check, _check_class, _scan,
                               has_large_homogeneous,
                               has_large_homogeneous_bruteforce, is_witness,
                               star_violation, verify_certificate)
+from brownlab.constructions import ladder
 from brownlab.core import Coloring, GrowthFn, _runs, gap_size, parse_growth_spec
 from brownlab.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 
@@ -175,6 +177,47 @@ def test_violation_is_recomputable():
     assert len(window) == v.length
     assert gap_size(window) == v.gap_size
     assert v.length > LIN1(v.gap_size)
+
+
+# colorings spelled as runs: absent colors, long stretches of one color and
+# classes that break the star condition past class 0
+run_colorings = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 12)), max_size=10).map(
+    lambda runs: Coloring(8, tuple(itertools.chain.from_iterable(
+        itertools.repeat(v, k) for v, k in runs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_colorings, st.sampled_from(STAR_GROWTHS))
+@example(Coloring(2, (0, 1, 1, 0, 1)), LIN1)              # class 0 fits, class 1 breaks
+@example(Coloring(3, (2, 0, 0, 2)), ZERO)                 # lone first elements; color 1 absent
+@example(Coloring(2, (1,) * 300 + (0,)), GrowthFn.linear(300))   # one long stretch
+def test_one_pass_scan_matches_the_class_by_class_check(coloring, f):
+    least, triples = _check(enumerate(coloring.values), f)
+    per_class = [_check_class(h, f, color) for color, h in enumerate(coloring.classes())]
+    for color, h in enumerate(coloring.classes()):
+        v, t = per_class[color]
+        found = None if v is None else (v.start, v.end, v.gap_size, v.length)
+        assert least.get(color) == found == least_window_violation(h, f)
+        assert triples.get(color, ()) == t == window_triples(h, f)
+    first = next((v for v, _ in per_class if v is not None), None)
+    v, cert = _scan(coloring, f)
+    assert v == first
+    if first is None:
+        assert cert.per_class == tuple(t for _, t in per_class)
+    else:
+        assert cert is None
+
+
+def test_the_scan_holds_no_object_per_position():
+    coloring = ladder(2).coloring           # 2,097,152 positions in 4 classes
+    tracemalloc.start()
+    try:
+        violation, cert = _scan(coloring, EXP2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violation is None and len(cert.per_class) == 4
+    assert peak < 1_000_000                 # one tuple per class held 81.7 MB
 
 
 # ---------------------------------------------------------------------------

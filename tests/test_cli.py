@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brownlab import cli, colorfile, constructions
+from brownlab import checker, cli, colorfile, constructions
 from brownlab.cache import ResultCache
 from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
@@ -532,9 +532,11 @@ def test_check_scans_a_non_witness_once(tmp_path, capsys, monkeypatch):
     coloring = Coloring(2, (0, 1, 1, 0, 1))
     path = tmp_path / "bad.col"
     path.write_text(encode_coloring(coloring))
+    # one pass over the values: one walk of the run kernel, whose pairs are the values' own
     scans = []
-    classes = Coloring.classes
-    monkeypatch.setattr(Coloring, "classes", lambda c: scans.append(c) or classes(c))
+    class_runs = checker._class_runs
+    monkeypatch.setattr(checker, "_class_runs",
+                        lambda pairs: scans.append(pairs) or class_runs(pairs))
     code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "linear:1")
     assert (code, len(scans)) == (1, 1)
     assert payload["violation"] == {"color": 1, "start": 1, "end": 2,
@@ -604,6 +606,28 @@ def test_check_at_the_length_cap_answers_within_a_gibibyte(tmp_path, python_m):
     assert code == 1, err[-500:]
     assert json.loads(out)["violation"] == {"color": 0, "start": 0, "end": LENGTH_CAP - 1,
                                             "length": LENGTH_CAP, "gap_size": 1}
+
+
+def test_check_prints_the_certificate_as_emit_spells_it(tmp_path, capsys):
+    path = tmp_path / "c.col"
+    path.write_text(encode_coloring(Coloring(5, (0, 0, 1, 3, 1, 1, 0, 3))))
+    assert run_cli(["check", "--input", str(path), "--f", "linear:2"]) == 0
+    out = capsys.readouterr().out
+    cert = WitnessCertificate.from_json(json.dumps(json.loads(out)["certificate"]))
+    assert out == json.dumps({"command": "check", "witness": True,
+                              "certificate": json.loads(cert.to_json())},
+                             sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_check_of_a_palette_at_the_cap_builds_nothing_per_color(tmp_path, python_m):
+    # one class and one JSON transcript per color took 21-24 s and 712 MB
+    path = tmp_path / "wide.col"
+    path.write_text(f"palette {LENGTH_CAP} length 1 encoding plain\n0\n")
+    code, out, err = python_m("check", "--input", str(path), "--f", "linear:1")
+    assert code == 0, err[-500:]
+    assert out == ('{"certificate":{"classes":[[[1,1,1]]' + ",[]" * (LENGTH_CAP - 1)
+                   + f'],"coloring_rle":"0x1","growth":"linear:1","length":1,'
+                   f'"palette":{LENGTH_CAP}}},"command":"check","witness":true}}\n')
 
 
 @pytest.mark.parametrize("palette", ["1000000000", str(LENGTH_CAP + 1)])

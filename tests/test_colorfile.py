@@ -394,6 +394,15 @@ def _peak_bytes(action):
         tracemalloc.stop()
 
 
+def test_decoding_the_stage_two_ladder_file_holds_no_string_per_token():
+    text = encode_coloring(ladder(2).coloring)      # 1,048,576 tokens on 16,384 lines
+    decoded = []
+    peak = _peak_bytes(lambda: decoded.append(decode_coloring(text)))
+    assert decoded[0].values == ladder(2).coloring.values
+    # the values tuple is 16.8 MB; a list of the tokens held 97.5 MB
+    assert peak < 40_000_000
+
+
 def test_huge_run_in_a_file_is_rejected_before_allocation():
     def decode():
         with pytest.raises(ColoringFileError) as err:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brownlab.core import Coloring
 from brownlab.errors import InvalidArgumentError
@@ -65,3 +67,31 @@ def test_partition_regularity_on_hosted_progressions():
             image = [host[m] for m in witness.elements()]
             assert image[1] - image[0] == image[2] - image[1] == q * witness.difference
             assert all(values[m] == color for m in witness.elements())
+
+
+def _first_progression(values, l):
+    """The reference: every (start, difference) pair in ascending order, each
+    tried term by term, whatever the color of its second term."""
+    n = len(values)
+    if l == 1:
+        return (values[0], ApWitness(0, 0, 1)) if n else None
+    span = l - 1
+    for start in range(n):
+        color = values[start]
+        max_diff = (n - 1 - start) // span
+        for diff in range(1, max_diff + 1):
+            if all(values[start + i * diff] == color for i in range(1, l)):
+                return color, ApWitness(start, diff, l)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+           st.just(r), st.lists(st.integers(0, r - 1), max_size=40).map(tuple))),
+       st.integers(1, 6))
+@example((2, (0, 1, 0, 1, 0, 1, 0, 1)), 3)
+@example((3, (0, 1, 2, 0, 1, 2, 0)), 3)          # only a difference of 3 is monochromatic
+@example((1, ()), 2)
+def test_partition_check_tries_class_pairs_in_the_reference_order(case, l):
+    r, values = case
+    assert ap_partition_check(Coloring(r, values), l) == _first_progression(values, l)
