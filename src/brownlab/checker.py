@@ -181,10 +181,13 @@ class WitnessCertificate:
         raises :class:`InvalidArgumentError`."""
         try:
             doc = json.loads(text)
-            values = parse_rle_string(doc["coloring_rle"], doc["length"])
-            coloring = Coloring(palette=doc["palette"], values=tuple(values))
-            if coloring.palette > LENGTH_CAP:
+            palette = doc["palette"]
+            if type(palette) is not int:
+                raise InvalidArgumentError(f"palette must be an int, not {type(palette).__name__}")
+            if palette > LENGTH_CAP:
                 raise InvalidArgumentError(f"palette must be a natural <= {LENGTH_CAP}")
+            values = parse_rle_string(doc["coloring_rle"], doc["length"], palette)
+            coloring = Coloring(palette=palette, values=tuple(values))
             if not isinstance(doc["growth"], str):
                 raise InvalidArgumentError("certificate growth field is not a spec string")
             per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])

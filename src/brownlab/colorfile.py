@@ -4,15 +4,19 @@ Header: ``palette <r> length <n> encoding <plain|rle>``, with ``r`` and ``n`` at
 most ``LENGTH_CAP``, a size every command holds within 1 GiB of address space.
 The body holds whitespace-separated tokens, color indices for ``plain`` and
 ``<value>x<count>`` tokens for ``rle``.  Encoding and decoding are inverse, byte
-for byte on canonical files, and loop over runs and tokens in C.  Decoding reads
-a line at a time (a certificate's one-line body 64 tokens at a time), so it
-never holds a string per token; it parses each *distinct* token once and sums
-the counts before it builds anything.  That one pass rejects a body, a
-certificate's and a cache entry's too, at its first token that is malformed, too
-long, a zero count, outside the palette or past the length (a file gives its
-line and column).  A coloring decoded from a canonical rle file or repeated by
-:func:`periodic` keeps its canonical body, which the rle writer and the
-certificate reuse through :func:`coloring_rle`.  Files this program writes have
+for byte on canonical files, and loop over runs and tokens in C.  Decoding splits
+each line once (a certificate's one-line body 64 tokens at a time), so it never
+holds a string per token.  It parses each *distinct* token once and sums a
+line's counts against the length before it packs the line's values into one
+buffer of the narrowest typecode that holds the palette; the values tuple is read
+back from that buffer last, one int object per value.  That one pass rejects a
+body, a certificate's and a cache entry's too, at its first token that is
+malformed, too long, a zero count, outside the palette, wider than 64 bits or
+past the length (a file gives its line and column).  A canonical body, one whose
+tokens read ``f"{value}x{count}"`` with no two neighbours of one value, is joined
+from the lines as they are split.  A coloring decoded from a canonical rle file
+or repeated by :func:`periodic` keeps its canonical body, which the rle writer
+and the certificate reuse through :func:`coloring_rle`.  Files this program writes have
 at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
 distinct rle ones (the distinct counts of one value sum to at most ``length``).
 """
@@ -20,8 +24,10 @@ distinct rle ones (the distinct counts of one value sum to at most ``length``).
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from itertools import chain, compress, islice, repeat
-from operator import add, mul, ne, sub
+from operator import add, eq, mul, ne, sub
 
 from .core import Coloring, _natural, _quoted
 from .errors import ColoringFileError, InvalidArgumentError
@@ -29,6 +35,9 @@ from .errors import ColoringFileError, InvalidArgumentError
 _TOKENS_PER_LINE = 64
 LENGTH_CAP = 1 << 23            # 4 times the stage-2 ladder, the longest coloring written
 _RLE_TOKEN = re.compile(r"^(\d+)x(\d+)$")
+# (typecode, bytes a value) of each packing, narrowest first; a wider value is refused
+_PACKINGS = tuple((code, array(code).itemsize) for code in "BHIQ")
+_WIDEST = 1 << 8 * _PACKINGS[-1][1]
 _LINE = re.compile(rf"[^ ]+(?: [^ ]+){{0,{_TOKENS_PER_LINE - 1}}}")   # one line of a body
 
 
@@ -65,8 +74,8 @@ def coloring_rle(coloring: Coloring) -> str:
 
 
 def _parse_token(token: str, rle: bool, palette=None):
-    """``(value, count)`` of one body token, or the message that rejects it:
-    malformed, too long, a zero count, or a value outside ``palette``, checked in that order."""
+    """``(value, count)`` of one body token, or the message that rejects it: malformed,
+    too long, a zero count, a value outside ``palette`` or too wide to pack, in that order."""
     m = _RLE_TOKEN.match(token) if rle else None
     run = (m[1], m[2]) if m else (token, "1") if not rle and token.isdecimal() else None
     if run is None:
@@ -78,26 +87,43 @@ def _parse_token(token: str, rle: bool, palette=None):
         return "run length must be >= 1"
     if palette is not None and run[0] >= palette:
         return f"value {run[0]} outside palette of size {palette}"
+    if run[0] >= _WIDEST:
+        return f"value {run[0]} does not fit {_WIDEST.bit_length() - 1} bits"
     return run
 
 
 def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
-    """``(values, whether rle_string spells them so)`` of the tokens of ``chunks``, split a
-    chunk (a line) at a time, built once the counts sum to ``length``; else ``(message,
+    """``(values, canonical body or None)`` of the tokens of ``chunks``, else ``(message,
     (chunk, column))`` for the first token that is rejected or carries the counts past
-    ``length``, or ``(message, None)`` if they fall short or ``length`` is out of range."""
+    ``length``, or ``(message, None)`` if they fall short or ``length`` is out of range.
+
+    Each chunk (a line) is split once and dropped from ``chunks``.  Its new distinct tokens
+    are parsed, its counts summed against ``length``, and only then are its values packed,
+    in the narrowest typecode that holds the palette.  The body is canonical when every
+    token reads ``f"{value}x{count}"`` and no two neighbours share a value; it is then
+    joined from the lines, one space between tokens.  Last, the packed lines are joined
+    into one buffer and the values tuple is read back from it, one int object per value."""
     if type(length) is not int or not 0 <= length <= LENGTH_CAP:
         return f"length must be a natural <= {LENGTH_CAP}", None
-    counts, runs = {}, {}
-    total = tokens = 0
+    wide = _WIDEST if palette is None else min(palette, _WIDEST)
+    code, size = next((code, size) for code, size in _PACKINGS if 1 << 8 * size >= wide)
+    counts, runs, blocks, heads, ints = {}, {}, {}, {}, {}
+    packed, lines = [], []                  # each line's packed values; canonical lines
+    total, canonical, last = 0, rle, None
     for i, chunk in enumerate(chunks):
+        chunks[i] = None                    # a line is held once: by the body if canonical
         line = chunk.split()
-        tokens += len(line)
-        for token in set(line).difference(counts):       # each distinct token is parsed once
-            run = runs[token] = _parse_token(token, rle, palette)
-            # a rejected token counts past any length: the running total stops at it
-            counts[token] = length + 1 if isinstance(run, str) else run[1]
-        count = sum(map(counts.__getitem__, line))
+        if not line:
+            continue
+        try:
+            count, new = sum(map(counts.__getitem__, line)), ()
+        except KeyError:                        # each distinct token is parsed once
+            new = set(line).difference(counts)
+            for token in new:
+                run = runs[token] = _parse_token(token, rle, palette)
+                # a rejected token counts past any length: the running total stops at it
+                counts[token] = length + 1 if isinstance(run, str) else run[1]
+            count = sum(map(counts.__getitem__, line))
         if total + count > length:
             for token in re.finditer(r"\S+", chunk):
                 total += counts[token[0]]
@@ -106,20 +132,33 @@ def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
                     return (run if isinstance(run, str)
                             else f"body exceeds declared length {length}"), (i, token.start())
         total += count
+        for token in new:
+            value, count = runs[token]
+            value = heads[token] = ints.setdefault(value, value)
+            blocks[token] = value.to_bytes(size, sys.byteorder) * count
+            canonical = canonical and token == f"{value}x{count}"
+        packed.append(b"".join(map(blocks.__getitem__, line)))
+        if canonical:
+            values = list(map(heads.__getitem__, line))
+            canonical = values[0] != last and not any(map(eq, values[1:], values))
+            last = values[-1]
+            joined = " ".join(line)
+            lines.append(chunk if chunk == joined else joined)
     if total != length:
         return f"body holds {total} positions but header declares {length}", None
-    expansion = {token: (value,) * count for token, (value, count) in runs.items()}
-    values = tuple(chain.from_iterable(map(expansion.__getitem__,
-                                           chain.from_iterable(map(str.split, chunks)))))
-    # each token reads f"{value}x{count}", and no two adjacent ones share a value
-    return values, (rle and all(token == f"{v}x{c}" for token, (v, c) in runs.items())
-                    and tokens == bool(values) + sum(map(ne, islice(values, 1, None), values)))
+    body = " ".join(lines) if canonical else None
+    del lines, blocks                       # freed before the tuple is built
+    # one buffer, allocated once at its size; a value below 256 is a shared small int already
+    packed = memoryview(b"".join(packed)).cast(code)
+    values = tuple(packed) if code == "B" else tuple(map(ints.__getitem__, packed))
+    return values, body
 
 
-def parse_rle_string(text: str, length: int) -> list:
-    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length``;
-    a rejected body raises the message a coloring file would carry."""
-    values, _ = _decode_body(_LINE.findall(text), True, length)
+def parse_rle_string(text: str, length: int, palette=None) -> list:
+    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length`` and
+    whose values must lie below ``palette``; a rejected body raises the message a coloring
+    file would carry."""
+    values, _ = _decode_body(_LINE.findall(text), True, length, palette)
     if isinstance(values, str):
         raise InvalidArgumentError(values)
     return list(values)
@@ -155,10 +194,9 @@ def decode_coloring(text: str) -> Coloring:
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {_quoted(encoding)}", 1,
                                 header.rindex(encoding) + 1)
-    values, detail = _decode_body(lines[1:], encoding == "rle", length, palette)
+    del lines[0]                            # the decoder takes the body lines over
+    values, detail = _decode_body(lines, encoding == "rle", length, palette)
     if isinstance(values, str):             # no token to blame: the header's length field
         line, column = (-1, header.index(fields[3])) if detail is None else detail
         raise ColoringFileError(values, line + 2, column + 1)
-    # the canonical body has one space between tokens, whatever the file's line breaks
-    body = " ".join(map(" ".join, filter(None, map(str.split, lines[1:])))) if detail else None
-    return Coloring(palette=palette, values=values, _rle_body=body)
+    return Coloring(palette=palette, values=values, _rle_body=detail)

@@ -290,13 +290,16 @@ def _class_runs(pairs: Iterable[tuple]) -> Iterator[tuple]:
     are the stretches of consecutive positions, each counted whole; a singleton
     is a record only as a class's first element.  A g-run with g >= 2 joins
     whole stretches: each color that occurs keeps a stack of its open runs,
-    strictly decreasing in gap size, and a larger gap closes each below it.
+    strictly decreasing in gap size.  A stretch after a gap unlike the top one
+    steps the stack inline: a larger gap closes each run below it.  After the
+    last pair, each color takes one more step, to a stretch at ``_TOP``, which
+    closes all its runs and records no 1-run.
     """
     # color -> [first and last position of its last stretch, class size so far,
     #           top gap of its stack, longest 1-run, stack of (g, lo, start), best]
     state: dict = {}
     color, first, last = None, -2, -2
-    for x, c in chain(pairs, ((None, None),)):
+    for x, c in chain(pairs, _close_out(state)):
         if c == color and x == last + 1:
             last = x
             continue
@@ -305,31 +308,32 @@ def _class_runs(pairs: Iterable[tuple]) -> Iterator[tuple]:
             if s is None:
                 s = state[color] = [first, last, 0, _TOP, 0, [(_TOP, 0, first)], {}]
             elif first - s[1] != s[3]:
-                yield from _close(color, s, first)
-            k, n = last - first + 1, s[2]
+                head, end, hi, top, _, stack, best = s
+                g = first - end
+                lo, start = hi - (end - head + 1), head     # the last stretch is the open 1-run
+                while top < g:
+                    _, lo, start = stack.pop()
+                    if hi - lo > best.get(top, 0):
+                        best[top] = hi - lo
+                        yield color, top, lo, hi - 1, start, end
+                    top = stack[-1][0]
+                if g != top:
+                    stack.append((g, lo, start))
+                s[3] = g                                    # the new top
+            k, n = last - first + 1, s[2]       # NaN at _TOP, so no 1-run record
             s[0], s[1], s[2] = first, last, n + k
             if k > s[4]:
                 s[4] = k
                 yield color, 1, n, n + k - 1, first, last
         color, first, last = c, x, x
-    for color, s in state.items():
-        yield from _close(color, s, _TOP)
 
 
-def _close(color, s: list, x) -> Iterator[tuple]:
-    """Step color's state ``s`` over the gap to ``x`` (``_TOP`` closes all), yielding records."""
-    first, end, hi, top, _, stack, best = s
-    g = x - end
-    lo, start = hi - (end - first + 1), first      # the last stretch is the open 1-run
-    while top < g:
-        _, lo, start = stack.pop()
-        if hi - lo > best.get(top, 0):
-            best[top] = hi - lo
-            yield color, top, lo, hi - 1, start, end
-        top = stack[-1][0]
-    if g != top:
-        stack.append((g, lo, start))
-    s[3] = g                                        # the new top
+def _close_out(state: dict) -> Iterator[tuple]:
+    """After the input, a stretch at ``_TOP`` for each color of ``state``, then an end mark.
+    The colors are listed when the input ends: a color first seen in the last stretch has
+    a single stretch, so no open run to close."""
+    yield from zip(repeat(_TOP), list(state))
+    yield None, None
 
 
 def _runs(h: Sequence[int]) -> Iterator[tuple]:

@@ -336,6 +336,23 @@ def test_huge_run_in_a_vdw_cache_entry_is_rejected_before_allocation(cache_env, 
     assert (code, payload["cache"], payload["value"]) == (0, "rejected", 9)
 
 
+WIDE_R = 1 << 70           # a palette wider than any packing of the values
+
+
+def test_a_cache_value_too_wide_to_pack_is_rejected(cache_env, capsys):
+    # no walk reaches color 2**65, so only a forged entry holds it
+    cache = ResultCache(cache_env / "cache")
+    entry = {"witness_rle": f"{1 << 65}x1", "witness_length": 1, "nodes": 1, "wall_time": 0.0}
+    brown = {"command": "brown", "growth": "linear:1", "r": WIDE_R}
+    cache.put(brown, entry)
+    # the brown command itself spends minutes in the recursion bound at this r
+    assert _cached(cache, brown, cli._parse_growth("linear:1")) == (None, "rejected")
+    cache.put({"command": "vdw", "r": WIDE_R, "l": 3}, entry)
+    code, payload, _ = _run(capsys, "vdw", "--r", str(WIDE_R), "--l", "3",
+                            "--budget-nodes", "1000")
+    assert (code, payload["cache"], payload["kind"]) == (0, "rejected", "bracketed")
+
+
 def test_huge_witness_length_in_a_brown_cache_entry_is_rejected_before_allocation(cache_env,
                                                                                  capsys):
     _run(capsys, *BROWN_LIN1_R2)

@@ -403,6 +403,55 @@ def test_decoding_the_stage_two_ladder_file_holds_no_string_per_token():
     assert peak < 40_000_000
 
 
+def test_a_line_past_the_length_is_rejected_before_it_is_packed():
+    # 64 distinct runs of about a million positions each: every count fits the
+    # length, the line's sum does not, so nothing of the line is packed
+    tokens = [f"0x{1_000_000 + k}" for k in range(64)]
+    text = f"palette 1 length {LENGTH_CAP} encoding rle\n{' '.join(tokens)}\n"
+    over = next(i for i in range(64) if sum(1_000_000 + k for k in range(i + 1)) > LENGTH_CAP)
+
+    def decode():
+        with pytest.raises(ColoringFileError, match=f"exceeds declared length {LENGTH_CAP}") as err:
+            decode_coloring(text)
+        column = sum(len(token) + 1 for token in tokens[:over]) + 1
+        assert (err.value.line, err.value.column) == (2, column)
+    assert _peak_bytes(decode) < 1_000_000
+
+
+@pytest.mark.parametrize("runs", [((999, 1_000_000),), ((998, 1), (999, 1)) * 500_000],
+                         ids=["one-run", "alternating"])
+def test_a_wide_palette_decodes_to_one_int_per_value(runs):
+    values = _runs_coloring(1000, runs).values
+    text = encode_coloring(Coloring(1000, values), "rle")
+    decoded = []
+    peak = _peak_bytes(lambda: decoded.append(decode_coloring(text)))
+    assert decoded[0].values == values
+    assert len(set(map(id, decoded[0].values))) == len({value for value, _ in runs})
+    # the values tuple is 8 MB; a new int per position would add 32 MB
+    assert peak < 20_000_000
+
+
+@pytest.mark.parametrize("body,palette,message", [
+    (f"{1 << 64}x1", None, "does not fit 64 bits"),
+    (f"{1 << 65}x1", 1 << 70, "does not fit 64 bits"),
+    (f"{(1 << 64) - 1}x1", None, None),
+    (f"{1 << 65}x1", 2, "outside palette of size 2"),
+], ids=["no-palette", "wider-palette", "widest-value", "narrow-palette"])
+def test_a_value_too_wide_to_pack_is_rejected(body, palette, message):
+    if message is None:
+        assert parse_rle_string(body, 1, palette) == [(1 << 64) - 1]
+        return
+    with pytest.raises(InvalidArgumentError, match=message):
+        parse_rle_string(body, 1, palette)
+
+
+def test_a_certificate_value_past_its_palette_is_rejected():
+    doc = json.dumps({"palette": 2, "length": 1, "growth": "exp2",
+                      "coloring_rle": f"{1 << 65}x1", "classes": [[[1, 1, 2]], []]})
+    with pytest.raises(InvalidArgumentError, match="outside palette of size 2"):
+        WitnessCertificate.from_json(doc)
+
+
 def test_huge_run_in_a_file_is_rejected_before_allocation():
     def decode():
         with pytest.raises(ColoringFileError) as err:

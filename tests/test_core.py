@@ -1,13 +1,15 @@
 import re
+from itertools import accumulate, repeat
+from operator import sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brownlab.constructions import (extract_homogeneous_ps, ladder, ladder_lower_bound_check,
                                     ps_generate, tower)
-from brownlab.core import (Coloring, GrowthFn, _natural, _quoted, gap_size, max_run_size,
-                           parse_growth_spec)
+from brownlab.core import (Coloring, GrowthFn, _class_runs, _natural, _quoted, gap_size,
+                           max_run_size, parse_growth_spec)
 from brownlab.errors import GrowthSpecError, InvalidArgumentError
 from brownlab.search import brown_number_bruteforce, vdw_number_bruteforce
 
@@ -161,6 +163,78 @@ def test_max_run_size_monotone_and_saturating(h):
         assert cur >= previous
         previous = cur
     assert max_run_size(h, gs) == len(h)
+
+
+# ---------------------------------------------------------------------------
+# the run kernel against windows
+# ---------------------------------------------------------------------------
+
+
+def record_runs_bruteforce(pairs):
+    """``{(color, g): [(lo, hi, start, end), ...]}`` by enumerating every window of
+    every class: the windows with gap size g that no gap <= g extends (the g-runs),
+    kept when longer than every earlier g-run of the class, in position order."""
+    classes = {}
+    for x, c in pairs:
+        classes.setdefault(c, []).append(x)
+    records = {}
+    for c, h in classes.items():
+        index = {x: i for i, x in enumerate(h)}
+        best = {}
+        for w in windows(h):                # by start, then end
+            lo, hi = index[w[0]], index[w[-1]]
+            g = max(map(sub, w[1:], w), default=1)      # gap_size(w), in C
+            if lo > 0 and h[lo] - h[lo - 1] <= g or hi + 1 < len(h) and h[hi + 1] - h[hi] <= g:
+                continue
+            if len(w) > best.get(g, 0):
+                best[g] = len(w)
+                records.setdefault((c, g), []).append((lo, hi, w[0], w[-1]))
+    return records
+
+
+def _kernel_records(pairs):
+    records = {}
+    for c, g, lo, hi, start, end in _class_runs(pairs):
+        records.setdefault((c, g), []).append((lo, hi, start, end))
+    return records
+
+
+# gaps that fall to 1 and rise again, so that a class's stack holds several open runs
+_MOUNTAINS = st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=14).map(
+    lambda peaks: [g for top, rise in peaks
+                   for g in (range(1, top + 1) if rise else range(top, 0, -1))])
+
+
+@st.composite
+def _mountain_colorings(draw):
+    """Up to 300 positions of 1-6 colors: color 0 on a mountain walk, the rest
+    filled from a short cycle of colors, which may hold 0 too."""
+    colors = draw(st.integers(1, 6))
+    walk = set(accumulate(draw(_MOUNTAINS), initial=draw(st.integers(0, 4))))
+    n = min(300, max(walk) + 1 + draw(st.integers(0, 6)))
+    fill = draw(st.lists(st.integers(0, colors - 1), min_size=1, max_size=6))
+    return [0 if x in walk else fill[x % len(fill)] for x in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mountain_colorings(),
+                 st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(0, k - 1),
+                                                              max_size=300))))
+@example([0, 0, 1, 0, 1, 1, 0])
+@example([0] * 300)
+@example([])
+def test_class_runs_yields_the_record_windows_of_each_class(values):
+    assert _kernel_records(enumerate(values)) == record_runs_bruteforce(enumerate(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MOUNTAINS, st.integers(0, 4))
+@example([5, 4, 3, 2, 1, 2, 3, 4, 5, 6], 0)
+@example([3, 2, 1, 1, 2, 3, 2, 1, 6], 1)
+def test_class_runs_yields_the_record_windows_of_a_set(gaps, start):
+    h = tuple(accumulate(gaps, initial=start))
+    pairs = list(zip(h, repeat(0)))
+    assert _kernel_records(pairs) == record_runs_bruteforce(pairs)
 
 
 # ---------------------------------------------------------------------------
