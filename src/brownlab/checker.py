@@ -186,8 +186,8 @@ class WitnessCertificate:
                 raise InvalidArgumentError(f"palette must be an int, not {type(palette).__name__}")
             if palette > LENGTH_CAP:
                 raise InvalidArgumentError(f"palette must be a natural <= {LENGTH_CAP}")
-            values = parse_rle_string(doc["coloring_rle"], doc["length"], palette)
-            coloring = Coloring(palette=palette, values=tuple(values))
+            values, body = parse_rle_string(doc["coloring_rle"], doc["length"], palette)
+            coloring = Coloring(palette=palette, values=values, _rle_body=body)
             if not isinstance(doc["growth"], str):
                 raise InvalidArgumentError("certificate growth field is not a spec string")
             per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])

@@ -133,9 +133,9 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
         if type(nodes) is not int or nodes < 0 or type(wall) not in (int, float) \
                 or not 0 <= wall < math.inf:
             return None, "rejected"
-        values = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])
+        values, body = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])
         outcome = _outcome(("ap", key["l"]) if f is None else ("star", f), key["r"],
-                           values, nodes, wall)
+                           values, nodes, wall, rle_body=body)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None, "rejected"
     return outcome, "rejected" if outcome is None else "hit"

@@ -14,9 +14,11 @@ body, a certificate's and a cache entry's too, at its first token that is
 malformed, too long, a zero count, outside the palette, wider than 64 bits or
 past the length (a file gives its line and column).  A canonical body, one whose
 tokens read ``f"{value}x{count}"`` with no two neighbours of one value, is joined
-from the lines as they are split.  A coloring decoded from a canonical rle file
-or repeated by :func:`periodic` keeps its canonical body, which the rle writer
-and the certificate reuse through :func:`coloring_rle`.  Files this program writes have
+from the lines as they are split.  A line equal to the one before it (nearly every line
+of a file built by repetition) is not split again; only the line before is held.
+A coloring decoded from a canonical rle file or certificate, or repeated by
+:func:`periodic`, keeps its canonical body, which the rle writer and the certificate
+reuse through :func:`coloring_rle`.  Files this program writes have
 at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
 distinct rle ones (the distinct counts of one value sum to at most ``length``).
 """
@@ -92,38 +94,44 @@ def _parse_token(token: str, rle: bool, palette=None):
     return run
 
 
-def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
+def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tuple:
     """``(values, canonical body or None)`` of the tokens of ``chunks``, else ``(message,
     (chunk, column))`` for the first token that is rejected or carries the counts past
     ``length``, or ``(message, None)`` if they fall short or ``length`` is out of range.
 
     Each chunk (a line) is split once and dropped from ``chunks``.  Its new distinct tokens
     are parsed, its counts summed against ``length``, and only then are its values packed,
-    in the narrowest typecode that holds the palette.  The body is canonical when every
-    token reads ``f"{value}x{count}"`` and no two neighbours share a value; it is then
-    joined from the lines, one space between tokens.  Last, the packed lines are joined
-    into one buffer and the values tuple is read back from it, one int object per value."""
+    in the narrowest typecode that holds the palette.  A line equal to the one before is not
+    split again: it reuses that line's count, packed bytes, end values and spelling, and only
+    its total and the values where it meets the line before are checked.  Only the line
+    before is held, so a body with no repeated line costs one string compare a line more.
+    The body is canonical when every token reads ``f"{value}x{count}"`` and no two
+    neighbours share a value; it is then joined from the lines, one space between tokens,
+    and is ``text`` itself if that reads the same.  Last, the packed lines are joined into
+    one buffer and the values tuple is read back from it, one int object per value."""
     if type(length) is not int or not 0 <= length <= LENGTH_CAP:
         return f"length must be a natural <= {LENGTH_CAP}", None
     wide = _WIDEST if palette is None else min(palette, _WIDEST)
     code, size = next((code, size) for code, size in _PACKINGS if 1 << 8 * size >= wide)
     counts, runs, blocks, heads, ints = {}, {}, {}, {}, {}
     packed, lines = [], []                  # each line's packed values; canonical lines
-    total, canonical, last = 0, rle, None
+    total, canonical, last, prev, first, end = 0, rle, None, None, None, None
     for i, chunk in enumerate(chunks):
         chunks[i] = None                    # a line is held once: by the body if canonical
-        line = chunk.split()
-        if not line:
-            continue
-        try:
-            count, new = sum(map(counts.__getitem__, line)), ()
-        except KeyError:                        # each distinct token is parsed once
-            new = set(line).difference(counts)
-            for token in new:
-                run = runs[token] = _parse_token(token, rle, palette)
-                # a rejected token counts past any length: the running total stops at it
-                counts[token] = length + 1 if isinstance(run, str) else run[1]
-            count = sum(map(counts.__getitem__, line))
+        fresh = chunk != prev               # a line equal to the one before is decoded once
+        if fresh:
+            line = chunk.split()
+            if not line:
+                continue
+            try:
+                count, new = sum(map(counts.__getitem__, line)), ()
+            except KeyError:                    # each distinct token is parsed once
+                new = set(line).difference(counts)
+                for token in new:
+                    run = runs[token] = _parse_token(token, rle, palette)
+                    # a rejected token counts past any length: the running total stops at it
+                    counts[token] = length + 1 if isinstance(run, str) else run[1]
+                count = sum(map(counts.__getitem__, line))
         if total + count > length:
             for token in re.finditer(r"\S+", chunk):
                 total += counts[token[0]]
@@ -132,21 +140,29 @@ def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
                     return (run if isinstance(run, str)
                             else f"body exceeds declared length {length}"), (i, token.start())
         total += count
-        for token in new:
-            value, count = runs[token]
-            value = heads[token] = ints.setdefault(value, value)
-            blocks[token] = value.to_bytes(size, sys.byteorder) * count
-            canonical = canonical and token == f"{value}x{count}"
-        packed.append(b"".join(map(blocks.__getitem__, line)))
+        if fresh:
+            prev = chunk
+            for token in new:
+                value, reps = runs[token]
+                value = heads[token] = ints.setdefault(value, value)
+                blocks[token] = value.to_bytes(size, sys.byteorder) * reps
+                canonical = canonical and token == f"{value}x{reps}"
+            block = b"".join(map(blocks.__getitem__, line))
+            if canonical:
+                values = list(map(heads.__getitem__, line))
+                canonical = not any(map(eq, values[1:], values))
+                first, end, joined = values[0], values[-1], " ".join(line)
+                joined = chunk if chunk == joined else joined
+        # a copy of a line breaks canonicity where it meets the copy before it, if at all
+        canonical = canonical and first != last
+        last = end
+        packed.append(block)
         if canonical:
-            values = list(map(heads.__getitem__, line))
-            canonical = values[0] != last and not any(map(eq, values[1:], values))
-            last = values[-1]
-            joined = " ".join(line)
-            lines.append(chunk if chunk == joined else joined)
+            lines.append(joined)
     if total != length:
         return f"body holds {total} positions but header declares {length}", None
     body = " ".join(lines) if canonical else None
+    body = text if body == text else body   # a certificate's body is held once
     del lines, blocks                       # freed before the tuple is built
     # one buffer, allocated once at its size; a value below 256 is a shared small int already
     packed = memoryview(b"".join(packed)).cast(code)
@@ -154,14 +170,14 @@ def _decode_body(chunks: list, rle: bool, length, palette=None) -> tuple:
     return values, body
 
 
-def parse_rle_string(text: str, length: int, palette=None) -> list:
-    """The values of ``<value>x<count>`` tokens, whose counts must sum to ``length`` and
-    whose values must lie below ``palette``; a rejected body raises the message a coloring
-    file would carry."""
-    values, _ = _decode_body(_LINE.findall(text), True, length, palette)
+def parse_rle_string(text: str, length: int, palette=None) -> tuple:
+    """``(values, canonical body or None)`` of ``<value>x<count>`` tokens, whose counts must
+    sum to ``length`` and whose values must lie below ``palette``; a rejected body raises the
+    message a coloring file would carry."""
+    values, body = _decode_body(_LINE.findall(text), True, length, palette, text)
     if isinstance(values, str):
         raise InvalidArgumentError(values)
-    return list(values)
+    return values, body
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:

@@ -9,21 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brownlab import colorfile
-from brownlab.checker import WitnessCertificate
+from brownlab.checker import WitnessCertificate, is_witness
 from brownlab.colorfile import (LENGTH_CAP, decode_coloring, encode_coloring,
                                 parse_rle_string, periodic, rle_string)
 from brownlab.constructions import diag_prefix, ladder
-from brownlab.core import Coloring
+from brownlab.core import Coloring, parse_growth_spec
 from brownlab.errors import ColoringFileError, InvalidArgumentError
 
 
 def test_rle_pairs_round_trip():
     values = [0, 0, 1, 1, 1, 0, 2]
     assert rle_string(values) == "0x2 1x3 0x1 2x1"
-    assert parse_rle_string(rle_string(values), len(values)) == values
+    assert parse_rle_string(rle_string(values), len(values)) == (tuple(values), "0x2 1x3 0x1 2x1")
     assert rle_string(iter(values)) == rle_string(values)
     assert rle_string([]) == ""
-    assert parse_rle_string("", 0) == []
+    assert parse_rle_string("", 0) == ((), "")
 
 
 def test_rle_rejects_zero_counts():
@@ -218,7 +218,7 @@ def _ref_decode(text):
     palette, length, encoding = int(fields[1]), int(fields[3]), fields[5]
     if encoding not in ("plain", "rle"):
         raise ColoringFileError(f"unknown encoding {encoding!r}", 1, header.rindex(encoding) + 1)
-    values = []
+    values, runs = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         for match in re.finditer(r"\S+", line):
             token, column = match.group(0), match.start() + 1
@@ -239,12 +239,17 @@ def _ref_decode(text):
                 raise ColoringFileError(f"value {value} outside palette of size {palette}",
                                         lineno, column)
             values.extend([value] * count)
+            runs.append((token, value, count))
             if len(values) > length:
                 raise ColoringFileError(f"body exceeds declared length {length}", lineno, column)
     if len(values) != length:
         raise ColoringFileError(f"body holds {len(values)} positions but header declares {length}",
                                 1, header.index(fields[3]) + 1)
-    return Coloring(palette=palette, values=tuple(values))
+    # canonical: each token spelled f"{value}x{count}", no two neighbours of one value
+    canonical = encoding == "rle" and all(t == f"{v}x{c}" for t, v, c in runs) \
+        and all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+    return Coloring(palette=palette, values=tuple(values),
+                    _rle_body=" ".join(t for t, _, _ in runs) if canonical else None)
 
 
 def _runs_coloring(palette, runs):
@@ -269,7 +274,7 @@ def _colorings(draw, max_palette=300, max_count=2_000):
 def test_encoders_match_the_reference(coloring):
     values = coloring.values
     assert rle_string(values) == " ".join(f"{v}x{c}" for v, c in _ref_rle_encode(values))
-    assert parse_rle_string(rle_string(values), coloring.length) == list(values)
+    assert parse_rle_string(rle_string(values), coloring.length) == (values, rle_string(values))
     for encoding in ("plain", "rle"):
         assert encode_coloring(coloring, encoding) == _ref_encode(coloring, encoding)
 
@@ -278,7 +283,9 @@ _BAD_TOKENS = ("a", "x", "1x", "x1", "1y2", "-1", "+1", "1x-2", "0x0x1", "1.0",
                "\u00b2", "1x\u00b2", "\u0663", "1x\u0663")
 _SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85",
                "\u2028", " \n ")
-_MUTATIONS = ("bad", "zero", "palette", "zeros", "dup", "drop", "length")
+_MUTATIONS = ("bad", "zero", "palette", "zeros", "dup", "drop", "length", "repeat")
+# what a repeated line's copies are joined by: line ends, a blank line, a line of blanks
+_COPY_GAPS = ("\n", "\r\n", "\n\n", "\r\n\r\n", "\n \t\n")
 
 
 @st.composite
@@ -288,7 +295,8 @@ def _mutated_files(draw):
     header, body = encode_coloring(coloring, encoding).split("\n", 1)
     fields = header.split()
     tokens = body.split()
-    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=4)):
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=4))
+    for kind in kinds:
         i = draw(st.integers(0, len(tokens)))
         token = tokens[i] if i < len(tokens) else "0x1" if encoding == "rle" else "0"
         if kind == "bad":
@@ -304,17 +312,27 @@ def _mutated_files(draw):
             tokens.insert(i, token)
         elif kind == "drop":
             del tokens[i:i + 1]
-        else:
+        elif kind == "length":
             fields[3] = str(max(0, coloring.length + draw(st.integers(-3, 3))))
     separators = draw(st.lists(st.sampled_from(_SEPARATORS),
                                min_size=len(tokens), max_size=len(tokens)))
     tail = draw(st.sampled_from(["", "\n", "\r\n", " \t"]))
-    return " ".join(fields) + "\n" + "".join(chain.from_iterable(zip(tokens, separators))) + tail
+    body = "".join(chain.from_iterable(zip(tokens, separators))) + tail
+    # a line, bad tokens and all, copied a few times: a later copy may pass the length
+    for _ in range(kinds.count("repeat")):
+        lines = body.splitlines(keepends=True) or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i].splitlines()[0] if lines[i] else ""
+        copies = draw(st.integers(2, 5))
+        lines[i] = draw(st.sampled_from(_COPY_GAPS)).join([line] * copies) + lines[i][len(line):]
+        body = "".join(lines)
+    return " ".join(fields) + "\n" + body
 
 
 def _outcome(decode, text):
     try:
-        return decode(text)
+        coloring = decode(text)
+        return coloring, coloring._rle_body
     except ColoringFileError as exc:
         return str(exc), exc.line, exc.column
 
@@ -327,8 +345,32 @@ def _outcome(decode, text):
 @example("palette 3 length 4 encoding rle\n00x02 1x1\r\n2x01\n")
 @example("palette 2 length 5 encoding plain\n0 1\n")
 @example("palette 4 length 3 encoding plain\n0 \u0663 \u00b2\n")
+@example("palette 2 length 5 encoding rle\n0x1 1x1\n0x1 1x1\n0x1 1x1\n")
+@example("palette 2 length 6 encoding rle\n0x1 1x1 0x1\n0x1 1x1 0x1\n")
+@example("palette 2 length 4 encoding rle\n0x1 1x1\n\n0x1 1x1\n")
+@example("palette 3 length 9 encoding rle\n0x1 a 2x1\r\n0x1 a 2x1\r\n")
 def test_decoder_matches_the_reference(text):
     assert _outcome(decode_coloring, text) == _outcome(_ref_decode, text)
+
+
+# a copy of a line is canonical only where it differs from the copy before it
+@pytest.mark.parametrize("text,values,body", [
+    ("palette 2 length 6 encoding rle\n0x1 1x1 0x1\n0x1 1x1 0x1\n", (0, 1, 0, 0, 1, 0), None),
+    ("palette 2 length 4 encoding rle\n0x1 1x1\n\n0x1 1x1\n", (0, 1, 0, 1), "0x1 1x1 0x1 1x1"),
+    ("palette 2 length 6 encoding rle\n0x1 1x1\r\n0x1 1x1\r\n0x1 1x1", (0, 1) * 3,
+     "0x1 1x1 0x1 1x1 0x1 1x1"),
+    ("palette 2 length 4 encoding rle\n0x1 1x01\n0x1 1x01\n", (0, 1, 0, 1), None),
+], ids=["copies-meet-on-one-value", "blank-line-between", "crlf", "non-canonical-spelling"])
+def test_a_repeated_line_keeps_the_body_only_if_canonical(text, values, body):
+    decoded = decode_coloring(text)
+    assert decoded.values == values
+    assert decoded._rle_body == body
+
+
+def test_an_overflowing_copy_is_blamed_at_its_token():
+    with pytest.raises(ColoringFileError, match="exceeds declared length 5") as err:
+        decode_coloring("palette 2 length 5 encoding rle\n0x1 1x1\n0x1 1x1\n0x1 1x1\n")
+    assert (err.value.line, err.value.column) == (4, 5)
 
 
 _SPELLINGS = ("canonical", "split", "zero value", "zero count")
@@ -403,6 +445,17 @@ def test_decoding_the_stage_two_ladder_file_holds_no_string_per_token():
     assert peak < 40_000_000
 
 
+def test_a_loaded_ladder_certificate_keeps_its_body():
+    text = is_witness(ladder(2).coloring, parse_growth_spec("exp2")).to_json()
+    loaded = []
+    peak = _peak_bytes(lambda: loaded.append(WitnessCertificate.from_json(text)))
+    assert loaded[0].coloring._rle_body is not None
+    assert loaded[0].to_json() == text
+    # the values tuple is 16.8 MB and the body 4.2 MB; a second body or a list of the
+    # values went past 27 MB
+    assert peak < 25_000_000
+
+
 def test_a_line_past_the_length_is_rejected_before_it_is_packed():
     # 64 distinct runs of about a million positions each: every count fits the
     # length, the line's sum does not, so nothing of the line is packed
@@ -439,7 +492,7 @@ def test_a_wide_palette_decodes_to_one_int_per_value(runs):
 ], ids=["no-palette", "wider-palette", "widest-value", "narrow-palette"])
 def test_a_value_too_wide_to_pack_is_rejected(body, palette, message):
     if message is None:
-        assert parse_rle_string(body, 1, palette) == [(1 << 64) - 1]
+        assert parse_rle_string(body, 1, palette) == (((1 << 64) - 1,), body)
         return
     with pytest.raises(InvalidArgumentError, match=message):
         parse_rle_string(body, 1, palette)
@@ -542,12 +595,12 @@ def _verdict(decode):
 def test_rle_strings_and_files_reject_a_body_alike(runs, n):
     body = "".join(chain.from_iterable(runs))
     text = f"palette 10 length {n} encoding rle\n{body}\n"
-    want = _verdict(lambda: parse_rle_string(body, n))
+    want = _verdict(lambda: parse_rle_string(body, n)[0])
     assert _verdict(lambda: decode_coloring(text).values) == want
 
 
 def test_rle_string_length_must_match():
-    assert parse_rle_string("0x2 1x1", 3) == [0, 0, 1]
+    assert parse_rle_string("0x2 1x1", 3) == ((0, 0, 1), "0x2 1x1")
     with pytest.raises(InvalidArgumentError):
         parse_rle_string("0x2 1x1", 2)
     with pytest.raises(InvalidArgumentError, match="run length must be >= 1"):
