@@ -23,7 +23,7 @@ from .cache import ResultCache, resolve_cache_dir
 # is_witness is not called here; it stays bound because bench/test_bench.py::
 # test_tracer_wraps_every_binding_by_identity_and_restores_them asserts cli.is_witness
 from .checker import _scan, is_witness  # noqa: F401
-from .colorfile import coloring_rle, decode_coloring, encode_coloring, parse_rle_string
+from .colorfile import LENGTH_CAP, coloring_rle, decode_coloring, encode_coloring, parse_rle_string
 from .core import Coloring, GrowthFn, _natural, _quoted, parse_growth_spec
 from .errors import (BrownlabError, ColoringFileError, GrowthSpecError,
                      InvalidArgumentError, MagnitudeError)
@@ -42,8 +42,11 @@ DEFAULT_NODE_BUDGET = 1_000_000
 ORACLE_VALUE_CAP = 18
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _emit(payload: dict, certificate: str = "") -> None:
+    """One canonical JSON line, with a ``to_json()`` text as written for ``"certificate":null``."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    head, null, tail = text.partition('"certificate":null')   # no string value spells it
+    print(head, null[:-4], certificate, tail, sep="")         # null[:-4] is the key, or ""
 
 
 def _note(message: str) -> None:
@@ -107,7 +110,7 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
         "used_closure": outcome.used_closure,
     }
     if outcome.certificate is not None:
-        payload["certificate"] = json.loads(outcome.certificate.to_json())
+        payload["certificate"] = None   # _emit writes the certificate's own text here
     else:
         payload["witness_rle"] = coloring_rle(outcome.witness)
     return payload
@@ -133,9 +136,9 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
         if type(nodes) is not int or nodes < 0 or type(wall) not in (int, float) \
                 or not 0 <= wall < math.inf:
             return None, "rejected"
-        values, body = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])
+        values, _ = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])
         outcome = _outcome(("ap", key["l"]) if f is None else ("star", f), key["r"],
-                           values, nodes, wall, rle_body=body)
+                           values, nodes, wall)
     except (AttributeError, KeyError, TypeError, ValueError):
         return None, "rejected"
     return outcome, "rejected" if outcome is None else "hit"
@@ -144,6 +147,9 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
 def _search_command(args) -> int:
     if args.oracle and args.r > 3:
         raise InvalidArgumentError("--oracle is for small instances only (r <= 3)")
+    if args.command == "brown" and args.r > LENGTH_CAP:
+        raise InvalidArgumentError(f"brown --r must be <= {LENGTH_CAP}, the length cap: "
+                                   "its certificate holds one transcript per color")
     cache = None
     # a --max-n result is not the cached question's answer: neither read nor stored
     if not args.no_cache and args.max_n is None:
@@ -175,14 +181,15 @@ def _search_command(args) -> int:
     exit_code = EXIT_OK
     if args.oracle and not _run_oracle(args, f, outcome, payload):
         exit_code = EXIT_NEGATIVE
-    if args.certificate and outcome.certificate is not None:
+    certificate = outcome.certificate.to_json() if outcome.certificate else ""
+    if args.certificate and certificate:
         with _writing(args.certificate):
-            Path(args.certificate).write_text(outcome.certificate.to_json() + "\n")
+            Path(args.certificate).write_text(certificate + "\n")
         payload["certificate_path"] = args.certificate
     if outcome.kind == "bracketed" and args.require_exact:
         exit_code = EXIT_BUDGET
 
-    _emit(payload)
+    _emit(payload, certificate)
     if outcome.kind == "exact":
         _note(f"{label} = {outcome.value} exact "
               f"(nodes={payload['nodes']}, {payload['wall_time']}s, cache {cache_state})")
@@ -249,8 +256,7 @@ def _cmd_check(args) -> int:
     f = _parse_growth(args.f)
     v, cert = _scan(coloring, f)
     if cert is not None:
-        # _emit's spelling, with the certificate's canonical JSON as written: its key sorts first
-        print('{"certificate":' + cert.to_json() + ',"command":"check","witness":true}')
+        _emit({"certificate": None, "command": "check", "witness": True}, cert.to_json())
         _note(f"witness: every class fits {f.spec_string()}; "
               f"proves the threshold exceeds {coloring.length}")
         return EXIT_OK

@@ -202,12 +202,12 @@ def ladder_verify(stage: LadderStage) -> LadderVerifyReport:
 
 
 def _guard(f: GrowthFn, n: int) -> None:
-    """Refuse evaluations past the caps: 2**n bits, or (n + 1)**k terms for k nested closures."""
+    """Refuse evaluations past the caps: 2**n bits, or k * (n + 1) terms for k nested closures."""
     terms = n + 1
     while f.kind == "closure":
         if terms > BIT_CAP:
             raise MagnitudeError(f"closure at {n} sums more than {BIT_CAP} terms")
-        f, terms = f.inner, terms * (n + 1)
+        f, terms = f.inner, terms + n + 1   # each level keeps one running sum
     if f.kind == "exp2" and n > BIT_CAP:
         raise MagnitudeError(f"2**n with n of {n.bit_length()} bits exceeds "
                              f"the {BIT_CAP}-bit cap")

@@ -32,7 +32,7 @@ class Coloring:
 
     palette: int
     values: tuple
-    # the values' canonical rle body, set only from colorfile (its decoder and `periodic`)
+    # the values' canonical rle body, kept by the decoder, `periodic` and certificate from_json
     _rle_body: Optional[str] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):

@@ -463,15 +463,14 @@ def _threshold(rule_desc, palette, cap, upper, budget) -> SearchOutcome:
     return outcome
 
 
-def _outcome(rule_desc, palette, best, nodes, wall, stop=None, upper=None, rle_body=None):
-    """The outcome of a search, or of a cache hit, whose deepest coloring is ``best``
-    (a hit's with the canonical body it was decoded from): exact when the walk ended
-    (``stop`` None), else a bracket up to ``upper``; None when ``best`` fails the audit
-    of its rule (star: a certificate on the growth's monotone form; progression: no
-    ``l``-term progression)."""
+def _outcome(rule_desc, palette, best, nodes, wall, stop=None, upper=None):
+    """The outcome of a search, or of a cache hit, whose deepest coloring is ``best``,
+    built alike for both: exact when the walk ended (``stop`` None), else a bracket up to
+    ``upper``; None when ``best`` fails the audit of its rule (star: a certificate on the
+    growth's monotone form; progression: no ``l``-term progression)."""
     if palette < 1:   # no search runs on no colors, so neither may a hit
         return None
-    witness = Coloring(palette=palette, values=best, _rle_body=rle_body)
+    witness = Coloring(palette=palette, values=best)
     kind, param = rule_desc
     certificate = is_witness(witness, param.monotone) if kind == "star" else None
     if (certificate is None) if kind == "star" else ap_partition_check(witness, param):

@@ -636,6 +636,58 @@ def test_check_prints_the_certificate_as_emit_spells_it(tmp_path, capsys):
                              sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _DumpsOnly:
+    """A stand-in for the json module that writes documents but cannot read one."""
+
+    dumps = staticmethod(json.dumps)
+
+
+def _certificate_text(out: str) -> str:
+    """The certificate's text as it stands in a printed document."""
+    start = out.index('"certificate":{') + len('"certificate":')
+    return out[start:json.JSONDecoder().raw_decode(out, start)[1]]
+
+
+def test_every_certificate_is_printed_as_written_and_never_read_back(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "json", _DumpsOnly)
+    col, cert_path = tmp_path / "c.col", tmp_path / "cert.json"
+    coloring = Coloring(5, (0, 0, 1, 3, 1, 1, 0, 3))
+    col.write_text(encode_coloring(coloring))
+    texts = []
+    for argv, length in [(("brown", "--f", "linear:2", "--r", "2", "--no-cache",
+                           "--certificate", str(cert_path)), 12),
+                         (("check", "--input", str(col), "--f", "linear:2"), 8)]:
+        assert run_cli(list(argv)) == 0
+        out = capsys.readouterr().out
+        # the bytes of the old path, which parsed the certificate back and dumped it again
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+        texts.append(_certificate_text(out))
+        cert = WitnessCertificate.from_json(texts[-1])
+        assert (cert.to_json(), cert.coloring.length, verify_certificate(cert)) == \
+            (texts[-1], length, True)
+    assert cert_path.read_text() == texts[0] + "\n"
+    assert cert.coloring == coloring
+
+
+def test_brown_at_the_palette_cap_prints_its_certificate(python_m):
+    # the certificate parsed back into one list per color ended in a MemoryError under 512 MiB
+    code, out, err = python_m("brown", "--f", "exp2", "--r", str(LENGTH_CAP),
+                              "--budget-nodes", "10", "--no-cache")
+    assert code == 0, err[-500:]
+    assert '"certificate":{"classes":' in out and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("palette", [str(LENGTH_CAP + 1), "1000000000"])
+def test_brown_past_the_palette_cap_exits_two_before_it_runs(python_m, palette):
+    # a certificate holds one transcript per color, and from_json refuses past the cap
+    code, out, err = python_m("brown", "--f", "linear:1", "--r", palette,
+                              "--budget-nodes", "10", "--no-cache")
+    assert (code, out) == (2, ""), err[-500:]
+    assert err == (f"error: brown --r must be <= {LENGTH_CAP}, the length cap: "
+                   "its certificate holds one transcript per color\n")
+
+
 def test_check_of_a_palette_at_the_cap_builds_nothing_per_color(tmp_path, python_m):
     # one class and one JSON transcript per color took 21-24 s and 712 MB
     path = tmp_path / "wide.col"
@@ -792,12 +844,29 @@ def test_closure_bound_overflow_stops_at_once(cache_env, capsys):
     assert payload["bounds"] == {"ardal": None, "recursion": None}
 
 
+@pytest.mark.parametrize("spec,bound", [
+    ("closure:closure:closure:linear:1", 62450818259056528141),   # 4 * C(139132, 4) + 1
+    ("closure:closure:linear:2", 223395465858358113),   # 4 * 551287 * 551288 * 551289 / 3 + 1
+], ids=["thrice", "twice"])
+def test_nested_closures_bound_at_one_sum_per_level(cache_env, capsys, spec, bound):
+    # k nested closures at n sum k * (n + 1) terms, not (n + 1)**k
+    started = time.monotonic()
+    code, payload, _ = _run(capsys, "bounds", "--f", spec, "--r-max", "4")
+    assert time.monotonic() - started < 1
+    assert (code, payload["rows"][3]["recursion"]) == (0, str(bound))
+    code, payload, _ = _run(capsys, "brown", "--f", spec, "--r", "4",
+                            "--budget-nodes", "100", "--no-cache")
+    assert (code, payload["upper"], payload["bounds"]["recursion"]) == (0, bound, str(bound))
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--f", "closure:linear:1", "--r-max", "6"),
      "r=6: closure at 56777355256 sums more than 33554432 terms"),
+    (("--f", "closure:closure:closure:linear:1", "--r-max", "5"),
+     "r=5: closure at 62450818259056528141 sums more than 33554432 terms"),
     (("--f", "exp2", "--r-max", "4"),
      "r=4: 2**n with n of 35 bits exceeds the 33554432-bit cap"),
-], ids=["closure", "exp2"])
+], ids=["closure", "thrice-closed", "exp2"])
 def test_bounds_overflow_names_what_overflowed(cache_env, capsys, argv, message):
     code, payload, err = _run(capsys, "bounds", *argv)
     assert (code, payload) == (4, None)

@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 import sys
 import tracemalloc
@@ -187,11 +188,13 @@ def test_recursion_bound_overflow_raises_before_allocating():
         upper_bound_seq(closed_lin1, 6)
     # two nested closures: the fourth term's n is about 5,300, summed in linear time
     assert upper_bound_seq(GrowthFn.closure(closed_lin1), 4) == 100096417041
-    # three nested closures at n sum about n**3 / 6 terms; the fourth term's n is 139129
+    # three nested closures at n sum 3 * (n + 1) terms; the fourth term's n is 139129,
+    # and f(n) = C(n + 3, 4), the fifth's n is past the cap
     thrice_closed = GrowthFn.closure(GrowthFn.closure(closed_lin1))
     assert upper_bound_seq(thrice_closed, 3) == 139129
+    assert upper_bound_seq(thrice_closed, 4) == 4 * math.comb(139132, 4) + 1
     with pytest.raises(MagnitudeError):
-        upper_bound_seq(thrice_closed, 4)
+        upper_bound_seq(thrice_closed, 5)
     assert upper_bound_seq(GrowthFn.linear(1000), 4) > 0
 
 
