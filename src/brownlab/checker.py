@@ -11,27 +11,31 @@ length.
 Two deciders are provided.  The fast path is one scan of a coloring: one
 left-to-right pass over its values (``core._class_runs``) yields every class's
 record runs, checked against f of their gap size; for nondecreasing f this is
-equivalent to checking every window.  The scan reports the first class that
-breaks the star condition with its least such window, a
+equivalent to checking every window.  A coloring of repeated segments is folded
+instead: one walk of a copy of each segment summarizes its classes, and the
+summaries compose in closed form over copies and segments.  The scan reports the
+first class that breaks the star condition with its least window, a
 :class:`WindowViolation`, or else yields the :class:`WitnessCertificate`, whose
-empty classes share one empty transcript; a certificate verifies only when the
-scan reproduces it exactly.  The brute-force oracle enumerates every subset of
-every class and is the semantics of record, usable with arbitrary growth functions.
+empty classes share one transcript; a certificate verifies only when the scan
+reproduces it exactly.  The brute-force oracle enumerates every subset of every
+class and is the semantics of record, usable with arbitrary growth functions.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .colorfile import LENGTH_CAP, coloring_rle, parse_rle_string
-from .core import Coloring, GrowthFn, _class_runs, parse_growth_spec
+from .core import _TOP, Coloring, GrowthFn, _class_runs, parse_growth_spec
 from .errors import (GrowthSpecError, InvalidArgumentError, PreconditionError,
                      ResourceLimitError)
 
 BRUTEFORCE_LENGTH_CAP = 20
+_FOLD_COST = 64     # positions: a class's summary costs about as much as their walk
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,103 @@ def _check(pairs, f: GrowthFn) -> tuple:
             limits[g] = f(g)
         if size > limits[g] and (color not in least or (start, end) < least[color][:2]):
             least[color] = (start, end, g, size)
+    return least, _triples(sizes, f, limits)
+
+
+def _triples(sizes: dict, f: GrowthFn, limits: dict) -> dict:
+    """``{color: certificate triples}`` of ``{color: {d: run}}``, each d's run the longest
+    at d or below."""
     triples = {}
     for color, runs in sizes.items():
         ds = sorted(runs)
+        limits.update((d, f(d)) for d in ds if d not in limits)
         triples[color] = tuple(zip(ds, accumulate(map(runs.__getitem__, ds), max),
                                    map(limits.__getitem__, ds)))
-    return least, triples
+    return triples
+
+
+def _summaries(values, start: int, stop: int) -> dict:
+    """``{color: summary}`` of the classes of positions ``start..stop-1``, from one walk of
+    the run kernel that also yields the runs at each class's end.  A class's summary is
+    ``[first, last, size, best, prefix, suffix]``: ``best`` maps each gap value g of the
+    class (and 1) to its longest run whose gaps are all <= g; ``prefix`` lists ``(g, size)``
+    of each maximal run that holds the first element, by increasing g, the last one the
+    whole class; ``suffix`` lists ``(g, lo)`` of each that holds the last element, by
+    decreasing g, lo indexing the run's first element.  The run at any d is the entry of
+    the largest g <= d.  Summaries compose in closed form."""
+    runs: dict = {}
+    for color, *run in _class_runs(enumerate(values[start:stop], start), True):
+        runs.setdefault(color, []).append(run)
+    out = {}
+    for color, rs in runs.items():
+        size = max(r[2] for r in rs) + 1
+        out[color] = [min(r[3] for r in rs), max(r[4] for r in rs), size,
+                      dict(sorted((g, hi - lo + 1) for g, lo, hi, _, _ in rs)),
+                      sorted({(g, hi + 1) for g, lo, hi, _, _ in rs if lo == 0}),
+                      sorted({(g, lo) for g, lo, hi, _, _ in rs if hi == size - 1}, reverse=True)]
+    return out
+
+
+def _junction(best: dict, size: int, suffix: list, prefix: list, j: int, m: int) -> None:
+    """Record in ``best``, at each d < m where one changes, the run that ends a part of
+    ``size`` elements and ``suffix`` (by increasing g) and, when j <= d, goes on across a
+    junction gap j through a ``prefix``.  From d = m on, the parts join whole."""
+    def at(entries, d):                 # the second field of the entry of the largest g <= d
+        return entries[bisect_right(entries, (d, _TOP)) - 1][1]
+    for d in {j, *(g for g, _ in suffix), *(g for g, _ in prefix)}:    # where a run changes
+        if d < m:
+            run = size - at(suffix, d) + (at(prefix, d) if j <= d else 0)
+            best[d] = max(best.get(d, 0), run)
+
+
+def _repeat(s: list, period: int, k: int) -> list:
+    """The summary of k copies of ``s``, a period apart: at d from m, the larger of the
+    junction gap and the gap size, the copies are one run, and below m at most two join."""
+    first, last, size, best, prefix, suffix = s
+    j = first + period - last
+    m = max(j, prefix[-1][0])
+    _junction(best, size, suffix[::-1], prefix, j, m)
+    return [first, last + (k - 1) * period, k * size, best,
+            [e for e in prefix if e[0] < m] + [(m, k * size)],
+            [(m, 0)] + [(g, lo + (k - 1) * size) for g, lo in suffix if g < m]]
+
+
+def _join(a: list, b: list) -> None:
+    """Extend summary ``a`` by ``b``, a class after a's last position, but not a's prefix:
+    nothing joins a fold on its left."""
+    size, best, stack = a[2], a[3], a[5]
+    j = b[0] - a[1]
+    m = max(j, b[4][-1][0])
+    ended = []                          # a's runs at its end that b does not extend whole
+    while stack and stack[-1][0] < m:
+        ended.append(stack.pop())
+    _junction(best, size, ended, b[4], j, m)
+    if not stack or stack[-1][0] != m:
+        stack.append((m, ended[-1][1]))
+    stack.extend((g, lo + size) for g, lo in b[5] if g < m)
+    best.update((g, run) for g, run in b[3].items() if run > best.get(g, 0))
+    a[1], a[2] = b[1], size + b[2]
+
+
+def _fold(coloring: Coloring) -> Optional[dict]:
+    """``{color: {d: run}}`` for :func:`_triples`, folded over the coloring's segments, or
+    None when one walk of the values costs less: the fold walks one copy of each segment,
+    and each class a segment may hold costs it about ``_FOLD_COST`` positions more."""
+    segments = coloring._segments or ((coloring.length, 1),)
+    if sum(p + _FOLD_COST * min(p, coloring.palette) for p, _ in segments) >= coloring.length:
+        return None
+    acc, start = {}, 0
+    for p, k in segments:
+        for color, s in _summaries(coloring.values, start, start + p).items():
+            s = _repeat(s, p, k) if k > 1 else s
+            if color in acc:
+                _join(acc[color], s)
+            else:
+                acc[color] = s
+        start += p * k
+    for _, _, size, best, _, stack in acc.values():
+        best.update((g, max(best.get(g, 0), size - lo)) for g, lo in stack)
+    return {color: s[3] for color, s in acc.items()}
 
 
 def _check_class(h: Sequence[int], f: GrowthFn, color: Optional[int] = None):
@@ -186,11 +281,12 @@ class WitnessCertificate:
                 raise InvalidArgumentError(f"palette must be an int, not {type(palette).__name__}")
             if palette > LENGTH_CAP:
                 raise InvalidArgumentError(f"palette must be a natural <= {LENGTH_CAP}")
-            values, body = parse_rle_string(doc["coloring_rle"], doc["length"], palette)
-            coloring = Coloring(palette=palette, values=values, _rle_body=body)
+            values, body, segs = parse_rle_string(doc["coloring_rle"], doc["length"], palette)
+            coloring = Coloring(palette=palette, values=values, _rle_body=body, _segments=segs)
             if not isinstance(doc["growth"], str):
                 raise InvalidArgumentError("certificate growth field is not a spec string")
-            per_class = tuple(tuple(tuple(t) for t in cls) for cls in doc["classes"])
+            empty = []                      # one list to compare each class with, not one each
+            per_class = tuple(() if c == empty else tuple(map(tuple, c)) for c in doc["classes"])
         except InvalidArgumentError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -200,11 +296,15 @@ class WitnessCertificate:
 
 
 def _scan(coloring: Coloring, f: GrowthFn):
-    """The one star check of a coloring, one pass over its values: ``(violation,
-    None)`` for the least (start, end) window of the first class that breaks the
-    star condition, else ``(None, certificate)``; empty classes share ``()``."""
+    """The one star check of a coloring: ``(violation, None)`` for the least (start,
+    end) window of the first class that breaks the star condition, else ``(None,
+    certificate)``; empty classes share ``()``.  A coloring of repeated segments is
+    folded; one pass over the values checks any other, and names a fold's violation."""
     _nondecreasing(f)
-    least, triples = _check(enumerate(coloring.values), f)
+    sizes, least = _fold(coloring), None
+    triples = None if sizes is None else _triples(sizes, f, {})
+    if triples is None or any(run > limit for ts in triples.values() for _, run, limit in ts):
+        least, triples = _check(enumerate(coloring.values), f)
     if least:
         color = min(least)
         return WindowViolation(color, *least[color]), None

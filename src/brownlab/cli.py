@@ -136,7 +136,7 @@ def _cached(cache, key: dict, f: Optional[GrowthFn]):
         if type(nodes) is not int or nodes < 0 or type(wall) not in (int, float) \
                 or not 0 <= wall < math.inf:
             return None, "rejected"
-        values, _ = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])
+        values = parse_rle_string(entry["witness_rle"], entry["witness_length"], key["r"])[0]
         outcome = _outcome(("ap", key["l"]) if f is None else ("star", f), key["r"],
                            values, nodes, wall)
     except (AttributeError, KeyError, TypeError, ValueError):

@@ -15,9 +15,10 @@ malformed, too long, a zero count, outside the palette, wider than 64 bits or
 past the length (a file gives its line and column).  A canonical body, one whose
 tokens read ``f"{value}x{count}"`` with no two neighbours of one value, is joined
 from the lines as they are split.  A line equal to the one before it (nearly every line
-of a file built by repetition) is not split again; only the line before is held.
-A coloring decoded from a canonical rle file or certificate, or repeated by
-:func:`periodic`, keeps its canonical body, which the rle writer and the certificate
+of a file built by repetition) is not split again, and a run of equal lines is kept as
+one segment of copies; only the line before is held.  A coloring decoded from a file or
+certificate, or repeated by :func:`periodic`, keeps its segments, which the checker
+folds, and its canonical rle body if it has one, which the rle writer and the certificate
 reuse through :func:`coloring_rle`.  Files this program writes have
 at most ``palette`` distinct plain tokens, or ``palette * sqrt(2 * length)``
 distinct rle ones (the distinct counts of one value sum to at most ``length``).
@@ -67,7 +68,8 @@ def periodic(palette: int, block: tuple, n: int) -> Coloring:
         raise InvalidArgumentError("a repeated block must be nonempty and differ at its ends")
     q, rem = divmod(n, len(block) or 1)
     body = [rle_string(block)] * q + ([rle_string(block[:rem])] if rem else [])
-    return Coloring(palette=palette, values=block * q + block[:rem], _rle_body=" ".join(body))
+    return Coloring(palette=palette, values=block * q + block[:rem], _rle_body=" ".join(body),
+                    _segments=tuple((p, k) for p, k in ((len(block), q), (rem, 1)) if p and k))
 
 
 def coloring_rle(coloring: Coloring) -> str:
@@ -95,9 +97,10 @@ def _parse_token(token: str, rle: bool, palette=None):
 
 
 def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tuple:
-    """``(values, canonical body or None)`` of the tokens of ``chunks``, else ``(message,
-    (chunk, column))`` for the first token that is rejected or carries the counts past
-    ``length``, or ``(message, None)`` if they fall short or ``length`` is out of range.
+    """``(values, canonical body or None, segments)`` of the tokens of ``chunks``, else
+    ``(message, (chunk, column), None)`` for the first token that is rejected or carries the
+    counts past ``length``, or ``(message, None, None)`` if they fall short or ``length`` is
+    out of range.
 
     Each chunk (a line) is split once and dropped from ``chunks``.  Its new distinct tokens
     are parsed, its counts summed against ``length``, and only then are its values packed,
@@ -105,16 +108,19 @@ def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tu
     split again: it reuses that line's count, packed bytes, end values and spelling, and only
     its total and the values where it meets the line before are checked.  Only the line
     before is held, so a body with no repeated line costs one string compare a line more.
+    The segments are ``(positions, copies)`` pairs: a run of k equal lines is one segment of
+    k copies, and neighbouring lines that do not repeat are one segment of 1 copy.
     The body is canonical when every token reads ``f"{value}x{count}"`` and no two
     neighbours share a value; it is then joined from the lines, one space between tokens,
     and is ``text`` itself if that reads the same.  Last, the packed lines are joined into
     one buffer and the values tuple is read back from it, one int object per value."""
     if type(length) is not int or not 0 <= length <= LENGTH_CAP:
-        return f"length must be a natural <= {LENGTH_CAP}", None
+        return f"length must be a natural <= {LENGTH_CAP}", None, None
     wide = _WIDEST if palette is None else min(palette, _WIDEST)
     code, size = next((code, size) for code, size in _PACKINGS if 1 << 8 * size >= wide)
     counts, runs, blocks, heads, ints = {}, {}, {}, {}, {}
     packed, lines = [], []                  # each line's packed values; canonical lines
+    sizes, copies = [0], [1]                # each segment's positions and copies: no list each
     total, canonical, last, prev, first, end = 0, rle, None, None, None, None
     for i, chunk in enumerate(chunks):
         chunks[i] = None                    # a line is held once: by the body if canonical
@@ -137,11 +143,15 @@ def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tu
                 total += counts[token[0]]
                 if total > length:
                     run = runs[token[0]]
-                    return (run if isinstance(run, str)
-                            else f"body exceeds declared length {length}"), (i, token.start())
+                    return (run if isinstance(run, str) else
+                            f"body exceeds declared length {length}"), (i, token.start()), None
         total += count
         if fresh:
             prev = chunk
+            if copies[-1] > 1:              # after copies, fresh lines start a segment
+                sizes.append(0)
+                copies.append(1)
+            sizes[-1] += count
             for token in new:
                 value, reps = runs[token]
                 value = heads[token] = ints.setdefault(value, value)
@@ -153,6 +163,12 @@ def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tu
                 canonical = not any(map(eq, values[1:], values))
                 first, end, joined = values[0], values[-1], " ".join(line)
                 joined = chunk if chunk == joined else joined
+        elif copies[-1] > 1:                # one more copy of the line before
+            copies[-1] += 1
+        else:                               # the line before leaves its segment for its copies
+            sizes[-1] -= count
+            sizes.append(count)
+            copies.append(2)
         # a copy of a line breaks canonicity where it meets the copy before it, if at all
         canonical = canonical and first != last
         last = end
@@ -160,24 +176,25 @@ def _decode_body(chunks: list, rle: bool, length, palette=None, text=None) -> tu
         if canonical:
             lines.append(joined)
     if total != length:
-        return f"body holds {total} positions but header declares {length}", None
+        return f"body holds {total} positions but header declares {length}", None, None
     body = " ".join(lines) if canonical else None
     body = text if body == text else body   # a certificate's body is held once
-    del lines, blocks                       # freed before the tuple is built
+    segments = tuple((p, k) for p, k in zip(sizes, copies) if p)
+    del lines, blocks, sizes, copies        # freed before the tuple is built
     # one buffer, allocated once at its size; a value below 256 is a shared small int already
     packed = memoryview(b"".join(packed)).cast(code)
     values = tuple(packed) if code == "B" else tuple(map(ints.__getitem__, packed))
-    return values, body
+    return values, body, segments
 
 
 def parse_rle_string(text: str, length: int, palette=None) -> tuple:
-    """``(values, canonical body or None)`` of ``<value>x<count>`` tokens, whose counts must
-    sum to ``length`` and whose values must lie below ``palette``; a rejected body raises the
-    message a coloring file would carry."""
-    values, body = _decode_body(_LINE.findall(text), True, length, palette, text)
+    """``(values, canonical body or None, segments)`` of ``<value>x<count>`` tokens, whose
+    counts must sum to ``length`` and whose values must lie below ``palette``; a rejected
+    body raises the message a coloring file would carry."""
+    values, body, segments = _decode_body(_LINE.findall(text), True, length, palette, text)
     if isinstance(values, str):
         raise InvalidArgumentError(values)
-    return values, body
+    return values, body, segments
 
 
 def encode_coloring(coloring: Coloring, encoding: str = "auto") -> str:
@@ -211,8 +228,8 @@ def decode_coloring(text: str) -> Coloring:
         raise ColoringFileError(f"unknown encoding {_quoted(encoding)}", 1,
                                 header.rindex(encoding) + 1)
     del lines[0]                            # the decoder takes the body lines over
-    values, detail = _decode_body(lines, encoding == "rle", length, palette)
+    values, detail, segments = _decode_body(lines, encoding == "rle", length, palette)
     if isinstance(values, str):             # no token to blame: the header's length field
         line, column = (-1, header.index(fields[3])) if detail is None else detail
         raise ColoringFileError(values, line + 2, column + 1)
-    return Coloring(palette=palette, values=values, _rle_body=detail)
+    return Coloring(palette=palette, values=values, _rle_body=detail, _segments=segments)

@@ -11,7 +11,8 @@ that sets of at most one element (including the empty set) have gap
 size 1.  A *window* of ``H`` is a run of consecutive elements in H's sorted
 enumeration; windows are the sets the checks in :mod:`brownlab.checker` quantify
 over.  Their one run kernel, ``_class_runs``, walks ``(position, color)`` pairs
-once, holding a few objects per color that occurs and none per position.
+once, holding a few objects per color that occurs and none per position; for the
+checker's fold of a repeated segment it also yields the runs at each class's end.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class Coloring:
     values: tuple
     # the values' canonical rle body, kept by the decoder, `periodic` and certificate from_json
     _rle_body: Optional[str] = field(default=None, compare=False, repr=False, kw_only=True)
+    # (positions, copies) of each stretch of values repeated back to back, kept likewise
+    _segments: Optional[tuple] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         values = self.values
@@ -278,11 +281,12 @@ def gap_size(h: Sequence[int]) -> int:
     return max(b - a for a, b in zip(h, h[1:]))
 
 
-def _class_runs(pairs: Iterable[tuple]) -> Iterator[tuple]:
+def _class_runs(pairs: Iterable[tuple], tails: bool = False) -> Iterator[tuple]:
     """Yield ``(color, g, lo, hi, start, end)`` for each *record* g-run of each
     color's class h, in one pass over ``(position, color)`` pairs in increasing
     position: a maximal run ``h[lo..hi]``, from ``start`` to ``end``, whose gaps
     are all <= g and include one equal to g, longer than every earlier g-run.
+    With ``tails``, every run that holds a class's last element is yielded too.
 
     Every window with gap size g lies inside exactly one g-run.  The g-runs are
     disjoint and close in position order, so the longest one and the first one
@@ -311,6 +315,9 @@ def _class_runs(pairs: Iterable[tuple]) -> Iterator[tuple]:
                 head, end, hi, top, _, stack, best = s
                 g = first - end
                 lo, start = hi - (end - head + 1), head     # the last stretch is the open 1-run
+                if tails and g == _TOP:                     # the close-out yields every run
+                    best = {}
+                    yield color, 1, lo, hi - 1, start, end
                 while top < g:
                     _, lo, start = stack.pop()
                     if hi - lo > best.get(top, 0):

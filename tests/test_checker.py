@@ -3,13 +3,15 @@ import json
 import random
 import tracemalloc
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brownlab.checker import (WindowViolation, WitnessCertificate, _check, _check_class, _scan,
-                              has_large_homogeneous,
+from brownlab import checker
+from brownlab.checker import (WindowViolation, WitnessCertificate, _check, _check_class, _fold,
+                              _scan, _triples, has_large_homogeneous,
                               has_large_homogeneous_bruteforce, is_witness,
                               star_violation, verify_certificate)
 from brownlab.constructions import ladder
@@ -218,6 +220,38 @@ def test_the_scan_holds_no_object_per_position():
         tracemalloc.stop()
     assert violation is None and len(cert.per_class) == 4
     assert peak < 1_000_000                 # one tuple per class held 81.7 MB
+
+
+def segmented(palette, blocks):
+    """The coloring of each ``(block, copies)`` of ``blocks`` in turn, its values taken mod
+    ``palette``, with one segment per block: the shape the decoder gives repeated lines."""
+    blocks = [(tuple(v % palette for v in block), k) for block, k in blocks]
+    return Coloring(palette, sum((block * k for block, k in blocks), ()),
+                    _segments=tuple((len(block), k) for block, k in blocks))
+
+
+segmented_colorings = st.builds(
+    segmented, st.integers(1, 4),
+    st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(1, 5)),
+             min_size=1, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(segmented_colorings, st.sampled_from(STAR_GROWTHS))
+@example(segmented(2, [((0, 1, 0), 4)]), LIN2)                      # junction gap 1
+@example(segmented(2, [((0, 1, 0), 4)]), GrowthFn.linear(4))        # class 0 one 2-run
+@example(segmented(3, [((0, 1), 3), ((2, 2, 0), 2), ((1,), 5)]), LIN2)     # 1 skips a segment
+@example(segmented(2, [((0, 1, 1), 3), ((1, 0), 1), ((1,), 2)]), EXP2)     # 1 copy between
+def test_the_fold_matches_one_pass(coloring, f):
+    _, triples = _check(enumerate(coloring.values), f)
+    plain = Coloring(coloring.palette, coloring.values)
+    with mock.patch.object(checker, "_FOLD_COST", 0):       # fold any segment with copies
+        sizes = _fold(coloring)
+        assert _scan(coloring, f) == _scan(plain, f)
+    if sizes is None:                                       # no copies to fold
+        assert all(k == 1 for _, k in coloring._segments)
+    else:
+        assert _triples(sizes, f, {}) == triples
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from brownlab.cache import ResultCache
 from brownlab.checker import WitnessCertificate, verify_certificate
 from brownlab.cli import DEFAULT_NODE_BUDGET, _budget, _cached, build_parser, run_cli
 from brownlab.colorfile import LENGTH_CAP, encode_coloring, rle_string
-from brownlab.core import Coloring
+from brownlab.core import Coloring, GrowthFn
 from brownlab.errors import InvalidArgumentError
 
 
@@ -558,6 +558,25 @@ def test_check_scans_a_non_witness_once(tmp_path, capsys, monkeypatch):
     assert (code, len(scans)) == (1, 1)
     assert payload["violation"] == {"color": 1, "start": 1, "end": 2,
                                     "gap_size": 1, "length": 2}
+
+
+def test_check_folds_the_stage_two_ladder_over_one_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s2.col"
+    assert _run(capsys, "ladder", "--s", "2", "--out", str(path))[0] == 0
+    # 16,384 equal lines of 128 positions: the run kernel walks one of them
+    walked = []
+    class_runs = checker._class_runs
+    monkeypatch.setattr(checker, "_class_runs", lambda pairs, *tails: class_runs(
+        walked.append(list(pairs)) or walked[-1], *tails))
+    code, payload, _ = _run(capsys, "check", "--input", str(path), "--f", "exp2")
+    assert (code, sum(map(len, walked))) == (0, 128)
+    # so does a verification of the certificate reloaded
+    cert = WitnessCertificate.from_json(json.dumps(payload["certificate"]))
+    assert verify_certificate(cert) and sum(map(len, walked)) == 256
+    monkeypatch.undo()
+    # the fold's triples are the one pass's
+    _, triples = checker._check(enumerate(cert.coloring.values), GrowthFn.exp2())
+    assert cert.per_class == tuple(map(triples.get, range(4)))
 
 
 def test_check_of_the_stage_two_ladder_reuses_the_file_body(tmp_path, capsys, monkeypatch):

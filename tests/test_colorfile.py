@@ -20,10 +20,10 @@ from brownlab.errors import ColoringFileError, InvalidArgumentError
 def test_rle_pairs_round_trip():
     values = [0, 0, 1, 1, 1, 0, 2]
     assert rle_string(values) == "0x2 1x3 0x1 2x1"
-    assert parse_rle_string(rle_string(values), len(values)) == (tuple(values), "0x2 1x3 0x1 2x1")
+    assert parse_rle_string(rle_string(values), 7) == (tuple(values), "0x2 1x3 0x1 2x1", ((7, 1),))
     assert rle_string(iter(values)) == rle_string(values)
     assert rle_string([]) == ""
-    assert parse_rle_string("", 0) == ((), "")
+    assert parse_rle_string("", 0) == ((), "", ())
 
 
 def test_rle_rejects_zero_counts():
@@ -274,7 +274,8 @@ def _colorings(draw, max_palette=300, max_count=2_000):
 def test_encoders_match_the_reference(coloring):
     values = coloring.values
     assert rle_string(values) == " ".join(f"{v}x{c}" for v, c in _ref_rle_encode(values))
-    assert parse_rle_string(rle_string(values), coloring.length) == (values, rle_string(values))
+    body = rle_string(values)
+    assert parse_rle_string(body, coloring.length)[:2] == (values, body)
     for encoding in ("plain", "rle"):
         assert encode_coloring(coloring, encoding) == _ref_encode(coloring, encoding)
 
@@ -351,6 +352,25 @@ def _outcome(decode, text):
 @example("palette 3 length 9 encoding rle\n0x1 a 2x1\r\n0x1 a 2x1\r\n")
 def test_decoder_matches_the_reference(text):
     assert _outcome(decode_coloring, text) == _outcome(_ref_decode, text)
+
+
+@pytest.mark.parametrize("lines, segments", [
+    (["0 1 2", "0 1 2", "1 1", "1 1", "1 1", "2"], ((3, 2), (2, 3), (1, 1))),
+    (["0 1 2", "1 1", "2 0", "2"], ((8, 1),)),
+    (["0 1 2", "1 1", "1 1", "", "1 1", "2", "0"], ((3, 1), (2, 3), (2, 1))),
+], ids=["AABBBC", "no-repeated-line", "a-blank-line-among-copies"])
+def test_the_decoder_keeps_each_run_of_equal_lines_as_one_segment(lines, segments):
+    n = sum(len(line.split()) for line in lines)
+    text = f"palette 3 length {n} encoding plain\n" + "\n".join(lines) + "\n"
+    assert decode_coloring(text)._segments == segments
+
+
+def test_a_certificate_keeps_the_segments_of_its_body():
+    coloring = periodic(2, (0, 0, 1), 300)
+    assert coloring._segments == ((3, 100),)
+    # the body's 200 tokens are read 64 at a time: three equal chunks and a tail of 8 tokens
+    cert = is_witness(coloring, parse_growth_spec("linear:100"))
+    assert WitnessCertificate.from_json(cert.to_json()).coloring._segments == ((96, 3), (12, 1))
 
 
 # a copy of a line is canonical only where it differs from the copy before it
@@ -492,7 +512,7 @@ def test_a_wide_palette_decodes_to_one_int_per_value(runs):
 ], ids=["no-palette", "wider-palette", "widest-value", "narrow-palette"])
 def test_a_value_too_wide_to_pack_is_rejected(body, palette, message):
     if message is None:
-        assert parse_rle_string(body, 1, palette) == (((1 << 64) - 1,), body)
+        assert parse_rle_string(body, 1, palette) == (((1 << 64) - 1,), body, ((1, 1),))
         return
     with pytest.raises(InvalidArgumentError, match=message):
         parse_rle_string(body, 1, palette)
@@ -600,7 +620,7 @@ def test_rle_strings_and_files_reject_a_body_alike(runs, n):
 
 
 def test_rle_string_length_must_match():
-    assert parse_rle_string("0x2 1x1", 3) == ((0, 0, 1), "0x2 1x1")
+    assert parse_rle_string("0x2 1x1", 3) == ((0, 0, 1), "0x2 1x1", ((3, 1),))
     with pytest.raises(InvalidArgumentError):
         parse_rle_string("0x2 1x1", 2)
     with pytest.raises(InvalidArgumentError, match="run length must be >= 1"):

@@ -237,6 +237,30 @@ def test_class_runs_yields_the_record_windows_of_a_set(gaps, start):
     assert _kernel_records(pairs) == record_runs_bruteforce(pairs)
 
 
+def _end_runs(values):
+    """Every maximal run that holds its class's last element, by definition, as the kernel
+    spells it: ``(color, gap size, lo, hi, start, end)``."""
+    runs = set()
+    for c in set(values):
+        h = [x for x, v in enumerate(values) if v == c]
+        for j in range(len(h)):
+            g = max(map(sub, h[j + 1:], h[j:]), default=1)
+            if j == 0 or h[j] - h[j - 1] > g:
+                runs.add((c, g, j, len(h) - 1, h[j], h[-1]))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mountain_colorings(),
+                 st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(0, k - 1),
+                                                              max_size=300))))
+@example([0, 0, 1, 0, 1, 1, 0])
+@example([0, 0, 1, 0, 2, 2])                # a class first seen in the last stretch
+def test_class_runs_with_tails_yields_the_records_and_the_runs_at_each_end(values):
+    pairs = list(enumerate(values))
+    assert set(_class_runs(pairs, True)) == set(_class_runs(pairs)) | _end_runs(values)
+
+
 # ---------------------------------------------------------------------------
 # growth functions
 # ---------------------------------------------------------------------------
